@@ -25,8 +25,8 @@ for name in ("A1", "A2", "A3", "B3", "I2(5)", "H3"):
     body = ", ".join(f"H^{g.degree} = {g}" for g in groups)
     print(f"{name}: {body}")
 
-# homology comes from the transposed complex; its torsion matches the
-# cohomology one degree up
+# homology reads the same Smith forms as cohomology; its torsion
+# matches the cohomology one degree up
 A3 = build_salvetti_complex(finite_type_system("A3"))
 hom = homology(A3)
 co = cohomology(A3)

@@ -113,8 +113,9 @@ def milnor_report(system: CoxeterSystem, config: RunConfig,
     if domain is None:
         domain = config.domains()[0]
     C = build_salvetti_complex(system, domain)
-    co = cohomology(C)
     shift = verify_shift_theorem(C, config.policy(), progress=progress)
+    # a report built by hand carries no groups
+    co = shift.cohomology or cohomology(C)
     mon = monodromy_char_poly(co, domain)
     rows = []
     for k in range(C.top_degree):
@@ -394,12 +395,12 @@ def _run_family(config: RunConfig, em: _Emitter) -> int:
         family = load_family(config.family_path, domain)
         C = build_generic_complex(family)
         wf = is_well_filtered(C)
-        co = cohomology(C)
         shift = None
         if wf.ok:
             shift = verify_shift_theorem(C, config.policy())
             if not shift.ok:
                 code = 1
+        co = shift.cohomology if shift else cohomology(C)
         if config.fmt == "pretty":
             em.emit(f"family {config.family_path} over {domain}: rank "
                     f"{len(C.gamma)}, {sum(C.ranks)} basis elements")

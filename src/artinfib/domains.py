@@ -231,12 +231,32 @@ class IntegerRing(Domain):
         return q
 
 
+# Miller-Rabin to the thirteen prime bases up to 41 decides primality
+# for every n below this bound (Sorenson and Webster, Math. Comp. 86 (2017))
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality for n below ``_MILLER_RABIN_LIMIT``."""
+    if n < 2 or any(n % b == 0 for b in _MILLER_RABIN_BASES):
+        return n in _MILLER_RABIN_BASES
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    # b witnesses compositeness unless b^odd = 1 or some b^(odd 2^i) = -1
+    return not any(pow(b, odd, n) != 1 and all(
+        pow(b, odd << i, n) != n - 1 for i in range(twos))
+        for b in _MILLER_RABIN_BASES)
+
+
 class PrimeField(Domain):
     is_field = True
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-            raise UnsupportedDomain(f"{p} is not prime")
+        if not (p < _MILLER_RABIN_LIMIT and _is_prime(p)):
+            raise UnsupportedDomain(
+                f"{p} is not a prime below {_MILLER_RABIN_LIMIT}")
         self.p = p
         self.name = f"Z/{p}"
         self.characteristic = p

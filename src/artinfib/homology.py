@@ -2,9 +2,9 @@
 
 Over a field k the Laurent ring is a Euclidean domain (size = span,
 units = c q^j), so any matrix has a diagonal form U A V = D with unit
-transforms and a divisibility chain on the diagonal.  Cohomology of a
-complex of free modules falls out of two such decompositions per
-degree; homology is cohomology of the transposed complex.
+transforms and a divisibility chain on the diagonal.  Cohomology and
+homology of a complex of free modules both fall out of one such
+decomposition per differential: only its invariant factors are read.
 
 ``verify_shift_theorem`` compares, degree by degree, the windowed
 series-module cohomology dimension with the torsion A-dimension of the
@@ -17,12 +17,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from .complexes import CochainComplex, is_well_filtered, transpose_complex
+from .complexes import CochainComplex, check_d_squared, is_well_filtered
 from .domains import Domain
 from .errors import (NotStabilized, NotWellFiltered, RankMismatch,
                      UnsupportedDomain)
 from .laurent import (LaurentPoly, factor_cyclotomic, format_poly)
-from .rmatrix import mat_identity, mat_mul, mat_shape
+from .rmatrix import mat_identity, mat_shape
 from .series import default_window_radius, m_cohomology_dim_window
 
 
@@ -314,75 +314,50 @@ class InvariantFactors:
         return " + ".join(parts)
 
 
-def _zero_rows_or_raise(B, count, what):
-    for i in range(count):
-        if any(not e.is_zero() for e in B[i]):
-            raise RankMismatch(
-                f"{what}: image does not lie in the kernel, d^2 != 0")
+def _groups(C: CochainComplex, homological: bool) -> tuple:
+    """Invariant factors of C in degrees 0..top, one Smith form per map.
+
+    The image of d^k is free, so coker d^(k-1) is H^k plus a free
+    module: the torsion of H^k is the nonunit invariant factors of
+    d^(k-1), and the free rank is r_k - rank d^k - rank d^(k-1).  A
+    matrix and its transpose share their invariant factors, so H_k
+    takes its torsion from d^k with the same free rank.
+    """
+    dom = C.domain
+    if not dom.is_field:
+        raise UnsupportedDomain(
+            f"cohomology needs field coefficients, not {dom}")
+    if not check_d_squared(C):
+        raise RankMismatch("image does not lie in the kernel, d^2 != 0")
+    # factors[k] belongs to d^(k-1); d^-1 and d^top are zero maps
+    factors = [()] + [
+        smith_normal_form(d, dom, shape=(C.ranks[k + 1], C.ranks[k])
+                          ).invariant_factors
+        for k, d in enumerate(C.diffs)] + [()]
+    return tuple(InvariantFactors(
+        degree=k,
+        free_rank=C.ranks[k] - len(factors[k]) - len(factors[k + 1]),
+        torsion=tuple(f for f in factors[k + 1 if homological else k]
+                      if f.span > 0))
+        for k in range(C.top_degree + 1))
 
 
 def cohomology(C: CochainComplex) -> tuple:
     """Invariant factors of every H^k = ker d^k / im d^(k-1).
 
-    The kernel of d^k is read off the Smith form of d^k (the trailing
-    columns of V); the incoming differential is rewritten in that basis
-    with Vinv and its restriction to the kernel coordinates is
-    diagonalized again.  Its nonunit invariant factors are the torsion
-    of H^k and the corank is the free rank.
+    The torsion of H^k is the nonunit invariant factors of d^(k-1).
+    Raises RankMismatch when C is not a complex.
     """
-    if not C.domain.is_field:
-        raise UnsupportedDomain(
-            f"cohomology needs field coefficients, not {C.domain}")
-    dom = C.domain
-    top = C.top_degree
-    out = []
-    snf_out = {}
-    for k in range(top + 1):
-        if k < top and C.ranks[k + 1] > 0 and C.ranks[k] > 0:
-            snf = snf_out.get(k)
-            if snf is None:
-                snf = smith_normal_form(C.diffs[k], dom,
-                                        shape=(C.ranks[k + 1], C.ranks[k]))
-                snf_out[k] = snf
-            rank_out = snf.rank
-        else:
-            snf = None
-            rank_out = 0
-        kappa = C.ranks[k] - rank_out
-        if k == 0 or C.ranks[k - 1] == 0 or C.ranks[k] == 0:
-            out.append(InvariantFactors(degree=k, free_rank=kappa,
-                                        torsion=()))
-            continue
-        d_in = C.diffs[k - 1]
-        if snf is None:
-            b_hat = d_in
-        else:
-            B = mat_mul(snf.Vinv, d_in, dom)
-            _zero_rows_or_raise(B, rank_out, f"degree {k}")
-            b_hat = B[rank_out:]
-        if kappa == 0:
-            out.append(InvariantFactors(degree=k, free_rank=0, torsion=()))
-            continue
-        snf_in = smith_normal_form(b_hat, dom,
-                                   shape=(kappa, C.ranks[k - 1]))
-        torsion = tuple(f for f in snf_in.invariant_factors if f.span > 0)
-        out.append(InvariantFactors(degree=k,
-                                    free_rank=kappa - snf_in.rank,
-                                    torsion=torsion))
-    return tuple(out)
+    return _groups(C, homological=False)
 
 
 def homology(C: CochainComplex) -> tuple:
-    """H_k of the complex, via cohomology of the transpose.
+    """Invariant factors of every H_k of the complex, read as chains.
 
-    Returned in homological degrees 0..top, so entry k describes H_k.
+    Returned in homological degrees 0..top, so entry k describes H_k;
+    its torsion is the nonunit invariant factors of d^k.
     """
-    top = C.top_degree
-    co = cohomology(transpose_complex(C))
-    return tuple(
-        InvariantFactors(degree=k, free_rank=co[top - k].free_rank,
-                         torsion=co[top - k].torsion)
-        for k in range(top + 1))
+    return _groups(C, homological=True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -420,7 +395,10 @@ class DegreeShift:
 
 @dataclasses.dataclass(frozen=True)
 class ShiftReport:
+    """The per-degree comparison, with the Laurent cohomology it used."""
+
     degrees: tuple
+    cohomology: tuple = ()
 
     @property
     def ok(self) -> bool:
@@ -473,7 +451,7 @@ def verify_shift_theorem(C: CochainComplex,
         if progress is not None:
             progress(record)
         degrees.append(record)
-    return ShiftReport(degrees=tuple(degrees))
+    return ShiftReport(degrees=tuple(degrees), cohomology=co)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -18,6 +18,7 @@ equality and hashing are structural.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 from .domains import QQ, Domain
@@ -355,15 +356,7 @@ def _divide(a: LaurentPoly, b: LaurentPoly, exact: bool):
     return qpoly, rpoly
 
 
-# -- functional aliases and named constructions ------------------------
-
-
-def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
-
-
-def lp_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a.divexact(b)
+# -- named constructions ------------------------
 
 
 def extremes_invertible(p: LaurentPoly) -> bool:
@@ -381,20 +374,31 @@ def q_bracket(n: int, domain: Domain = QQ) -> LaurentPoly:
     return LaurentPoly(domain, 0, [domain.one] * n)
 
 
+def _divide_monic(num, den):
+    """num / den for integer coefficient lists (constant term first) and
+    a monic den; None when den does not divide num."""
+    rest = list(num)
+    top = len(den) - 1
+    quo = [0] * max(len(rest) - top, 0)
+    for i in reversed(range(len(quo))):
+        c = quo[i] = rest[i + top]
+        if c:
+            for j in range(top):
+                rest[i + j] -= c * den[j]
+    return None if any(rest[:top]) else quo
+
+
 _cyclo_int_cache: dict[int, tuple[int, ...]] = {1: (-1, 1)}
 
 
 def _cyclotomic_int(n: int) -> tuple[int, ...]:
     """Integer coefficient tuple of the n-th cyclotomic polynomial."""
     if n not in _cyclo_int_cache:
-        from .domains import ZZ
-
-        num = LaurentPoly(ZZ, 0, [-1] + [0] * (n - 1) + [1])  # q^n - 1
+        num = [-1] + [0] * (n - 1) + [1]  # q^n - 1
         for d in range(1, n):
             if n % d == 0:
-                num = num.divexact(LaurentPoly(ZZ, 0, _cyclotomic_int(d)))
-        assert num.val == 0
-        _cyclo_int_cache[n] = tuple(int(c) for c in num.coeffs)
+                num = _divide_monic(num, _cyclotomic_int(d))
+        _cyclo_int_cache[n] = tuple(num)
     return _cyclo_int_cache[n]
 
 
@@ -405,42 +409,49 @@ def cyclotomic_poly(n: int, domain: Domain = QQ) -> LaurentPoly:
     return LaurentPoly(domain, 0, _cyclotomic_int(n))
 
 
-DEFAULT_CYCLOTOMIC_BOUND = 120
+def _totient(n: int) -> int:
+    out, rest, d = n, n, 2
+    while d * d <= rest:
+        if rest % d == 0:
+            out -= out // d
+            while rest % d == 0:
+                rest //= d
+        d += 1
+    return out - out // rest if rest > 1 else out
 
 
-def factor_cyclotomic(p: LaurentPoly, bound: int = DEFAULT_CYCLOTOMIC_BOUND):
+def factor_cyclotomic(p: LaurentPoly):
     """Split p = unit * prod(Phi_n ^ mult) * remainder over the rationals.
 
     Returns ``(unit, factors, remainder)`` where ``factors`` is a sorted
-    list of (n, multiplicity) with n <= bound, ``unit`` is c*q^k, and the
-    monic valuation-0 ``remainder`` is coprime to every Phi_n tried.
+    list of (n, multiplicity), ``unit`` is c*q^k, and the monic
+    valuation-0 ``remainder`` has no cyclotomic factor.  Phi_n has span
+    phi(n) >= sqrt(n/2), so only n <= 2 span^2 can divide.
     """
     if p.domain is not QQ and p.domain != QQ:
         raise UnsupportedDomain(
             "cyclotomic factorization is canonical over Q only")
     if p.is_zero():
         raise DivisionByZero("cannot factor the zero polynomial")
-    unit_shift = p.val
     _, rem = p.normalized()
-    lead = p.coeffs[-1]
+    # scaled to integer coefficients; dividing by the monic integer Phi_n
+    # keeps them integral
+    den = math.lcm(*(c.denominator for c in rem.coeffs))
+    coeffs = [int(c * den) for c in rem.coeffs]
     factors = []
-    for n in range(1, bound + 1):
-        phi = cyclotomic_poly(n, p.domain)
-        if phi.span > rem.span:
-            if rem.span == 0:
-                break
+    n = 0
+    while n < 2 * (len(coeffs) - 1) ** 2:
+        n += 1
+        if _totient(n) > len(coeffs) - 1:
             continue
+        phi = _cyclotomic_int(n)
         mult = 0
-        while True:
-            try:
-                rem = rem.divexact(phi)
-                mult += 1
-            except NotDivisible:
-                break
+        while (quo := _divide_monic(coeffs, phi)) is not None:
+            coeffs, mult = quo, mult + 1
         if mult:
             factors.append((n, mult))
-    # dividing monic by monic kept the remainder monic with valuation 0
-    unit = LaurentPoly(p.domain, unit_shift, (lead,))
+    rem = LaurentPoly(QQ, 0, coeffs).scale(Fraction(1, den))
+    unit = LaurentPoly(QQ, p.val, (p.coeffs[-1],))
     return unit, factors, rem
 
 

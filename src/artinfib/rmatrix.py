@@ -23,11 +23,6 @@ def mat_identity(n: int, domain: Domain):
                  for i in range(n))
 
 
-def mat_zero(rows: int, cols: int, domain: Domain):
-    zero = LaurentPoly.zero(domain)
-    return tuple((zero,) * cols for _ in range(rows))
-
-
 def mat_transpose(mat):
     rows, cols = mat_shape(mat)
     return tuple(tuple(mat[i][j] for i in range(rows)) for j in range(cols))

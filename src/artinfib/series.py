@@ -270,15 +270,6 @@ def matrix_reach(matrix) -> int:
     return r
 
 
-def matrix_max_span(matrix) -> int:
-    s = 0
-    for row in matrix:
-        for e in row:
-            if not e.is_zero():
-                s = max(s, e.span)
-    return s
-
-
 class WindowOperator:
     """A polynomial matrix acting on windowed coefficient vectors.
 

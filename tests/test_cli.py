@@ -75,6 +75,10 @@ def test_coeff_zp_and_z(capsys):
     doc = json.loads(out)
     assert sorted(doc["results"]) == ["Q", "Z/2", "Z/3"]
 
+    code, out, _ = run_cli(capsys, "cohomology", "--type", "A2",
+                           "--coeff", "Zp:1000000000000000003")
+    assert code == 0 and "over Z/1000000000000000003" in out
+
 
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "report.json"
@@ -229,6 +233,9 @@ def test_bad_inputs_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "cohomology", "--type", "A1",
                            "--coeff", "Zp:6")
     assert code == 2
+    code, _, err = run_cli(capsys, "cohomology", "--type", "A1",
+                           "--coeff", f"Zp:{2**89 - 1}")
+    assert code == 2 and "not a prime below" in err
     code, _, err = run_cli(capsys, "verify", "--type", "A2",
                            "--degrees", "3:1")
     assert code == 2 and "empty degree range" in err

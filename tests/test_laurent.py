@@ -1,6 +1,7 @@
 """Laurent polynomial arithmetic, parsing, and cyclotomic helpers."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -277,6 +278,35 @@ def test_factor_cyclotomic():
     assert factors == [] and rest == LaurentPoly.one(QQ)
     with pytest.raises(UnsupportedDomain):
         factor_cyclotomic(parse_poly("q - 1", GF(2)))
+
+
+def test_factor_cyclotomic_high_order():
+    # orders are bounded by the span of the input, not by a constant
+    unit, factors, rest = factor_cyclotomic(cyclotomic_poly(1)
+                                            * cyclotomic_poly(262))
+    assert factors == [(1, 1), (262, 1)]
+    assert rest == LaurentPoly.one(QQ) and unit == LaurentPoly.one(QQ)
+
+
+def test_prime_field_large_primes():
+    start = time.perf_counter()
+    assert GF(10**18 + 3).p == 10**18 + 3
+    assert time.perf_counter() - start < 0.5
+    for n in (10**18 + 1, 3215031751, 3825123056546413051, 1, 0):
+        with pytest.raises(UnsupportedDomain):
+            GF(n)
+    # beyond the proven range of the fixed Miller-Rabin bases
+    with pytest.raises(UnsupportedDomain, match="not a prime below"):
+        GF(2**89 - 1)
+
+    def constructs(n):
+        try:
+            return GF(n).p == n
+        except UnsupportedDomain:
+            return False
+
+    assert [n for n in range(2, 3000) if constructs(n)] == \
+        [n for n in range(2, 3000) if all(n % d for d in range(2, n))]
 
 
 def test_prime_field_arithmetic_wraps():
