@@ -6,6 +6,12 @@ the fiber Betti numbers with monodromy data, ``verify`` the
 well-filteredness check plus the series-window shift comparison, and
 ``family`` the full pipeline on a user-supplied polynomial family.
 
+One driver runs them: it loops over the coefficient domains, and each
+subcommand contributes only a compute step returning one per-domain
+result with optional sections (family rank, well-filtered check,
+groups, shift comparison, Milnor report).  Three renderers, pretty,
+JSON and CSV, draw from the sections that are set.
+
 Exit codes: 0 success, 1 when a verification that should hold
 mathematically fails (a shift mismatch anywhere, or a reflection-group
 complex that is not well filtered), 2 for input errors.  Reports are
@@ -22,13 +28,14 @@ import json
 import sys
 from typing import Optional
 
-from .complexes import (CochainComplex, build_generic_complex,
-                        build_salvetti_complex, is_well_filtered, load_family)
+from .complexes import (CochainComplex, WellFilteredResult,
+                        build_generic_complex, build_salvetti_complex,
+                        is_well_filtered, load_family)
 from .coxeter import CoxeterSystem, system_from_string
 from .domains import GF, QQ, Domain, domain_from_spec
 from .errors import ArtinfibError, NotStabilized, NotWellFiltered
-from .homology import (InvariantFactors, ShiftReport, WindowPolicy,
-                       cohomology, monodromy_char_poly, verify_shift_theorem)
+from .homology import (ShiftReport, WindowPolicy, cohomology,
+                       monodromy_char_poly, verify_shift_theorem)
 from .laurent import format_poly
 
 SCHEMA_VERSION = 1
@@ -49,7 +56,10 @@ PROVENANCE = {
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Parsed command line: one input source, one output format."""
+    """Parsed command line: one input source, one output format.
+
+    ``degrees`` is None (all) or a tuple of closed intervals ``(lo, hi)``.
+    """
 
     command: str
     type_label: Optional[str] = None
@@ -58,7 +68,7 @@ class RunConfig:
     primes: tuple = (2, 3, 5, 7)
     window_radius: Optional[int] = None
     fmt: str = "pretty"
-    degrees: Optional[frozenset] = None
+    degrees: Optional[tuple] = None
     out: Optional[str] = None
 
     def domains(self):
@@ -76,7 +86,8 @@ class RunConfig:
         return WindowPolicy(initial_radius=self.window_radius)
 
     def wants_degree(self, k: int) -> bool:
-        return self.degrees is None or k in self.degrees
+        return self.degrees is None or any(
+            lo <= k <= hi for lo, hi in self.degrees)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,7 +141,87 @@ def milnor_report(system: CoxeterSystem, config: RunConfig,
                         provenance=dict(PROVENANCE))
 
 
-# -- emission --------------------------------------------------------------
+# -- per-domain results ----------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class _Result:
+    """One domain's answer: each subcommand sets the sections it computes
+    (``milnor`` also sets ``shift`` to its report's); ``failure`` stands
+    alone, for a result that contradicts the theory."""
+
+    domain: Domain
+    rank: Optional[int] = None
+    basis_size: Optional[int] = None
+    well_filtered: Optional[WellFilteredResult] = None
+    groups: Optional[tuple] = None
+    shift: Optional[ShiftReport] = None
+    milnor: Optional[MilnorReport] = None
+    failure: Optional[str] = None
+
+
+def _input_complex(config: RunConfig, domain: Domain,
+                   system: Optional[CoxeterSystem]) -> CochainComplex:
+    if system is not None:
+        return build_salvetti_complex(system, domain)
+    return build_generic_complex(load_family(config.family_path, domain))
+
+
+def _compute_cohomology(config, domain, system, pretty):
+    return _Result(domain,
+                   groups=cohomology(_input_complex(config, domain, system)))
+
+
+def _compute_milnor(config, domain, system, pretty):
+    try:
+        rep = milnor_report(system, config, domain)
+    except NotWellFiltered as exc:
+        # would contradict the theory: flag loudly
+        return _Result(domain, failure=str(exc))
+    return _Result(domain, shift=rep.shift, milnor=rep)
+
+
+def _compute_verify(config, domain, system, pretty):
+    C = _input_complex(config, domain, system)
+    r = _Result(domain, well_filtered=is_well_filtered(C))
+    progress = None
+    if pretty is not None:
+        # long runs stream: the head before the shift, each degree as done
+        pretty.start(r)
+        progress = pretty.degree
+    if not r.well_filtered.ok:
+        return r
+    return dataclasses.replace(
+        r, shift=verify_shift_theorem(C, config.policy(), progress=progress))
+
+
+def _compute_family(config, domain, system, pretty):
+    C = _input_complex(config, domain, system)
+    wf = is_well_filtered(C)
+    shift = verify_shift_theorem(C, config.policy()) if wf.ok else None
+    return _Result(domain, rank=len(C.gamma), basis_size=sum(C.ranks),
+                   well_filtered=wf,
+                   groups=shift.cohomology if shift else cohomology(C),
+                   shift=shift)
+
+
+# command: (compute step, pretty head before the source, CSV header)
+_COMMANDS = {
+    "cohomology": (_compute_cohomology, "Laurent cohomology of ",
+                   ("domain", "degree", "free_rank", "torsion")),
+    "milnor": (_compute_milnor, "Milnor fiber of ",
+               ("domain", "degree", "betti", "charpoly", "eigenvalues",
+                "non_cyclotomic", "irreducible", "shift_ok")),
+    "verify": (_compute_verify, "verify ",
+               ("domain", "well_filtered", "degree", "m_dim",
+                "shifted_torsion_dim", "free_rank", "free_rank_next",
+                "radius", "match", "note")),
+    "family": (_compute_family, "",
+               ("domain", "degree", "free_rank", "torsion", "m_dim",
+                "shifted_torsion_dim", "match", "well_filtered")),
+}
+
+
+# -- renderers ---------------------------------------------------------------
 
 class _Emitter:
     """Collects output lines, optionally printing each immediately."""
@@ -146,6 +237,12 @@ class _Emitter:
 
     def text(self) -> str:
         return "".join(line + "\n" for line in self.lines)
+
+
+def _source_text(config: RunConfig) -> str:
+    if config.type_label is not None:
+        return f"type {config.type_label}"
+    return f"family {config.family_path}"
 
 
 def _eigen_text(row) -> str:
@@ -166,62 +263,135 @@ def _wf_text(wf) -> str:
             f"{list(wf.path)}: {wf.message}")
 
 
-def _shift_line(d) -> str:
-    verdict = "match" if d.match else "MISMATCH"
-    return (f"  degree {d.degree}: M-side {d.m_dim}, shifted torsion "
-            f"{d.shifted_torsion_dim}, radius {d.radius}, {verdict}")
+class _Pretty:
+    """Draws a domain's sections in a fixed order: head, Milnor degrees,
+    well-filtered line, groups, shift degrees, shift verdict.  A compute
+    step that calls ``start`` and ``degree`` itself streams its head and
+    degrees; ``finish`` then adds only the verdict."""
+
+    def __init__(self, config: RunConfig, em: _Emitter, title: str):
+        self.config = config
+        self.em = em
+        self.title = title
+        self.started = False
+
+    def start(self, r: _Result):
+        em = self.em
+        wants = self.config.wants_degree
+        head = f"{self.title}{_source_text(self.config)} over {r.domain}"
+        if r.rank is not None:
+            head += f": rank {r.rank}, {r.basis_size} basis elements"
+        em.emit(head)
+        if r.milnor is not None:
+            if not r.milnor.irreducible:
+                em.emit("  warning: reducible type, outside the "
+                        "irreducibility hypothesis for the fiber reading")
+            for m in r.milnor.degrees:
+                if wants(m.degree):
+                    em.emit(f"  degree {m.degree}: b = {m.betti}, monodromy "
+                            f"{format_poly(m.charpoly)}, eigenvalues "
+                            f"{_eigen_text(m)}")
+        if r.well_filtered is not None:
+            em.emit(f"  well filtered: {_wf_text(r.well_filtered)}")
+        for g in r.groups or ():
+            if wants(g.degree):
+                em.emit(f"  H^{g.degree} = {g}")
+        self.started = True
+
+    def degree(self, d):
+        if self.config.wants_degree(d.degree):
+            self.em.emit(f"  degree {d.degree}: M-side {d.m_dim}, shifted "
+                         f"torsion {d.shifted_torsion_dim}, radius {d.radius}"
+                         f", {'match' if d.match else 'MISMATCH'}")
+
+    def finish(self, r: _Result):
+        if not self.started:
+            self.start(r)
+            # the fiber degrees stand in for the shift degrees
+            if r.shift is not None and r.milnor is None:
+                for d in r.shift.degrees:
+                    self.degree(d)
+        if r.shift is not None:
+            self.em.emit(f"  shift verification: "
+                         f"{'ok' if r.shift.ok else 'MISMATCH'}")
+        self.started = False
 
 
-def _json_groups(groups, config):
-    return [{"degree": g.degree, "free_rank": g.free_rank,
-             "torsion": [format_poly(f) for f in g.torsion]}
-            for g in groups if config.wants_degree(g.degree)]
-
-
-def _json_shift(shift: ShiftReport, config):
-    return {"ok": shift.ok,
+def _json_entry(r: _Result, config: RunConfig) -> dict:
+    wants = config.wants_degree
+    entry = {}
+    if r.rank is not None:
+        entry["rank"] = r.rank
+    if r.well_filtered is not None:
+        wf = r.well_filtered
+        entry["well_filtered"] = {"ok": True} if wf.ok else {
+            "ok": False, "condition": wf.condition, "path": list(wf.path),
+            "message": wf.message}
+    if r.groups is not None:
+        entry["groups"] = [{"degree": g.degree, "free_rank": g.free_rank,
+                            "torsion": [format_poly(f) for f in g.torsion]}
+                           for g in r.groups if wants(g.degree)]
+    if r.shift is not None:
+        entry["shift"] = {
+            "ok": r.shift.ok,
             "degrees": [{"degree": d.degree, "m_dim": d.m_dim,
                          "shifted_torsion_dim": d.shifted_torsion_dim,
                          "free_rank": d.free_rank_here,
                          "free_rank_next": d.free_rank_above,
                          "radius": d.radius, "match": d.match}
-                        for d in shift.degrees
-                        if config.wants_degree(d.degree)]}
+                        for d in r.shift.degrees if wants(d.degree)]}
+    if r.milnor is not None:
+        entry.update(irreducible=r.milnor.irreducible,
+                     provenance=r.milnor.provenance)
+        entry["degrees"] = [
+            {"degree": m.degree, "betti": m.betti,
+             "charpoly": format_poly(m.charpoly),
+             "eigenvalues": None if m.cyclotomic is None else
+             [{"order": n, "multiplicity": k} for n, k in m.cyclotomic],
+             "non_cyclotomic": None if m.non_cyclotomic is None
+             else format_poly(m.non_cyclotomic)}
+            for m in r.milnor.degrees if wants(m.degree)]
+    return entry
 
 
-def _json_wf(wf):
-    out = {"ok": wf.ok}
-    if not wf.ok:
-        out["condition"] = wf.condition
-        out["path"] = list(wf.path)
-        out["message"] = wf.message
-    return out
-
-
-def _json_milnor(rep: MilnorReport, config):
-    return {
-        "irreducible": rep.irreducible,
-        "degrees": [{"degree": r.degree, "betti": r.betti,
-                     "charpoly": format_poly(r.charpoly),
-                     "eigenvalues": None if r.cyclotomic is None else
-                     [{"order": n, "multiplicity": m}
-                      for n, m in r.cyclotomic],
-                     "non_cyclotomic": None if r.non_cyclotomic is None
-                     else format_poly(r.non_cyclotomic)}
-                    for r in rep.degrees if config.wants_degree(r.degree)],
-        "shift": _json_shift(rep.shift, config),
-        "provenance": rep.provenance,
-    }
-
-
-def _finish_json(config: RunConfig, results: dict) -> str:
+def _json_text(config: RunConfig, results: list) -> str:
+    source = ({"type": config.type_label} if config.type_label is not None
+              else {"family": config.family_path})
     doc = {"schema": SCHEMA_VERSION, "command": config.command,
-           "coeff": config.coeff, "results": results}
-    if config.type_label is not None:
-        doc["input"] = {"type": config.type_label}
-    else:
-        doc["input"] = {"family": config.family_path}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+           "coeff": config.coeff, "input": source,
+           "results": {str(r.domain): _json_entry(r, config)
+                       for r in results}}
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _csv_rows(r: _Result, config: RunConfig) -> list:
+    wants = config.wants_degree
+    dom = str(r.domain)
+    if r.milnor is not None:
+        return [[dom, m.degree, m.betti, format_poly(m.charpoly),
+                 _eigen_text(m),
+                 "" if m.non_cyclotomic is None
+                 else format_poly(m.non_cyclotomic),
+                 r.milnor.irreducible, r.shift.ok]
+                for m in r.milnor.degrees if wants(m.degree)]
+    wf = r.well_filtered
+    if r.groups is None:
+        if r.shift is None:
+            return [[dom, wf.ok, "", "", "", "", "", "", "", _wf_text(wf)]]
+        return [[dom, wf.ok, d.degree, d.m_dim, d.shifted_torsion_dim,
+                 d.free_rank_here, d.free_rank_above, d.radius, d.match, ""]
+                for d in r.shift.degrees if wants(d.degree)]
+    shifts = {d.degree: (d.m_dim, d.shifted_torsion_dim, d.match)
+              for d in r.shift.degrees} if r.shift else {}
+    rows = []
+    for g in r.groups:
+        if wants(g.degree):
+            row = [dom, g.degree, g.free_rank,
+                   "|".join(format_poly(f) for f in g.torsion)]
+            if wf is not None:
+                row += [*shifts.get(g.degree, ("", "", "")), wf.ok]
+            rows.append(row)
+    return rows
 
 
 def _csv_text(header, rows) -> str:
@@ -229,230 +399,54 @@ def _csv_text(header, rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    return buf.getvalue().rstrip("\n")
 
 
-# -- input assembly --------------------------------------------------------
-
-def _input_system(config: RunConfig) -> CoxeterSystem:
-    return system_from_string(config.type_label)
-
-
-def _input_complex(config: RunConfig, domain: Domain) -> CochainComplex:
-    if config.type_label is not None:
-        return build_salvetti_complex(_input_system(config), domain)
-    family = load_family(config.family_path, domain)
-    return build_generic_complex(family)
-
+# -- driver ----------------------------------------------------------------
 
 def _check_sources(config: RunConfig):
+    if config.command == "milnor" and config.type_label is None:
+        raise ArtinfibError("milnor needs --type (a finite reflection type)")
+    if config.command == "family" and config.family_path is None:
+        raise ArtinfibError("family needs --family <file>")
     if (config.type_label is None) == (config.family_path is None):
         raise ArtinfibError("exactly one of --type or --family is required")
 
 
-# -- subcommands -----------------------------------------------------------
-
-def _run_cohomology(config: RunConfig, em: _Emitter) -> int:
+def _drive(config: RunConfig, em: _Emitter) -> int:
     _check_sources(config)
-    results = {}
-    csv_rows = []
-    for domain in config.domains():
-        C = _input_complex(config, domain)
-        co = cohomology(C)
-        if config.fmt == "pretty":
-            em.emit(f"Laurent cohomology of {_source_text(config)} "
-                    f"over {domain}")
-            for g in co:
-                if config.wants_degree(g.degree):
-                    em.emit(f"  H^{g.degree} = {g}")
-        elif config.fmt == "json":
-            results[str(domain)] = {"groups": _json_groups(co, config)}
-        else:
-            for g in co:
-                if config.wants_degree(g.degree):
-                    csv_rows.append([str(domain), g.degree, g.free_rank,
-                                     "|".join(format_poly(f)
-                                              for f in g.torsion)])
-    if config.fmt == "json":
-        em.emit(_finish_json(config, results).rstrip("\n"))
-    elif config.fmt == "csv":
-        em.emit(_csv_text(["domain", "degree", "free_rank", "torsion"],
-                          csv_rows).rstrip("\n"))
-    return 0
-
-
-def _run_milnor(config: RunConfig, em: _Emitter) -> int:
-    if config.type_label is None:
-        raise ArtinfibError("milnor needs --type (a finite reflection type)")
-    system = _input_system(config)
-    code = 0
-    results = {}
-    csv_rows = []
-    for domain in config.domains():
-        try:
-            rep = milnor_report(system, config, domain)
-        except NotWellFiltered as exc:
-            # would contradict the theory: flag loudly
-            em.emit(f"{_source_text(config)} over {domain}: {exc}")
-            code = 1
-            continue
-        if not rep.shift.ok:
-            code = 1
-        if config.fmt == "pretty":
-            em.emit(f"Milnor fiber of {_source_text(config)} over {domain}")
-            if not rep.irreducible:
-                em.emit("  warning: reducible type, outside the "
-                        "irreducibility hypothesis for the fiber reading")
-            for r in rep.degrees:
-                if config.wants_degree(r.degree):
-                    em.emit(f"  degree {r.degree}: b = {r.betti}, monodromy "
-                            f"{format_poly(r.charpoly)}, eigenvalues "
-                            f"{_eigen_text(r)}")
-            em.emit(f"  shift verification: "
-                    f"{'ok' if rep.shift.ok else 'MISMATCH'}")
-        elif config.fmt == "json":
-            results[str(domain)] = _json_milnor(rep, config)
-        else:
-            for r in rep.degrees:
-                if config.wants_degree(r.degree):
-                    csv_rows.append([
-                        str(domain), r.degree, r.betti,
-                        format_poly(r.charpoly), _eigen_text(r),
-                        "" if r.non_cyclotomic is None
-                        else format_poly(r.non_cyclotomic),
-                        rep.irreducible, rep.shift.ok])
-    if config.fmt == "json":
-        em.emit(_finish_json(config, results).rstrip("\n"))
-    elif config.fmt == "csv":
-        em.emit(_csv_text(["domain", "degree", "betti", "charpoly",
-                           "eigenvalues", "non_cyclotomic", "irreducible",
-                           "shift_ok"], csv_rows).rstrip("\n"))
-    return code
-
-
-def _run_verify(config: RunConfig, em: _Emitter) -> int:
-    _check_sources(config)
-    salvetti = config.type_label is not None
-    code = 0
-    results = {}
-    csv_rows = []
-    for domain in config.domains():
-        C = _input_complex(config, domain)
-        wf = is_well_filtered(C)
-        pretty = config.fmt == "pretty"
-        if pretty:
-            em.emit(f"verify {_source_text(config)} over {domain}")
-            em.emit(f"  well filtered: {_wf_text(wf)}")
-        shift = None
-        if not wf.ok:
-            if salvetti:
-                code = 1
-        else:
-            progress = None
-            if pretty:
-                progress = (lambda d: em.emit(_shift_line(d))
-                            if config.wants_degree(d.degree) else None)
-            shift = verify_shift_theorem(C, config.policy(),
-                                         progress=progress)
-            if not shift.ok:
-                code = 1
-            if pretty:
-                em.emit(f"  shift verification: "
-                        f"{'ok' if shift.ok else 'MISMATCH'}")
-        if config.fmt == "json":
-            entry = {"well_filtered": _json_wf(wf)}
-            if shift is not None:
-                entry["shift"] = _json_shift(shift, config)
-            results[str(domain)] = entry
-        elif config.fmt == "csv":
-            if shift is None:
-                csv_rows.append([str(domain), wf.ok, "", "", "", "", "", "",
-                                 "", _wf_text(wf)])
-            else:
-                for d in shift.degrees:
-                    if config.wants_degree(d.degree):
-                        csv_rows.append([str(domain), wf.ok, d.degree,
-                                         d.m_dim, d.shifted_torsion_dim,
-                                         d.free_rank_here, d.free_rank_above,
-                                         d.radius, d.match, ""])
-    if config.fmt == "json":
-        em.emit(_finish_json(config, results).rstrip("\n"))
-    elif config.fmt == "csv":
-        em.emit(_csv_text(["domain", "well_filtered", "degree", "m_dim",
-                           "shifted_torsion_dim", "free_rank",
-                           "free_rank_next", "radius", "match", "note"],
-                          csv_rows).rstrip("\n"))
-    return code
-
-
-def _run_family(config: RunConfig, em: _Emitter) -> int:
-    if config.family_path is None:
-        raise ArtinfibError("family needs --family <file>")
-    code = 0
-    results = {}
-    csv_rows = []
-    for domain in config.domains():
-        family = load_family(config.family_path, domain)
-        C = build_generic_complex(family)
-        wf = is_well_filtered(C)
-        shift = None
-        if wf.ok:
-            shift = verify_shift_theorem(C, config.policy())
-            if not shift.ok:
-                code = 1
-        co = shift.cohomology if shift else cohomology(C)
-        if config.fmt == "pretty":
-            em.emit(f"family {config.family_path} over {domain}: rank "
-                    f"{len(C.gamma)}, {sum(C.ranks)} basis elements")
-            em.emit(f"  well filtered: {_wf_text(wf)}")
-            for g in co:
-                if config.wants_degree(g.degree):
-                    em.emit(f"  H^{g.degree} = {g}")
-            if shift is not None:
-                for d in shift.degrees:
-                    if config.wants_degree(d.degree):
-                        em.emit(_shift_line(d))
-                em.emit(f"  shift verification: "
-                        f"{'ok' if shift.ok else 'MISMATCH'}")
-        elif config.fmt == "json":
-            entry = {"rank": len(C.gamma),
-                     "well_filtered": _json_wf(wf),
-                     "groups": _json_groups(co, config)}
-            if shift is not None:
-                entry["shift"] = _json_shift(shift, config)
-            results[str(domain)] = entry
-        else:
-            by_degree = {d.degree: d for d in shift.degrees} if shift else {}
-            for g in co:
-                if config.wants_degree(g.degree):
-                    d = by_degree.get(g.degree)
-                    csv_rows.append([
-                        str(domain), g.degree, g.free_rank,
-                        "|".join(format_poly(f) for f in g.torsion),
-                        d.m_dim if d else "",
-                        d.shifted_torsion_dim if d else "",
-                        d.match if d else "", wf.ok])
-    if config.fmt == "json":
-        em.emit(_finish_json(config, results).rstrip("\n"))
-    elif config.fmt == "csv":
-        em.emit(_csv_text(["domain", "degree", "free_rank", "torsion",
-                           "m_dim", "shifted_torsion_dim", "match",
-                           "well_filtered"], csv_rows).rstrip("\n"))
-    return code
-
-
-_COMMANDS = {
-    "cohomology": _run_cohomology,
-    "milnor": _run_milnor,
-    "verify": _run_verify,
-    "family": _run_family,
-}
-
-
-def _source_text(config: RunConfig) -> str:
+    compute, title, csv_header = _COMMANDS[config.command]
+    system = None
     if config.type_label is not None:
-        return f"type {config.type_label}"
-    return f"family {config.family_path}"
+        system = system_from_string(config.type_label)
+    pretty = _Pretty(config, em, title) if config.fmt == "pretty" else None
+    code = 0
+    results = []
+    for domain in config.domains():
+        r = compute(config, domain, system, pretty)
+        wf = r.well_filtered
+        if (r.failure is not None or (r.shift is not None and not r.shift.ok)
+                # a reflection-group complex must be well filtered
+                or (system is not None and wf is not None and not wf.ok)):
+            code = 1
+        if r.failure is not None:
+            line = f"{_source_text(config)} over {domain}: {r.failure}"
+            if pretty is not None:
+                em.emit(line)
+            else:
+                # keep the JSON or CSV document on stdout parseable
+                print(line, file=sys.stderr)
+        elif pretty is not None:
+            pretty.finish(r)
+        else:
+            results.append(r)
+    if config.fmt == "json":
+        em.emit(_json_text(config, results))
+    elif config.fmt == "csv":
+        em.emit(_csv_text(csv_header,
+                          [row for r in results
+                           for row in _csv_rows(r, config)]))
+    return code
 
 
 def run(config: RunConfig) -> int:
@@ -460,7 +454,7 @@ def run(config: RunConfig) -> int:
     live = config.fmt == "pretty" and config.out is None
     em = _Emitter(live=live)
     try:
-        code = _COMMANDS[config.command](config, em)
+        code = _drive(config, em)
     except NotStabilized as exc:
         print(f"error: window dimensions did not stabilize "
               f"(last radius {exc.radius}); raise --window-radius",
@@ -483,8 +477,9 @@ def run(config: RunConfig) -> int:
 
 # -- argument parsing -------------------------------------------------------
 
-def _parse_degrees(text: str) -> frozenset:
-    picked = set()
+def _parse_degrees(text: str) -> tuple:
+    """Closed degree intervals ``(lo, hi)``, in the order given."""
+    picked = []
     for token in text.split(","):
         token = token.strip()
         if ":" in token:
@@ -492,12 +487,12 @@ def _parse_degrees(text: str) -> frozenset:
             lo, hi = int(a), int(b)
             if hi < lo:
                 raise ValueError(f"empty degree range {token!r}")
-            picked.update(range(lo, hi + 1))
+            picked.append((lo, hi))
         elif token:
-            picked.add(int(token))
+            picked.append((int(token), int(token)))
     if not picked:
         raise ValueError("no degrees selected")
-    return frozenset(picked)
+    return tuple(picked)
 
 
 def _add_common(sub: argparse.ArgumentParser, with_type=True,

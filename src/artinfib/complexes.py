@@ -27,7 +27,7 @@ from .domains import QQ, Domain
 from .errors import (CocycleViolation, FamilyFormatError, IndexOutOfRange,
                      MissingEntry, NotSubsetIndexed, ParseError, RankMismatch)
 from .laurent import LaurentPoly, extremes_invertible, format_poly, parse_poly
-from .rmatrix import mat_mul, mat_is_zero, mat_transpose
+from .rmatrix import mat_mul, mat_is_zero
 
 
 def _colex_key(delta: frozenset) -> tuple:
@@ -483,7 +483,10 @@ def transpose_complex(C: CochainComplex) -> CochainComplex:
     """
     n = C.top_degree
     ranks = tuple(reversed(C.ranks))
-    diffs = tuple(mat_transpose(C.diffs[n - 1 - j]) for j in range(n))
+    # a row-free matrix is (), so the column counts come from the ranks
+    diffs = tuple(tuple(tuple(row[i] for row in C.diffs[n - 1 - j])
+                        for i in range(C.ranks[n - 1 - j]))
+                  for j in range(n))
     return CochainComplex(domain=C.domain, ranks=ranks, diffs=diffs)
 
 

@@ -360,17 +360,19 @@ def homology(C: CochainComplex) -> tuple:
     return _groups(C, homological=True)
 
 
+WINDOW_DOUBLINGS = 3
+
+
 @dataclasses.dataclass(frozen=True)
 class WindowPolicy:
     """Radius schedule for the series-window side.
 
     ``initial_radius`` of None means 8x the largest entry reach; on a
-    non-stabilized answer the radius doubles, at most ``doublings``
-    times, before giving up.
+    non-stabilized answer the radius doubles, at most
+    ``WINDOW_DOUBLINGS`` times, before giving up.
     """
 
     initial_radius: Optional[int] = None
-    doublings: int = 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -430,7 +432,7 @@ def verify_shift_theorem(C: CochainComplex,
         if radius is None:
             radius = default_window_radius(C)
         dim = None
-        for _ in range(policy.doublings + 1):
+        for _ in range(WINDOW_DOUBLINGS + 1):
             dim, stable = m_cohomology_dim_window(C, k, radius)
             if stable:
                 break

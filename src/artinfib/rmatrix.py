@@ -23,11 +23,6 @@ def mat_identity(n: int, domain: Domain):
                  for i in range(n))
 
 
-def mat_transpose(mat):
-    rows, cols = mat_shape(mat)
-    return tuple(tuple(mat[i][j] for i in range(rows)) for j in range(cols))
-
-
 def mat_mul(a, b, domain: Domain):
     ra, ca = mat_shape(a)
     rb, cb = mat_shape(b)

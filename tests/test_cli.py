@@ -1,11 +1,12 @@
 """Command line behavior: formats, exit codes, and error reporting."""
 
 import json
+import time
 
 import pytest
 
 import artinfib.cli as cli
-from artinfib.cli import _parse_degrees, main
+from artinfib.cli import RunConfig, _parse_degrees, main
 from artinfib.complexes import WellFilteredResult, dump_family, koszul_family
 from artinfib.domains import QQ
 from artinfib.errors import NotStabilized, NotWellFiltered
@@ -58,6 +59,17 @@ def test_cohomology_csv_and_degrees(capsys):
     assert lines[1] == "Q,1,0,q - 1"
     assert lines[2] == "Q,2,0,q^3 - q^2 + q - 1"
     assert len(lines) == 3
+
+
+def test_huge_degree_range_is_not_materialized(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "cohomology", "--type", "A2",
+                             "--degrees", "1:1000000000000", "--format", "csv")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and err == ""
+    assert out == ("domain,degree,free_rank,torsion\n"
+                   "Q,1,0,q - 1\n"
+                   "Q,2,0,q^2 - q + 1\n")
 
 
 def test_coeff_zp_and_z(capsys):
@@ -165,6 +177,78 @@ def test_family_pipeline(capsys, tmp_path):
     assert entry["well_filtered"] == {"ok": True}
     assert entry["groups"][1]["torsion"] == ["q - 1"]
     assert entry["shift"]["ok"] is True
+
+
+PINNED = {
+    ("verify", "pretty"): (
+        "verify type A2 over Q\n"
+        "  well filtered: yes\n"
+        "  degree 0: M-side 1, shifted torsion 1, radius 16, match\n"
+        "  degree 1: M-side 2, shifted torsion 2, radius 16, match\n"
+        "  degree 2: M-side 0, shifted torsion 0, radius 16, match\n"
+        "  shift verification: ok\n"
+        "verify type A2 over Z/3\n"
+        "  well filtered: yes\n"
+        "  degree 0: M-side 1, shifted torsion 1, radius 16, match\n"
+        "  degree 1: M-side 2, shifted torsion 2, radius 16, match\n"
+        "  degree 2: M-side 0, shifted torsion 0, radius 16, match\n"
+        "  shift verification: ok\n"),
+    ("verify", "csv"): (
+        "domain,well_filtered,degree,m_dim,shifted_torsion_dim,free_rank,"
+        "free_rank_next,radius,match,note\n"
+        "Q,True,0,1,1,0,0,16,True,\n"
+        "Q,True,1,2,2,0,0,16,True,\n"
+        "Q,True,2,0,0,0,0,16,True,\n"
+        "Z/3,True,0,1,1,0,0,16,True,\n"
+        "Z/3,True,1,2,2,0,0,16,True,\n"
+        "Z/3,True,2,0,0,0,0,16,True,\n"),
+    ("milnor", "pretty"): (
+        "Milnor fiber of type A2 over Q\n"
+        "  degree 0: b = 1, monodromy q - 1, eigenvalues Phi_1\n"
+        "  degree 1: b = 2, monodromy q^2 - q + 1, eigenvalues Phi_6\n"
+        "  shift verification: ok\n"
+        "Milnor fiber of type A2 over Z/3\n"
+        "  degree 0: b = 1, monodromy q + 2, eigenvalues n/a\n"
+        "  degree 1: b = 2, monodromy q^2 + 2*q + 1, eigenvalues n/a\n"
+        "  shift verification: ok\n"),
+    ("milnor", "csv"): (
+        "domain,degree,betti,charpoly,eigenvalues,non_cyclotomic,"
+        "irreducible,shift_ok\n"
+        "Q,0,1,q - 1,Phi_1,,True,True\n"
+        "Q,1,2,q^2 - q + 1,Phi_6,,True,True\n"
+        "Z/3,0,1,q + 2,n/a,,True,True\n"
+        "Z/3,1,2,q^2 + 2*q + 1,n/a,,True,True\n"),
+    ("family", "pretty"): (
+        "family {path} over Q: rank 2, 4 basis elements\n"
+        "  well filtered: yes\n"
+        "  H^0 = 0\n"
+        "  H^1 = R/(q - 1)\n"
+        "  H^2 = R/(q - 1)\n"
+        "  degree 0: M-side 1, shifted torsion 1, radius 8, match\n"
+        "  degree 1: M-side 1, shifted torsion 1, radius 8, match\n"
+        "  degree 2: M-side 0, shifted torsion 0, radius 8, match\n"
+        "  shift verification: ok\n"),
+    ("family", "csv"): (
+        "domain,degree,free_rank,torsion,m_dim,shifted_torsion_dim,match,"
+        "well_filtered\n"
+        "Q,0,0,,1,1,True,True\n"
+        "Q,1,0,q - 1,1,1,True,True\n"
+        "Q,2,0,q - 1,0,0,True,True\n"),
+}
+
+
+def test_full_outputs_pinned(capsys, tmp_path):
+    f = parse_poly("1 - q", QQ)
+    path = write_family(tmp_path,
+                        dump_family(koszul_family((1, 2), [f, f], QQ)))
+    sources = {"verify": ["--type", "A2", "--coeff", "Z", "--primes", "3"],
+               "milnor": ["--type", "A2", "--coeff", "Z", "--primes", "3"],
+               "family": ["--family", path]}
+    for (command, fmt), expected in PINNED.items():
+        code, out, err = run_cli(capsys, command, *sources[command],
+                                 "--format", fmt)
+        assert (code, err) == (0, ""), (command, fmt)
+        assert out == expected.format(path=path), (command, fmt)
 
 
 def test_family_not_well_filtered_still_exits_zero(capsys, tmp_path):
@@ -277,6 +361,13 @@ def test_milnor_not_well_filtered_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_shift_theorem", raising)
     code, out, _ = run_cli(capsys, "milnor", "--type", "A2")
     assert code == 1 and "forced for the test" in out
+    # json and csv keep stdout a clean document: the message goes to stderr
+    code, out, err = run_cli(capsys, "milnor", "--type", "A2", "--coeff", "Z",
+                             "--primes", "3", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["results"] == {}
+    assert err == ("type A2 over Q: forced for the test\n"
+                   "type A2 over Z/3: forced for the test\n")
 
 
 def test_not_stabilized_exits_two(capsys, monkeypatch):
@@ -290,9 +381,16 @@ def test_not_stabilized_exits_two(capsys, monkeypatch):
 
 
 def test_parse_degrees():
-    assert _parse_degrees("0:3") == frozenset({0, 1, 2, 3})
-    assert _parse_degrees("1,2") == frozenset({1, 2})
-    assert _parse_degrees("0,2:4") == frozenset({0, 2, 3, 4})
+    def selected(text):
+        config = RunConfig("cohomology", degrees=_parse_degrees(text))
+        return {k for k in range(-3, 10) if config.wants_degree(k)}
+
+    assert _parse_degrees("0:3") == ((0, 3),)
+    assert selected("0:3") == {0, 1, 2, 3}
+    assert _parse_degrees("1,2") == ((1, 1), (2, 2))
+    assert selected("1,2") == {1, 2}
+    assert _parse_degrees("0,2:4") == ((0, 0), (2, 4))
+    assert selected("0,2:4") == {0, 2, 3, 4}
     with pytest.raises(ValueError):
         _parse_degrees("3:1")
     with pytest.raises(ValueError):

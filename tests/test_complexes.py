@@ -16,6 +16,7 @@ from artinfib.domains import GF, QQ, ZZ
 from artinfib.errors import (CocycleViolation, FamilyFormatError,
                              IndexOutOfRange, MissingEntry, NotSubsetIndexed,
                              RankMismatch)
+from artinfib.homology import cohomology, homology
 from artinfib.laurent import LaurentPoly, format_poly, parse_poly
 
 
@@ -210,6 +211,18 @@ def test_transpose_involution():
     assert T.gamma is None and T.family is None
     back = transpose_complex(T)
     assert back.ranks == C.ranks and back.diffs == C.diffs
+
+
+def test_transpose_zero_rank_degree():
+    f = parse_poly("1 - q", QQ)
+    C = CochainComplex(QQ, (1, 1, 0), (((f,),), ()))
+    T = transpose_complex(C)
+    assert T.ranks == (0, 1, 1)
+    hom = [str(g) for g in homology(C)]
+    # H_0 = R/(q - 1) from d^0, H_1 = ker (1 - q) = 0, H_2 = 0
+    assert hom == ["R/(q - 1)", "0", "0"]
+    co = [str(g) for g in cohomology(T)]
+    assert co == hom[::-1]
 
 
 FAMILY_TEXT = """\
