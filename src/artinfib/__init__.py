@@ -25,8 +25,8 @@ from .complexes import (CochainComplex, Filtration, PolynomialFamily,
                         random_koszul_family, salvetti_family,
                         standard_filtration, transpose_complex)
 from .homology import (InvariantFactors, MonodromyDegree, ShiftReport,
-                       SmithDecomposition, WindowPolicy, cohomology,
-                       homology, monodromy_char_poly, smith_normal_form,
+                       SmithDecomposition, cohomology, homology,
+                       monodromy_char_poly, smith_normal_form,
                        verify_shift_theorem)
 from .cli import MilnorReport, RunConfig, milnor_report
 
@@ -50,7 +50,7 @@ __all__ = [
     "random_koszul_family", "salvetti_family", "standard_filtration",
     "transpose_complex",
     "InvariantFactors", "MonodromyDegree", "ShiftReport",
-    "SmithDecomposition", "WindowPolicy", "cohomology", "homology",
+    "SmithDecomposition", "cohomology", "homology",
     "monodromy_char_poly", "smith_normal_form", "verify_shift_theorem",
     "MilnorReport", "RunConfig", "milnor_report",
     "__version__",

@@ -34,8 +34,8 @@ from .complexes import (CochainComplex, WellFilteredResult,
 from .coxeter import CoxeterSystem, system_from_string
 from .domains import GF, QQ, Domain, domain_from_spec
 from .errors import ArtinfibError, NotStabilized, NotWellFiltered
-from .homology import (ShiftReport, WindowPolicy, cohomology,
-                       monodromy_char_poly, verify_shift_theorem)
+from .homology import (ShiftReport, cohomology, monodromy_char_poly,
+                       verify_shift_theorem)
 from .laurent import format_poly
 
 SCHEMA_VERSION = 1
@@ -82,9 +82,6 @@ class RunConfig:
             return [QQ] + [GF(p) for p in self.primes]
         return [domain_from_spec(self.coeff)]
 
-    def policy(self) -> WindowPolicy:
-        return WindowPolicy(initial_radius=self.window_radius)
-
     def wants_degree(self, k: int) -> bool:
         return self.degrees is None or any(
             lo <= k <= hi for lo, hi in self.degrees)
@@ -124,7 +121,7 @@ def milnor_report(system: CoxeterSystem, config: RunConfig,
     if domain is None:
         domain = config.domains()[0]
     C = build_salvetti_complex(system, domain)
-    shift = verify_shift_theorem(C, config.policy(), progress=progress)
+    shift = verify_shift_theorem(C, config.window_radius, progress=progress)
     # a report built by hand carries no groups
     co = shift.cohomology or cohomology(C)
     mon = monodromy_char_poly(co, domain)
@@ -190,14 +187,14 @@ def _compute_verify(config, domain, system, pretty):
         progress = pretty.degree
     if not r.well_filtered.ok:
         return r
-    return dataclasses.replace(
-        r, shift=verify_shift_theorem(C, config.policy(), progress=progress))
+    shift = verify_shift_theorem(C, config.window_radius, progress=progress)
+    return dataclasses.replace(r, shift=shift)
 
 
 def _compute_family(config, domain, system, pretty):
     C = _input_complex(config, domain, system)
     wf = is_well_filtered(C)
-    shift = verify_shift_theorem(C, config.policy()) if wf.ok else None
+    shift = verify_shift_theorem(C, config.window_radius) if wf.ok else None
     return _Result(domain, rank=len(C.gamma), basis_size=sum(C.ranks),
                    well_filtered=wf,
                    groups=shift.cohomology if shift else cohomology(C),

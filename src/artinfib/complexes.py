@@ -328,6 +328,28 @@ def _is_standard(F: Filtration) -> bool:
     return F.levels == standard_filtration(C).levels
 
 
+def _quotient_family(family: PolynomialFamily, i: int) -> PolynomialFamily:
+    """Family of F_i / F_{i+1}: entries p[Delta' + top_i, w] on the low
+    generators, with the (i+1)-st largest generator left out."""
+    gamma = family.gamma
+    fixed = top_subset(gamma, i)
+    small_gamma = gamma[:max(0, len(gamma) - i - 1)]
+    entries = {}
+    for delta in itertools.chain.from_iterable(subsets_by_degree(small_gamma)):
+        for w in small_gamma:
+            if w not in delta:
+                entries[(delta, w)] = family.get(delta | fixed, w)
+    return PolynomialFamily(domain=family.domain, gamma=small_gamma,
+                            entries=entries)
+
+
+def _connecting_scalar(family: PolynomialFamily) -> LaurentPoly:
+    """p[top n-1 generators, lowest generator], the scalar from the layer
+    F_{n-1} / F_n to F_n."""
+    gamma = family.gamma
+    return family.get(top_subset(gamma, len(gamma) - 1), gamma[0])
+
+
 def quotient_complex(F: Filtration, i: int) -> CochainComplex:
     """F_i / F_{i+1} re-expressed as a generic complex on the low generators.
 
@@ -340,24 +362,12 @@ def quotient_complex(F: Filtration, i: int) -> CochainComplex:
     C = F.complex
     if not _is_standard(F):
         raise NotSubsetIndexed("quotients need the standard filtration")
-    family = C.family
-    if family is None:
+    if C.family is None:
         raise NotSubsetIndexed("quotients need the defining family")
-    gamma = C.gamma
-    n = len(gamma)
+    n = len(C.gamma)
     if not 0 <= i <= n:
         raise IndexOutOfRange(f"quotient level {i} out of range 0..{n}")
-    fixed = top_subset(gamma, i)
-    small_gamma = gamma[:max(0, n - i - 1)]
-    entries = {}
-    for delta in itertools.chain.from_iterable(subsets_by_degree(small_gamma)):
-        for w in small_gamma:
-            if w in delta:
-                continue
-            entries[(delta, w)] = family.get(delta | fixed, w)
-    quotient = PolynomialFamily(domain=C.domain, gamma=small_gamma,
-                                entries=entries)
-    return build_generic_complex(quotient)
+    return build_generic_complex(_quotient_family(C.family, i))
 
 
 def induced_differential(F: Filtration) -> LaurentPoly:
@@ -370,10 +380,9 @@ def induced_differential(F: Filtration) -> LaurentPoly:
     C = F.complex
     if C.family is None or C.gamma is None:
         raise NotSubsetIndexed("induced differential needs the family")
-    n = len(C.gamma)
-    if n < 1:
+    if len(C.gamma) < 1:
         raise RankMismatch("rank-zero complex has no induced differential")
-    return C.family.get(top_subset(C.gamma, n - 1), C.gamma[0])
+    return _connecting_scalar(C.family)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -381,7 +390,7 @@ class WellFilteredResult:
     """Outcome of the recursive filtration check.
 
     ``path`` traces which nested quotient failed (empty for the top
-    complex), ``condition`` is one of 'structure', 'a', 'b', 'c'.
+    complex), ``condition`` is 'structure' or 'c'.
     """
 
     ok: bool
@@ -399,80 +408,50 @@ def _fail(path, condition, message):
 
 
 def is_well_filtered(C: CochainComplex,
-                     F: Optional[Filtration] = None,
-                     _path: tuple = ()) -> WellFilteredResult:
+                     F: Optional[Filtration] = None) -> WellFilteredResult:
     """Check the conditions that make the shift argument valid.
 
     (a) the levels form a decreasing d-stable chain from everything to
-        zero, (b) the two deepest layers are one-dimensional in the top
-        two degrees, (c) the scalar connecting them is nonzero with
-        invertible extreme coefficients, (d) every deeper quotient is
-        recursively well filtered.  Rank <= 1 complexes pass by
-        convention.  Returns a value rather than raising, so callers
-        can report the failing path.
+    zero, (b) the two deepest layers are one-dimensional in the top two
+    degrees, (c) the scalar connecting them is nonzero with invertible
+    extreme coefficients, (d) every deeper quotient is recursively well
+    filtered.  Only the standard filtration is accepted, and on it (a)
+    and (b) hold by construction (adding w to a subset keeps the top i
+    generators in it; level n is {Gamma}, level n-1 adds only the top
+    n-1), so (c) is checked on the family and, recursively, on the
+    family of each quotient F_i / F_{i+1}, i < n-1.
+    Rank <= 1 complexes pass by convention.  Returns a value rather
+    than raising, so callers can report the failing path.
     """
-    total = sum(C.ranks)
-    if total <= 1:
-        return WellFilteredResult(ok=True, path=_path)
+    if sum(C.ranks) <= 1:
+        return WellFilteredResult(ok=True)
     if C.basis is None or C.gamma is None or C.family is None:
-        return _fail(_path, "structure",
+        return _fail((), "structure",
                      "complex lacks a subset-indexed basis and family")
-    if F is None:
-        F = standard_filtration(C)
-    if F.complex is not C:
-        return _fail(_path, "structure",
+    if F is not None and F.complex is not C:
+        return _fail((), "structure",
                      "filtration belongs to a different complex")
-    gamma = C.gamma
-    n = len(gamma)
-    levels = F.levels
-    if len(levels) != n + 2:
-        return _fail(_path, "a", f"expected {n + 2} levels, got {len(levels)}")
-    all_subsets = frozenset(d for level in C.basis for d in level)
-    if levels[0] != all_subsets:
-        return _fail(_path, "a", "level 0 is not the whole complex")
-    if levels[n + 1]:
-        return _fail(_path, "a", "deepest level is not zero")
-    for i in range(n + 1):
-        if not levels[i + 1] <= levels[i]:
-            return _fail(_path, "a", f"level {i + 1} not inside level {i}")
-    for i, level in enumerate(levels):
-        for delta in level:
-            for w in gamma:
-                if w in delta:
-                    continue
-                if not C.family.get(delta, w).is_zero() and \
-                        (delta | {w}) not in level:
-                    return _fail(_path, "a",
-                                 f"level {i} not d-stable at "
-                                 f"{sorted(delta)} + {w}")
-    if levels[n] != frozenset({frozenset(gamma)}):
-        return _fail(_path, "b",
-                     "level n is not spanned by the full generator set")
-    penultimate = levels[n - 1] - levels[n]
-    if len(penultimate) != 1:
-        return _fail(_path, "b",
-                     f"level n-1 over level n has dimension "
-                     f"{len(penultimate)}, expected 1")
-    (delta,) = penultimate
-    if len(delta) != n - 1:
-        return _fail(_path, "b",
-                     "penultimate layer sits in the wrong degree")
-    (w,) = set(gamma) - delta
-    p = C.family.get(delta, w)
+    if F is not None and not _is_standard(F):
+        return _fail((), "structure",
+                     "only standard filtrations support quotient recursion")
+    return _check_connecting_scalars(C.family, ())
+
+
+def _check_connecting_scalars(family: PolynomialFamily,
+                              path: tuple) -> WellFilteredResult:
+    p = _connecting_scalar(family)
     if p.is_zero():
-        return _fail(_path, "c", "connecting scalar is zero")
+        return _fail(path, "c", "connecting scalar is zero")
     if not extremes_invertible(p):
-        return _fail(_path, "c",
+        return _fail(path, "c",
                      f"connecting scalar {format_poly(p)} has non-invertible "
                      f"extreme coefficients")
-    if not _is_standard(F):
-        return _fail(_path, "structure",
-                     "only standard filtrations support quotient recursion")
-    for i in range(n - 1):
-        sub = is_well_filtered(quotient_complex(F, i), None, _path + (i,))
+    for i in range(family.rank - 1):
+        sub = _check_connecting_scalars(_quotient_family(family, i),
+                                        path + (i,))
         if not sub.ok:
             return sub
-    return WellFilteredResult(ok=True, path=_path)
+    return WellFilteredResult(ok=True, path=path)
 
 
 def transpose_complex(C: CochainComplex) -> CochainComplex:

@@ -41,6 +41,11 @@ from .laurent import LaurentPoly, q_bracket
 
 DEFAULT_GROUP_BOUND = 10**6
 
+# caps on what ``system_from_string`` accepts: A12 already has a
+# 4096-cell complex, and I2(m) work grows with m
+MAX_TOTAL_RANK = 12
+MAX_DIHEDRAL_ORDER = 10**5
+
 
 # -- labels ------------------------------------------------------------
 
@@ -106,11 +111,14 @@ _LABEL_RE = re.compile(r"^([ABDEFH])\s*(\d+)$|^I\s*2\s*\((\d+)\)$")
 
 def parse_label(text: str) -> FiniteTypeLabel:
     m = _LABEL_RE.match(text.strip())
-    if not m:
-        raise InvalidRank(f"cannot parse type label {text!r}")
-    if m.group(3) is not None:
-        return FiniteTypeLabel("I", 2, int(m.group(3)))
-    return FiniteTypeLabel(m.group(1), int(m.group(2)))
+    try:
+        if m and m.group(3) is not None:
+            return FiniteTypeLabel("I", 2, int(m.group(3)))
+        if m:
+            return FiniteTypeLabel(m.group(1), int(m.group(2)))
+    except ValueError:  # more digits than int() converts
+        pass
+    raise InvalidRank(f"cannot parse type label {text[:40]!r}")
 
 
 # -- Coxeter systems ---------------------------------------------------
@@ -227,12 +235,26 @@ def finite_type_system(label) -> CoxeterSystem:
 
 
 def system_from_string(text: str) -> CoxeterSystem:
-    """Build a system from a label, allowing products like ``A1xA1``."""
+    """Build a system from a label, allowing products like ``A1xA1``.
+
+    Raises InvalidRank, before any matrix is built, when the total rank
+    exceeds ``MAX_TOTAL_RANK`` or an I2(m) has m > ``MAX_DIHEDRAL_ORDER``.
+    """
     parts = [p for p in text.replace(" ", "").split("x") if p]
     if not parts:
         raise InvalidRank(f"empty type string {text!r}")
-    systems = [finite_type_system(parse_label(p)) for p in parts]
-    total = sum(s.n for s in systems)
+    labels = []
+    total = 0
+    for part in parts:
+        label = parse_label(part)
+        total += label.rank
+        if total > MAX_TOTAL_RANK:
+            raise InvalidRank(f"type {text[:40]!r} has total rank above "
+                              f"{MAX_TOTAL_RANK}")
+        if label.order is not None and label.order > MAX_DIHEDRAL_ORDER:
+            raise InvalidRank(f"{label}: m above {MAX_DIHEDRAL_ORDER}")
+        labels.append(label)
+    systems = [finite_type_system(label) for label in labels]
     mat = [[1 if i == j else 2 for j in range(total)] for i in range(total)]
     off = 0
     for s in systems:

@@ -364,18 +364,6 @@ WINDOW_DOUBLINGS = 3
 
 
 @dataclasses.dataclass(frozen=True)
-class WindowPolicy:
-    """Radius schedule for the series-window side.
-
-    ``initial_radius`` of None means 8x the largest entry reach; on a
-    non-stabilized answer the radius doubles, at most
-    ``WINDOW_DOUBLINGS`` times, before giving up.
-    """
-
-    initial_radius: Optional[int] = None
-
-
-@dataclasses.dataclass(frozen=True)
 class DegreeShift:
     """One degree of the shift comparison.
 
@@ -407,10 +395,13 @@ class ShiftReport:
         return all(d.match for d in self.degrees)
 
 
-def verify_shift_theorem(C: CochainComplex,
-                         policy: WindowPolicy = WindowPolicy(),
+def verify_shift_theorem(C: CochainComplex, radius: Optional[int] = None,
                          progress=None) -> ShiftReport:
     """Certify H^k(series side) = H^(k+1)(Laurent side) in each degree.
+
+    Each degree starts at window ``radius`` (None: 8x the largest entry
+    reach); on a non-stabilized answer the radius doubles, at most
+    ``WINDOW_DOUBLINGS`` times, before giving up.
 
     Raises NotWellFiltered (with the failing trace attached) when the
     complex does not satisfy the filtration conditions the shift
@@ -425,29 +416,28 @@ def verify_shift_theorem(C: CochainComplex,
             f"complex is not well filtered: condition ({wf.condition}) "
             f"at path {list(wf.path)}: {wf.message}", trace=wf)
     co = cohomology(C)
+    if radius is None:
+        radius = default_window_radius(C)
     top = C.top_degree
     degrees = []
     for k in range(top + 1):
-        radius = policy.initial_radius
-        if radius is None:
-            radius = default_window_radius(C)
-        dim = None
+        r = radius
         for _ in range(WINDOW_DOUBLINGS + 1):
-            dim, stable = m_cohomology_dim_window(C, k, radius)
+            dim, stable = m_cohomology_dim_window(C, k, r)
             if stable:
                 break
-            radius *= 2
+            r *= 2
         else:
             raise NotStabilized(
                 f"window dimension for degree {k} still moving at radius "
-                f"{radius}", radius=radius)
+                f"{r}", radius=r)
         above = co[k + 1] if k + 1 <= top else None
         shifted = above.torsion_dim if above else 0
         free_above = above.free_rank if above else 0
         record = DegreeShift(
             degree=k, m_dim=dim, shifted_torsion_dim=shifted,
             free_rank_here=co[k].free_rank, free_rank_above=free_above,
-            radius=radius,
+            radius=r,
             match=(dim == shifted and free_above == 0
                    and co[k].free_rank == 0))
         if progress is not None:

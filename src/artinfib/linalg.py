@@ -77,17 +77,24 @@ def sparse_rank(rows, domain) -> int:
 def projected_kernel_dim(row_maker, domain, keep_cols) -> int:
     """dim of the kernel of A projected onto the ``keep_cols`` coordinates.
 
-    ``row_maker()`` must yield the sparse rows of A afresh on each call
-    (elimination is destructive).  Uses
+    ``row_maker()`` yields the sparse rows of A; it is called once.
+    Column indices must be >= 0: the dropped columns are renumbered
+    below 0, so one elimination clears every dropped column before any
+    kept one.  The pivots that land in dropped columns then number
+    rank(A with the kept columns deleted), and
 
         dim proj(ker A) = |keep| - rank(A) + rank(A with kept cols deleted)
+                        = |keep| - (pivots in kept columns)
 
-    which follows from ker(A restricted to vanishing on keep) being the
-    kernel of the column-deleted matrix.
+    because ker(A restricted to vanishing on keep) is the kernel of the
+    column-deleted matrix.  Dropped columns below min(keep) become
+    c - min(keep) and the others ~c, so on a banded A with a contiguous
+    keep each boundary is cleared from its outer edge inward, which
+    keeps the fill banded.
     """
-    keep = set(keep_cols)
-    rank_full = sparse_rank(row_maker(), domain)
-    pruned = ({k: v for k, v in row.items() if k not in keep}
-              for row in row_maker())
-    rank_pruned = sparse_rank(pruned, domain)
-    return len(keep) - rank_full + rank_pruned
+    keep = keep_cols if isinstance(keep_cols, range) else set(keep_cols)
+    lo = min(keep, default=0)
+    rows = ({(k if k in keep else k - lo if k < lo else ~k): v
+             for k, v in row.items()} for row in row_maker())
+    pivots = echelon(rows, domain)
+    return len(keep) - sum(1 for c in pivots if c >= 0)

@@ -285,7 +285,6 @@ class WindowOperator:
         self.domain = domain
         self.dst_rank = len(entries)
         self.src_rank = len(entries[0]) if entries else 0
-        self.reach = matrix_reach(entries)
 
     def src_index(self, j: int, v: int) -> int:
         return (v + self.radius) * self.src_rank + j
@@ -386,8 +385,7 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     def dim_at(N: int) -> int:
         r_k = ranks[k]
         i_lo, i_hi = -N + discard, N - discard
-        keep = [(v + N) * r_k + j
-                for v in range(i_lo, i_hi + 1) for j in range(r_k)]
+        keep = range((i_lo + N) * r_k, (i_hi + N + 1) * r_k)
         if d_out is not None and len(d_out) > 0:
             op = WindowOperator(d_out, N, dom)
             dim_kernel = projected_kernel_dim(op.equation_rows, dom, keep)

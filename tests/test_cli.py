@@ -326,6 +326,13 @@ def test_bad_inputs_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--type", "A2",
                            "--window-radius", "3")
     assert code == 2
+    # labels past the caps fail before any Coxeter matrix is built
+    for label in ("A13", "A100000", "I2(1000000000000)", "A" + "9" * 5000,
+                  "x".join(["A1"] * 13), "x".join(["A1"] * 10**6)):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "cohomology", "--type", label)
+        assert code == 2 and "error:" in err, label[:20]
+        assert time.perf_counter() - start < 1.0, label[:20]
 
 
 def test_shift_mismatch_exits_one(capsys, monkeypatch):

@@ -204,6 +204,42 @@ def test_well_filtered_failure_in_quotient():
     assert not res.ok and res.condition == "c" and res.path == (0,)
 
 
+def test_well_filtered_failure_two_levels_down():
+    # checked in order: p[{2,3},1] at (), p[{2},1] at (0,), p[{},1] at
+    # (0, 0), p[{3},1] at (1,); only p[{},1] = 2 - 2q is bad over Z
+    one, f = parse_poly("1", ZZ), parse_poly("1 - q", ZZ)
+    entries = {
+        (frozenset(), 1): parse_poly("2 - 2*q", ZZ),
+        (frozenset(), 2): parse_poly("-2", ZZ),
+        (frozenset(), 3): parse_poly("-2", ZZ),
+        (frozenset({1}), 2): one,
+        (frozenset({1}), 3): one,
+        (frozenset({2}), 1): f,
+        (frozenset({2}), 3): one,
+        (frozenset({3}), 1): f,
+        (frozenset({3}), 2): -one,
+        (frozenset({1, 2}), 3): one,
+        (frozenset({1, 3}), 2): -one,
+        (frozenset({2, 3}), 1): -f,
+    }
+    C = build_generic_complex(PolynomialFamily(ZZ, (1, 2, 3), entries))
+    res = is_well_filtered(C)
+    assert not res.ok and res.condition == "c" and res.path == (0, 0)
+    assert "extreme" in res.message
+
+
+def test_well_filtered_assembles_no_complex(monkeypatch):
+    import artinfib.complexes as complexes
+    C = build_salvetti_complex(finite_type_system("E6"))
+    built = []
+    original = complexes.build_generic_complex
+    monkeypatch.setattr(complexes, "build_generic_complex",
+                        lambda family: built.append(family) or
+                        original(family))
+    assert is_well_filtered(C).ok
+    assert built == []
+
+
 def test_transpose_involution():
     C = build_salvetti_complex(finite_type_system("B2"))
     T = transpose_complex(C)

@@ -13,9 +13,8 @@ from artinfib.coxeter import finite_type_system
 from artinfib.domains import GF, QQ, ZZ
 from artinfib.errors import (NotWellFiltered, RankMismatch,
                              UnsupportedDomain)
-from artinfib.homology import (WindowPolicy, cohomology, homology,
-                               monodromy_char_poly, smith_normal_form,
-                               verify_shift_theorem)
+from artinfib.homology import (cohomology, homology, monodromy_char_poly,
+                               smith_normal_form, verify_shift_theorem)
 from artinfib.laurent import LaurentPoly, format_poly, parse_poly
 from artinfib.linalg import sparse_rank
 from artinfib.rmatrix import det_bareiss, mat_eq, mat_identity, mat_mul
@@ -271,8 +270,7 @@ def test_shift_theorem_frozen_dims():
 def test_shift_theorem_policy_and_progress():
     C = build_salvetti_complex(finite_type_system("A2"))
     seen = []
-    report = verify_shift_theorem(C, WindowPolicy(initial_radius=40),
-                                  progress=seen.append)
+    report = verify_shift_theorem(C, radius=40, progress=seen.append)
     assert report.ok
     assert [d.degree for d in seen] == [0, 1, 2]
     assert all(d.radius == 40 for d in report.degrees)
