@@ -45,11 +45,16 @@ class WindowTooSmall(ArtinfibError):
 
 
 class NotStabilized(ArtinfibError):
-    """Window dimensions kept changing up to the configured retry limit."""
+    """Window dimensions kept changing up to the configured retry limit.
 
-    def __init__(self, message, radius=None):
+    ``history`` holds the (radius, dim) pairs seen, in the order tried;
+    ``radius`` is the last radius tried.
+    """
+
+    def __init__(self, message, radius=None, history=()):
         super().__init__(message)
         self.radius = radius
+        self.history = tuple(history)
 
 
 class InvalidRank(ArtinfibError):

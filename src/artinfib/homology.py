@@ -4,7 +4,8 @@ Over a field k the Laurent ring is a Euclidean domain (size = span,
 units = c q^j), so any matrix has a diagonal form U A V = D with unit
 transforms and a divisibility chain on the diagonal.  Cohomology and
 homology of a complex of free modules both fall out of one such
-decomposition per differential: only its invariant factors are read.
+diagonal form per differential: only its invariant factors are read, so
+it is computed without the transforms.
 
 ``verify_shift_theorem`` compares, degree by degree, the windowed
 series-module cohomology dimension with the torsion A-dimension of the
@@ -82,10 +83,12 @@ def smith_normal_form(A, domain: Domain,
     * a column is cleared by one 2x2 Bezout step per entry, with the
       cofactors from an extended Euclid on the two entries alone.
 
-    Bit sizes have no bound beyond what these give.  Only field
-    coefficients are supported; the integer Laurent ring has no Smith
-    form in general.  A row-free matrix cannot carry its own column
-    count, so pass ``shape`` explicitly when either dimension is zero.
+    Bit sizes have no bound beyond what these give.  Cohomology reads
+    only D and runs the same passes without transforms (see ``_groups``).
+    Only field coefficients are supported; the integer Laurent ring has
+    no Smith form in general.  A row-free matrix cannot carry its own
+    column count, so pass ``shape`` explicitly when either dimension is
+    zero.
     """
     if not domain.is_field:
         raise UnsupportedDomain(
@@ -94,14 +97,44 @@ def smith_normal_form(A, domain: Domain,
     m, n = mat_shape(A) if shape is None else shape
     if len(A) != m or any(len(row) != n for row in A):
         raise RankMismatch(f"matrix does not have shape {m}x{n}")
-    ident = lambda k: [list(r) for r in mat_identity(k, domain)]
-    D, U, Uinv, V, Vinv = [list(r) for r in A], ident(m), ident(m), \
-        ident(n), ident(n)
+    D, U, Uinv, V, Vinv = _diagonalize(A, m, n, domain, transforms=True)
+    for t in range(min(m, n)):
+        d = D[t][t]
+        if d.is_zero():
+            continue
+        u = d.normalized()[0].inverse()
+        if m >= n:
+            _row_scale(D, U, Uinv, t, u)
+        else:
+            D[t][t] = d * u
+            for r in V:
+                r[t] = r[t] * u
+            Vinv[t] = [a * u.inverse() for a in Vinv[t]]
+    freeze = lambda mat: tuple(tuple(r) for r in mat)
+    return SmithDecomposition(domain=domain, shape=(m, n), U=freeze(U),
+                              Uinv=freeze(Uinv), V=freeze(V),
+                              Vinv=freeze(Vinv), D=freeze(D))
+
+
+def _diagonalize(A, m, n, domain, transforms):
+    """(D, U, Uinv, V, Vinv) with U A V = D diagonal, a divisibility chain.
+
+    The diagonal is not normalized.  With ``transforms`` false, U and
+    Vinv have no columns and Uinv and V no rows: every row operation
+    then touches D alone, and ``_echelon`` has no kernel rows to keep
+    small.
+    """
+    if transforms:
+        ident = lambda k: [list(r) for r in mat_identity(k, domain)]
+        U, Uinv, V, Vinv = ident(m), ident(m), ident(n), ident(n)
+    else:
+        U, Uinv, V, Vinv = [[] for _ in range(m)], [], [], \
+            [[] for _ in range(n)]
+    D = [list(r) for r in A]
     one = LaurentPoly.one(domain)
     # start on the long side, where the kernel is, and leave the other
     # transform as close to a permutation as the input allows
-    tall = m >= n
-    by_rows = tall
+    by_rows = m >= n
     while True:
         if by_rows:
             _echelon(D, U, Uinv, V, Vinv, domain)
@@ -121,27 +154,11 @@ def smith_normal_form(A, domain: Domain,
                     if not diag[t + 1].is_zero()
                     and not diag[t + 1].divrem(diag[t])[1].is_zero()), None)
         if bad is None:
-            break
+            return D, U, Uinv, V, Vinv
         # d_t does not divide d_(t+1): put d_(t+1) into row t, where the
         # column pass replaces d_t by their gcd
         _row_addmul(D, U, Uinv, bad, bad + 1, one)
         by_rows = False
-
-    for t, d in enumerate(diag):
-        if d.is_zero():
-            continue
-        u = d.normalized()[0].inverse()
-        if tall:
-            _row_scale(D, U, Uinv, t, u)
-        else:
-            D[t][t] = d * u
-            for r in V:
-                r[t] = r[t] * u
-            Vinv[t] = [a * u.inverse() for a in Vinv[t]]
-    freeze = lambda mat: tuple(tuple(r) for r in mat)
-    return SmithDecomposition(domain=domain, shape=(m, n), U=freeze(U),
-                              Uinv=freeze(Uinv), V=freeze(V),
-                              Vinv=freeze(Vinv), D=freeze(D))
 
 
 def _transpose(mat, cols):
@@ -203,14 +220,15 @@ def _echelon(D, T, Tinv, S, Sinv, domain):
     else by one Bezout step each) and those above it reduced modulo it, so
     a unit pivot leaves its column clear.  The rows of T that vanish on D
     are the left kernel; they get pivots of their own in T, and the other
-    rows are reduced modulo those.
+    rows are reduced modulo those.  A T with no columns skips that phase.
     """
     m = len(D)
     n = len(D[0]) if m else 0
 
     def shrink(i):
         # a rational rescaling is unimodular; taking the content of the
-        # whole row of [D | T] keeps both integral and primitive
+        # whole row of [D | T] keeps both integral and primitive (D's row
+        # alone when T has no columns)
         s = domain.content_unit(c for e in D[i] + T[i] for c in e.coeffs)
         if s is not None:
             _row_scale(D, T, Tinv, i, LaurentPoly(domain, 0, (s,)))
@@ -271,6 +289,9 @@ def _echelon(D, T, Tinv, S, Sinv, domain):
             Sinv[t], Sinv[j] = Sinv[j], Sinv[t]
         clear(t, lambda i: D[i][t])
         t += 1
+    if not any(T):
+        # no transform, so no kernel rows to keep small
+        return
     # rows t.. vanish on D; T is invertible, so each has a pivot left in
     # a column of T that no earlier kernel row took
     free = set(range(m))
@@ -322,6 +343,13 @@ def _groups(C: CochainComplex, homological: bool) -> tuple:
     d^(k-1), and the free rank is r_k - rank d^k - rank d^(k-1).  A
     matrix and its transpose share their invariant factors, so H_k
     takes its torsion from d^k with the same free rank.
+
+    Only the diagonal is read, so the Smith forms run without
+    transforms.  Of ``smith_normal_form``'s bounds, those on D hold as
+    they are: entries above a pivot have span below the pivot's, and
+    over Q each row (column) of D is integral and primitive after every
+    step, its content now taken over D alone.  Nothing bounds U or V,
+    since neither is built.
     """
     dom = C.domain
     if not dom.is_field:
@@ -330,16 +358,21 @@ def _groups(C: CochainComplex, homological: bool) -> tuple:
     if not check_d_squared(C):
         raise RankMismatch("image does not lie in the kernel, d^2 != 0")
     # factors[k] belongs to d^(k-1); d^-1 and d^top are zero maps
-    factors = [()] + [
-        smith_normal_form(d, dom, shape=(C.ranks[k + 1], C.ranks[k])
-                          ).invariant_factors
-        for k, d in enumerate(C.diffs)] + [()]
+    factors = [()] + [_invariant_factors(d, C.ranks[k + 1], C.ranks[k], dom)
+                      for k, d in enumerate(C.diffs)] + [()]
     return tuple(InvariantFactors(
         degree=k,
         free_rank=C.ranks[k] - len(factors[k]) - len(factors[k + 1]),
         torsion=tuple(f for f in factors[k + 1 if homological else k]
                       if f.span > 0))
         for k in range(C.top_degree + 1))
+
+
+def _invariant_factors(A, m, n, domain) -> tuple:
+    """Nonzero diagonal of a transform-free Smith form, monic, valuation 0."""
+    D = _diagonalize(A, m, n, domain, transforms=False)[0]
+    return tuple(D[t][t].normalized()[1] for t in range(min(m, n))
+                 if not D[t][t].is_zero())
 
 
 def cohomology(C: CochainComplex) -> tuple:
@@ -405,10 +438,10 @@ def verify_shift_theorem(C: CochainComplex, radius: Optional[int] = None,
 
     Raises NotWellFiltered (with the failing trace attached) when the
     complex does not satisfy the filtration conditions the shift
-    argument needs, and NotStabilized when the window dimensions keep
-    changing after the allowed doublings.  ``progress``, if given, is
-    called with each DegreeShift as soon as it is known, so long runs
-    can stream results.
+    argument needs, and NotStabilized, carrying the (radius, dim) pairs
+    it tried, when the window dimensions keep changing after the allowed
+    doublings.  ``progress``, if given, is called with each DegreeShift
+    as soon as it is known, so long runs can stream results.
     """
     wf = is_well_filtered(C)
     if not wf.ok:
@@ -421,16 +454,16 @@ def verify_shift_theorem(C: CochainComplex, radius: Optional[int] = None,
     top = C.top_degree
     degrees = []
     for k in range(top + 1):
-        r = radius
-        for _ in range(WINDOW_DOUBLINGS + 1):
+        history = []
+        for r in (radius * 2 ** i for i in range(WINDOW_DOUBLINGS + 1)):
             dim, stable = m_cohomology_dim_window(C, k, r)
+            history.append((r, dim))
             if stable:
                 break
-            r *= 2
         else:
             raise NotStabilized(
                 f"window dimension for degree {k} still moving at radius "
-                f"{r}", radius=r)
+                f"{r} (radius, dim: {history})", radius=r, history=history)
         above = co[k + 1] if k + 1 <= top else None
         shifted = above.torsion_dim if above else 0
         free_above = above.free_rank if above else 0

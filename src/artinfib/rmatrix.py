@@ -28,18 +28,21 @@ def mat_mul(a, b, domain: Domain):
     rb, cb = mat_shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch {ra}x{ca} times {rb}x{cb}")
-    zero = LaurentPoly.zero(domain)
     out = []
     for i in range(ra):
         row = []
         for j in range(cb):
-            acc = zero
+            # sum the products' coefficients by exponent, so each entry
+            # is built as a LaurentPoly once
+            acc = {}
             for t in range(ca):
                 e = a[i][t]
                 f = b[t][j]
                 if not (e.is_zero() or f.is_zero()):
-                    acc = acc + e * f
-            row.append(acc)
+                    for k, c in enumerate(domain.poly_mul(e.coeffs, f.coeffs),
+                                          e.val + f.val):
+                        acc[k] = domain.add(acc[k], c) if k in acc else c
+            row.append(LaurentPoly.from_dict(domain, acc))
         out.append(tuple(row))
     return tuple(out)
 

@@ -1,5 +1,6 @@
 """Smith normal form, cohomology over R, and the degree-shift check."""
 
+import importlib
 import itertools
 import math
 import random
@@ -9,12 +10,14 @@ import pytest
 from artinfib.complexes import (CochainComplex, build_generic_complex,
                                 build_salvetti_complex, koszul_family,
                                 random_koszul_family, transpose_complex)
-from artinfib.coxeter import finite_type_system
+from artinfib.coxeter import finite_type_system, poincare_poly, \
+    system_from_string
 from artinfib.domains import GF, QQ, ZZ
-from artinfib.errors import (NotWellFiltered, RankMismatch,
+from artinfib.errors import (NotStabilized, NotWellFiltered, RankMismatch,
                              UnsupportedDomain)
-from artinfib.homology import (cohomology, homology, monodromy_char_poly,
-                               smith_normal_form, verify_shift_theorem)
+from artinfib.homology import (_invariant_factors, cohomology, homology,
+                               monodromy_char_poly, smith_normal_form,
+                               verify_shift_theorem)
 from artinfib.laurent import LaurentPoly, format_poly, parse_poly
 from artinfib.linalg import sparse_rank
 from artinfib.rmatrix import det_bareiss, mat_eq, mat_identity, mat_mul
@@ -100,6 +103,57 @@ def test_snf_random_property():
         check_decomposition(A, dec, dom)
 
 
+def test_transform_free_factors_match_random_smith_forms():
+    # cohomology reads the diagonal of a Smith form run without
+    # transforms; it must agree with the full decomposition
+    rng = random.Random(23)
+    for trial in range(160):
+        dom = (QQ, GF(2), GF(3), GF(7))[trial % 4]
+        kind = trial % 5
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        if kind == 0:
+            m, n = rng.choice(((0, n), (m, 0)))
+        if kind == 1 and min(m, n) >= 2:
+            # rank below min(m, n): a product through a thinner middle
+            k = rng.randint(1, min(m, n) - 1)
+            A = mat_mul(random_matrix(rng, dom, m, k),
+                        random_matrix(rng, dom, k, n), dom)
+        elif kind == 2:
+            # q - 1 above q^2 + q + 1 breaks the divisibility chain
+            # (outside characteristic 3), so the repair has to merge them
+            m = n = max(m, 2)
+            diag = [P("q - 1", dom), P("q^2 + q + 1", dom)] + [
+                random_matrix(rng, dom, 1, 1)[0][0] for _ in range(m - 2)]
+            A = tuple(tuple(diag[i] if i == j else LaurentPoly.zero(dom)
+                            for j in range(n)) for i in range(m))
+        else:
+            A = random_matrix(rng, dom, m, n)
+        assert _invariant_factors(A, m, n, dom) == smith_normal_form(
+            A, dom, shape=(m, n)).invariant_factors, (trial, str(dom))
+
+
+def test_transform_free_repair_merges_diagonal():
+    one, f, g = P("1"), P("q - 1"), P("q + 1")
+    zero = LaurentPoly.zero(QQ)
+    assert [format_poly(d) for d in
+            _invariant_factors(((f, zero), (zero, g)), 2, 2, QQ)] == \
+        ["1", "q^2 - 1"]
+    assert _invariant_factors(((zero, f * g, g),), 1, 3, QQ) == (g,)
+    assert _invariant_factors(((zero, P("q^3"), zero),), 1, 3, QQ) == (one,)
+    assert _invariant_factors((), 0, 4, QQ) == ()
+    assert _invariant_factors(((), ()), 2, 0, QQ) == ()
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "A6", "B3", "B4",
+                                  "B5", "D4", "F4", "H3", "H4", "E6"])
+def test_transform_free_factors_match_salvetti_smith_forms(name):
+    C = build_salvetti_complex(finite_type_system(name))
+    for k, d in enumerate(C.diffs):
+        m, n = C.ranks[k + 1], C.ranks[k]
+        assert _invariant_factors(d, m, n, QQ) == smith_normal_form(
+            d, QQ, shape=(m, n)).invariant_factors, (name, k)
+
+
 def criterion6_matrix(index):
     """Matrix ``index`` of acceptance criterion 6's random stream."""
     rng = random.Random(1000003)
@@ -169,6 +223,18 @@ def test_cohomology_salvetti_frozen():
     # dihedral top degree carries the sign-twisted quotient polynomial
     assert co_strings(build_salvetti_complex(finite_type_system("I2(5)"))) \
         == ["0", "R/(q - 1)", "R/(q^4 - q^3 + q^2 - q + 1)"]
+
+
+def test_cohomology_reach_targets_frozen():
+    # recorded with the Smith forms that carried their transforms
+    assert co_strings(build_salvetti_complex(finite_type_system("A7"))) == [
+        "0", "R/(q - 1)", "0", "0", "0", "R/(q^2 + 1)",
+        "R/(q^6 - q^5 + q^4 - q^3 + q^2 - q + 1)", "R/(q^4 + 1)"]
+    assert co_strings(build_salvetti_complex(finite_type_system("E7"))) == [
+        "0", "R/(q - 1)", "0", "0", "0", "R/(q^2 + q + 1)",
+        "R/(q^2 + q + 1)",
+        "R/(q^15 + q^14 + q^13 + q^12 + q^11 + q^10 + q^9 - q^6 - q^5 "
+        "- q^4 - q^3 - q^2 - q - 1)"]
 
 
 def test_cohomology_modular_frozen():
@@ -276,6 +342,22 @@ def test_shift_theorem_policy_and_progress():
     assert all(d.radius == 40 for d in report.degrees)
 
 
+def test_shift_theorem_not_stabilized_history(monkeypatch):
+    # a window whose dimension grows with its radius never stabilizes
+    def moving(C, k, radius):
+        return radius // 4, False
+
+    # the package re-exports the function homology under the module's name
+    module = importlib.import_module("artinfib.homology")
+    monkeypatch.setattr(module, "m_cohomology_dim_window", moving)
+    C = build_salvetti_complex(finite_type_system("A2"))
+    with pytest.raises(NotStabilized) as info:
+        verify_shift_theorem(C, radius=40)
+    assert info.value.history == ((40, 10), (80, 20), (160, 40), (320, 80))
+    assert info.value.radius == 320
+    assert "degree 0" in str(info.value)
+
+
 def test_shift_theorem_rejects_bad_complexes():
     f = parse_poly("2 - 2*q", ZZ)
     C = build_generic_complex(koszul_family((1, 2), [f, f], ZZ))
@@ -336,3 +418,31 @@ def test_random_koszul_shift():
         fam = random_koszul_family(rng.randint(1, 3), rng.randint(0, 10**6))
         report = verify_shift_theorem(build_generic_complex(fam))
         assert report.ok
+
+
+MONODROMY_TYPES = [(name, QQ) for name in (
+    "A2", "A3", "A4", "A5", "B3", "B4", "D4", "D5", "F4", "H3", "H4", "E6",
+    "I2(5)", "I2(8)", "A1xB2", "A2xA2", "A1xH3")] + [(name, GF(3)) for name in (
+        "A3", "B3", "H3", "F4", "E6", "H4", "A1xB2")]
+
+
+@pytest.mark.parametrize("name,dom", MONODROMY_TYPES,
+                         ids=[f"{n}-{d}" for n, d in MONODROMY_TYPES])
+def test_fiber_torsion_divides_monodromy_order(name, dom):
+    # independent of both Smith-form paths: the discriminant is weighted
+    # homogeneous of degree 2N (N reflections), so the Milnor fiber's
+    # monodromy h has h^(2N) = 1; every torsion factor of H^(k+1)(L_q)
+    # divides q^(2N) - 1, and over Q, where h acts semisimply, none has a
+    # repeated root
+    system = system_from_string(name)
+    N = poincare_poly(system).degree
+    order = LaurentPoly.q_power(dom, 2 * N) - LaurentPoly.one(dom)
+    groups = cohomology(build_salvetti_complex(system, dom))
+    assert not groups[0].torsion
+    for g in groups[1:]:
+        for f in g.torsion:
+            assert order.divrem(f)[1].is_zero(), (g.degree, format_poly(f))
+            if dom is QQ:
+                df = LaurentPoly(dom, 0, [i * c for i, c in
+                                          enumerate(f.coeffs)][1:])
+                assert f.xgcd(df)[0].span == 0, (g.degree, format_poly(f))
