@@ -453,9 +453,10 @@ def run(config: RunConfig) -> int:
     try:
         code = _drive(config, em)
     except NotStabilized as exc:
+        tried = ", ".join(f"({r}, {d})" for r, d in exc.history) or "none"
         print(f"error: window dimensions did not stabilize "
-              f"(last radius {exc.radius}); raise --window-radius",
-              file=sys.stderr)
+              f"(last radius {exc.radius}; radius, dim tried: {tried}); "
+              f"raise --window-radius", file=sys.stderr)
         return 2
     except ArtinfibError as exc:
         print(f"error: {exc}", file=sys.stderr)

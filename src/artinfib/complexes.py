@@ -199,9 +199,7 @@ def build_generic_complex(family: PolynomialFamily) -> CochainComplex:
 
 def check_d_squared(C: CochainComplex) -> bool:
     for k in range(len(C.diffs) - 1):
-        # zero through a zero module, where mat_mul cannot size a factor
-        if all(C.ranks[k:k + 3]) and not mat_is_zero(
-                mat_mul(C.diffs[k + 1], C.diffs[k], C.domain)):
+        if not mat_is_zero(mat_mul(C.diffs[k + 1], C.diffs[k], C.domain)):
             return False
     return True
 

@@ -1,9 +1,11 @@
 """Sparse exact Gaussian elimination over a coefficient field.
 
-Rows are dicts {column index: nonzero element}.  Elimination proceeds by
-increasing column, always clearing the current minimum column, so banded
-inputs (the window operators in this package) stay banded and the cost is
-rows x band^2 rather than cubic.  Everything is exact; no floats.
+Rows are dicts {column index: element}.  Input rows may hold zero values:
+``echelon`` drops them on entry, so the rows it keeps and returns hold
+nonzero elements only.  Elimination proceeds by increasing column, always
+clearing the current minimum column, so banded inputs (the window rows in
+this package) stay banded and the cost is rows x band^2 rather than
+cubic.  Everything is exact; no floats.
 """
 
 from __future__ import annotations

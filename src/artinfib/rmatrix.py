@@ -24,6 +24,9 @@ def mat_identity(n: int, domain: Domain):
 
 
 def mat_mul(a, b, domain: Domain):
+    if not a:
+        # a row-free factor cannot carry its column count, so it fits any b
+        return ()
     ra, ca = mat_shape(a)
     rb, cb = mat_shape(b)
     if ca != rb:

@@ -270,75 +270,60 @@ def matrix_reach(matrix) -> int:
     return r
 
 
-class WindowOperator:
-    """A polynomial matrix acting on windowed coefficient vectors.
+# Window vectors are flattened by exponent, then by block: on the source
+# window [-N, N], block j at exponent v is column (v + N) * src_rank + j,
+# and on an image interior [lo, hi], block i at exponent u is column
+# (u - lo) * dst_rank + i.  Distinct (block, exponent) pairs therefore get
+# distinct columns, so a row never collects two terms in one column.
 
-    Source vectors lay out block j at exponent v as column index
-    ``(v + N) * src_rank + j`` for v in [-N, N].  The operator rows are
-    banded: the output coefficient at (i, u) involves inputs within the
-    entry exponent range around u.
+
+def equation_rows(entries, radius: int, domain: Domain):
+    """Sparse rows, one per fully determined output coefficient.
+
+    Output (i, u) = sum over j and the terms c*q^exp of entry (i, j) of
+    c * x_(j, u - exp).  It is usable only when every such input exponent
+    lies inside [-N, N], which bounds u by the extreme exponents of row
+    i's entries.  Row i's terms are laid out once, as a stencil of column
+    offsets, and each valid u shifts it.  Rows come i-major, then by u.
     """
+    N = radius
+    src_rank = len(entries[0]) if entries else 0
+    for row in entries:
+        terms = [(j, e) for j, e in enumerate(row) if not e.is_zero()]
+        if not terms:
+            continue
+        stencil = [(j - exp * src_rank, c) for j, e in terms
+                   for exp, c in e.items() if not domain.is_zero(c)]
+        u_lo = -N + max(e.degree for _, e in terms)
+        u_hi = N + min(e.val for _, e in terms)
+        for u in range(u_lo, u_hi + 1):
+            base = (u + N) * src_rank
+            yield {base + off: c for off, c in stencil}
 
-    def __init__(self, entries, radius: int, domain: Domain):
-        self.entries = entries
-        self.radius = int(radius)
-        self.domain = domain
-        self.dst_rank = len(entries)
-        self.src_rank = len(entries[0]) if entries else 0
 
-    def src_index(self, j: int, v: int) -> int:
-        return (v + self.radius) * self.src_rank + j
+def image_rows(entries, radius: int, domain: Domain, lo: int, hi: int):
+    """Images of the window unit vectors, restricted to the interior.
 
-    def equation_rows(self):
-        """Sparse rows, one per fully determined output coefficient.
-
-        Output (i, u) is usable only when every contributing input
-        exponent lies inside [-N, N]; the valid u range is computed per
-        output block from the entry exponent extremes.
-        """
-        N = self.radius
-        for i in range(self.dst_rank):
-            row_entries = [(j, e) for j, e in enumerate(self.entries[i])
-                           if not e.is_zero()]
-            if not row_entries:
-                continue
-            u_lo = -N + max(e.degree for _, e in row_entries)
-            u_hi = N + min(e.val for _, e in row_entries)
-            for u in range(u_lo, u_hi + 1):
-                row = {}
-                for j, e in row_entries:
-                    for exp, c in e.items():
-                        if self.domain.is_zero(c):
-                            continue
-                        idx = self.src_index(j, u - exp)
-                        if idx in row:
-                            row[idx] = self.domain.add(row[idx], c)
-                        else:
-                            row[idx] = c
+    The unit vector of source block j at exponent v in [-N, N] maps to
+    c at (i, v + exp) for each term c*q^exp of entry (i, j).  Column j's
+    terms are laid out once, as a stencil, and each v shifts it; only the
+    targets with lo <= v + exp <= hi are kept, and unit vectors with no
+    target there are skipped.  Rows come v-major, then by j.
+    """
+    dst_rank = len(entries)
+    src_rank = len(entries[0]) if entries else 0
+    stencils = [[(exp, exp * dst_rank + i, c)
+                 for i in range(dst_rank)
+                 for exp, c in entries[i][j].items()
+                 if not domain.is_zero(c)]
+                for j in range(src_rank)]
+    for v in range(-radius, radius + 1):
+        base = (v - lo) * dst_rank
+        for stencil in stencils:
+            row = {base + off: c for exp, off, c in stencil
+                   if lo <= v + exp <= hi}
+            if row:
                 yield row
-
-    def image_rows(self, interior_lo: int, interior_hi: int):
-        """Images of the window unit vectors, restricted to the interior.
-
-        Row coordinates are flattened as (u - interior_lo) * dst_rank + i.
-        Rows with empty restriction are skipped.
-        """
-        N = self.radius
-        for v in range(-N, N + 1):
-            for j in range(self.src_rank):
-                row = {}
-                for i in range(self.dst_rank):
-                    e = self.entries[i][j]
-                    if e.is_zero():
-                        continue
-                    for exp, c in e.items():
-                        u = v + exp
-                        if interior_lo <= u <= interior_hi and \
-                                not self.domain.is_zero(c):
-                            # (i, u) pairs are distinct within a column
-                            row[(u - interior_lo) * self.dst_rank + i] = c
-                if row:
-                    yield row
 
 
 def default_window_radius(complex_) -> int:
@@ -368,12 +353,10 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     if top < 0 or k < 0 or k > top or ranks[k] == 0:
         return 0, True
 
-    d_out = complex_.diff(k) if k < top else None
-    d_in = complex_.diff(k - 1) if k > 0 else None
-    reach = 1
-    for mat in (d_out, d_in):
-        if mat is not None:
-            reach = max(reach, matrix_reach(mat))
+    # a missing differential is the 0-row map (): it yields no rows
+    d_out = complex_.diff(k) or ()
+    d_in = complex_.diff(k - 1) or ()
+    reach = max(1, matrix_reach(d_out), matrix_reach(d_in))
     discard = 3 * reach
     if radius is None:
         radius = default_window_radius(complex_)
@@ -386,15 +369,9 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
         r_k = ranks[k]
         i_lo, i_hi = -N + discard, N - discard
         keep = range((i_lo + N) * r_k, (i_hi + N + 1) * r_k)
-        if d_out is not None and len(d_out) > 0:
-            op = WindowOperator(d_out, N, dom)
-            dim_kernel = projected_kernel_dim(op.equation_rows, dom, keep)
-        else:
-            dim_kernel = len(keep)
-        dim_image = 0
-        if d_in is not None and d_in and len(d_in[0]) > 0:
-            op_in = WindowOperator(d_in, N, dom)
-            dim_image = sparse_rank(op_in.image_rows(i_lo, i_hi), dom)
+        dim_kernel = projected_kernel_dim(
+            lambda: equation_rows(d_out, N, dom), dom, keep)
+        dim_image = sparse_rank(image_rows(d_in, N, dom, i_lo, i_hi), dom)
         return dim_kernel - dim_image
 
     d1 = dim_at(radius)

@@ -378,13 +378,22 @@ def test_milnor_not_well_filtered_exits_one(capsys, monkeypatch):
 
 
 def test_not_stabilized_exits_two(capsys, monkeypatch):
+    history = ()
+
     def never_stable(C, policy, progress=None):
-        raise NotStabilized("still moving", radius=64)
+        raise NotStabilized("still moving", radius=64, history=history)
 
     monkeypatch.setattr(cli, "verify_shift_theorem", never_stable)
     code, _, err = run_cli(capsys, "verify", "--type", "A2")
     assert code == 2
     assert "did not stabilize" in err and "64" in err
+    assert "tried: none)" in err
+    history = ((16, 3), (32, 4), (64, 5))
+    code, out, err = run_cli(capsys, "verify", "--type", "A2",
+                             "--format", "json")
+    assert code == 2 and out == ""
+    assert "last radius 64" in err
+    assert "(16, 3), (32, 4), (64, 5)" in err
 
 
 def test_parse_degrees():

@@ -18,6 +18,7 @@ from artinfib.errors import (CocycleViolation, FamilyFormatError,
                              RankMismatch)
 from artinfib.homology import cohomology, homology
 from artinfib.laurent import LaurentPoly, format_poly, parse_poly
+from artinfib.rmatrix import mat_mul
 
 
 def fmt_matrix(mat):
@@ -259,6 +260,22 @@ def test_transpose_zero_rank_degree():
     assert hom == ["R/(q - 1)", "0", "0"]
     co = [str(g) for g in cohomology(T)]
     assert co == hom[::-1]
+
+
+def test_mat_mul_row_free_factors():
+    f = parse_poly("1 - q", QQ)
+    B = ((f, f),)
+    assert mat_mul((), B, QQ) == ()
+    assert mat_mul((), (), QQ) == ()
+    # a 2x0 factor times the 0x0 matrix () gives two empty rows
+    assert mat_mul(((), ()), (), QQ) == ((), ())
+    with pytest.raises(ValueError):
+        mat_mul(((f,),), ((f,), (f,)), QQ)
+    # d^1 d^0 != 0 is still caught next to a zero-rank degree
+    C = CochainComplex(QQ, (1, 1, 1, 0), (((f,),), ((f,),), ()))
+    assert not check_d_squared(C)
+    C = CochainComplex(QQ, (0, 1, 0, 1), (((),), (), ((),)))
+    assert check_d_squared(C)
 
 
 FAMILY_TEXT = """\

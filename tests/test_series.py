@@ -9,11 +9,13 @@ from artinfib.domains import GF, QQ, ZZ
 from artinfib.errors import (NonInvertibleExtremes, SeedTooShort,
                              UnsupportedDomain, WindowTooSmall)
 from artinfib.laurent import LaurentPoly, parse_poly
-from artinfib.series import (WindowSeries, kernel_of_scalar_mul,
-                             m_cohomology_dim_window, poly_window_product,
-                             recurrence_extend, solve_scalar_mul)
-from artinfib.complexes import (build_generic_complex, build_salvetti_complex,
-                                koszul_family)
+from artinfib.series import (WindowSeries, equation_rows, image_rows,
+                             kernel_of_scalar_mul, m_cohomology_dim_window,
+                             poly_window_product, recurrence_extend,
+                             solve_scalar_mul)
+from artinfib.complexes import (CochainComplex, build_generic_complex,
+                                build_salvetti_complex, koszul_family,
+                                transpose_complex)
 from artinfib.coxeter import finite_type_system
 
 
@@ -155,3 +157,92 @@ def test_window_rejects_bad_input():
     CQ = build_salvetti_complex(finite_type_system("A2"))
     with pytest.raises(WindowTooSmall):
         m_cohomology_dim_window(CQ, 1, radius=3)
+
+
+def test_window_dims_zero_rank_degree():
+    # d^1 of C is the 0-row map and d^0 of its transpose has no columns
+    f = parse_poly("1 - q", QQ)
+    C = CochainComplex(QQ, (1, 1, 0), (((f,),), ()))
+    assert [m_cohomology_dim_window(C, k) for k in range(3)] == \
+        [(1, True), (0, True), (0, True)]
+    T = transpose_complex(C)
+    assert [m_cohomology_dim_window(T, k) for k in range(3)] == \
+        [(0, True), (1, True), (0, True)]
+
+
+def reference_equation_rows(entries, N, dom):
+    """Output (i, u) = sum of c * x_(j, u - exp), kept when every input
+    exponent lies in [-N, N]; x_(j, v) is column (v + N) * n + j."""
+    n = len(entries[0]) if entries else 0
+    rows = []
+    for entry_row in entries:
+        # wide enough for every exponent the test matrices use
+        for u in range(-4 * N - 8, 4 * N + 9):
+            row, inside = {}, True
+            for j, e in enumerate(entry_row):
+                for exp in range(e.val, e.degree + 1):
+                    c = e.coeff(exp)
+                    if dom.is_zero(c):
+                        continue
+                    inside = inside and -N <= u - exp <= N
+                    col = (u - exp + N) * n + j
+                    row[col] = dom.add(row.get(col, dom.zero), c)
+            row = {k: c for k, c in row.items() if not dom.is_zero(c)}
+            if row and inside:
+                rows.append(tuple(sorted(row.items())))
+    return rows
+
+
+def reference_image_rows(entries, N, dom, lo, hi):
+    """Image of the unit vector at (j, v), cut to exponents [lo, hi];
+    y_(i, u) is column (u - lo) * m + i."""
+    m = len(entries)
+    n = len(entries[0]) if entries else 0
+    rows = []
+    for v in range(-N, N + 1):
+        for j in range(n):
+            row = {}
+            for i in range(m):
+                e = entries[i][j]
+                for u in range(lo, hi + 1):
+                    c = e.coeff(u - v)
+                    if not dom.is_zero(c):
+                        row[(u - lo) * m + i] = c
+            if row:
+                rows.append(tuple(sorted(row.items())))
+    return rows
+
+
+def random_poly_matrix(rng, dom, m, n):
+    def entry():
+        if rng.random() < 0.3:
+            return LaurentPoly.zero(dom)
+        span = rng.randint(0, 4)
+        coeffs = [rng.randint(-3, 3) for _ in range(span + 1)]
+        coeffs[0] = coeffs[-1] = rng.choice((-2, -1, 1, 2))
+        return LaurentPoly(dom, rng.randint(-3, 3), coeffs)
+    return tuple(tuple(entry() for _ in range(n)) for _ in range(m))
+
+
+def test_window_rows_match_reference():
+    rng = random.Random(20)
+    fixed = [
+        ((parse_poly("1 + q^2", QQ), LaurentPoly.zero(QQ)),
+         (parse_poly("q^-2 - 1", QQ), parse_poly("q^-1 + 2*q", QQ))),
+        (),
+        ((), ()),
+    ]
+    cases = [(QQ, mat) for mat in fixed]
+    for dom in (QQ, GF(3), GF(7)):
+        for _ in range(25):
+            m, n = rng.randint(0, 3), rng.randint(0, 3)
+            cases.append((dom, random_poly_matrix(rng, dom, m, n)))
+    for dom, mat in cases:
+        for N in (4, 7):
+            for lo, hi in ((-N, N), (-N + 3, N - 3), (-1, 2)):
+                got = [tuple(sorted(r.items()))
+                       for r in image_rows(mat, N, dom, lo, hi)]
+                assert got == reference_image_rows(mat, N, dom, lo, hi)
+            got = [tuple(sorted(r.items()))
+                   for r in equation_rows(mat, N, dom)]
+            assert got == reference_equation_rows(mat, N, dom)
