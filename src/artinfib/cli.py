@@ -537,6 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
     primes = tuple(int(p) for p in str(ns.primes).split(",") if p.strip())
+    if len(set(primes)) != len(primes):
+        raise ValueError(f"repeated prime in --primes {ns.primes}")
     degrees = _parse_degrees(ns.degrees) if ns.degrees else None
     return RunConfig(command=ns.command,
                      type_label=getattr(ns, "type_label", None),

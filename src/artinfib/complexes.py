@@ -22,7 +22,7 @@ import dataclasses
 import itertools
 from typing import Optional
 
-from .coxeter import CoxeterSystem, poincare_quotient
+from .coxeter import MAX_TOTAL_RANK, CoxeterSystem, poincare_quotient
 from .domains import QQ, Domain
 from .errors import (CocycleViolation, FamilyFormatError, IndexOutOfRange,
                      MissingEntry, NotSubsetIndexed, ParseError, RankMismatch)
@@ -126,6 +126,10 @@ class CochainComplex:
     (ranks[k+1], ranks[k]).  Subset-indexed complexes carry their basis
     (a tuple per degree, colex-ordered) and the defining family; plain
     matrix complexes leave those as None.
+
+    Every instance satisfies d^2 = 0, checked once at construction:
+    through ``family``'s cocycle relation when there is one (else
+    CocycleViolation), otherwise on the matrices (else RankMismatch).
     """
 
     domain: Domain
@@ -147,6 +151,10 @@ class CochainComplex:
                 if len(row) != self.ranks[k]:
                     raise RankMismatch(f"d^{k} row width {len(row)}, "
                                        f"expected {self.ranks[k]}")
+        if self.family is not None:
+            check_cocycle_family(self.family)
+        elif not check_d_squared(self):
+            raise RankMismatch("image does not lie in the kernel, d^2 != 0")
 
     @property
     def top_degree(self) -> int:
@@ -172,10 +180,9 @@ class CochainComplex:
 def build_generic_complex(family: PolynomialFamily) -> CochainComplex:
     """Assemble the complex of a polynomial family.
 
-    Validates the cocycle relation first, so the result always
-    satisfies d^2 = 0 by construction.
+    The complex checks the family's cocycle relation as it is built, so
+    a family that breaks it raises CocycleViolation.
     """
-    check_cocycle_family(family)
     gamma = family.gamma
     basis = subsets_by_degree(gamma)
     ranks = tuple(len(level) for level in basis)
@@ -487,12 +494,14 @@ def parse_family(text: str, domain: Domain) -> PolynomialFamily:
 
     One entry per line, ``Delta ; w ; polynomial`` with Delta a comma
     list of generators or ``-`` for the empty set.  ``#`` starts a
-    comment.  The generator set is inferred, totality is enforced, and
-    the cocycle relation is checked with offending line numbers
-    attached to any violation.
+    comment.  The generator set is inferred, and more than
+    ``MAX_TOTAL_RANK`` generators are refused at the line that brings
+    one too many.  Totality is enforced, and the cocycle relation is
+    checked with offending line numbers attached to any violation.
     """
     entries = {}
     lines = {}
+    gamma = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -521,12 +530,13 @@ def parse_family(text: str, domain: Domain) -> PolynomialFamily:
                 line=lineno)
         entries[key] = poly
         lines[key] = lineno
+        gamma |= delta | {w}
+        if len(gamma) > MAX_TOTAL_RANK:
+            raise FamilyFormatError(
+                f"line {lineno}: more than {MAX_TOTAL_RANK} generators",
+                line=lineno)
     if not entries:
         raise FamilyFormatError("family file has no entries", line=0)
-    gamma = set()
-    for delta, w in entries:
-        gamma |= delta
-        gamma.add(w)
     family = PolynomialFamily(domain=domain, gamma=tuple(sorted(gamma)),
                               entries=entries, lines=lines)
     check_cocycle_family(family)

@@ -100,7 +100,8 @@ class IndexOutOfRange(ArtinfibError):
 
 
 class RankMismatch(ArtinfibError):
-    """Filtration quotient does not have the expected rank-one shape."""
+    """Sizes that do not fit (matrix shapes, one polynomial per generator,
+    a rank-zero complex), or a matrix complex with d^2 != 0."""
 
 
 class NotWellFiltered(ArtinfibError):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from .complexes import CochainComplex, check_d_squared, is_well_filtered
+from .complexes import CochainComplex, is_well_filtered
 from .domains import Domain
 from .errors import (NotStabilized, NotWellFiltered, RankMismatch,
                      UnsupportedDomain)
@@ -355,8 +355,6 @@ def _groups(C: CochainComplex, homological: bool) -> tuple:
     if not dom.is_field:
         raise UnsupportedDomain(
             f"cohomology needs field coefficients, not {dom}")
-    if not check_d_squared(C):
-        raise RankMismatch("image does not lie in the kernel, d^2 != 0")
     # factors[k] belongs to d^(k-1); d^-1 and d^top are zero maps
     factors = [()] + [_invariant_factors(d, C.ranks[k + 1], C.ranks[k], dom)
                       for k, d in enumerate(C.diffs)] + [()]
@@ -379,7 +377,6 @@ def cohomology(C: CochainComplex) -> tuple:
     """Invariant factors of every H^k = ker d^k / im d^(k-1).
 
     The torsion of H^k is the nonunit invariant factors of d^(k-1).
-    Raises RankMismatch when C is not a complex.
     """
     return _groups(C, homological=False)
 

@@ -286,6 +286,16 @@ def test_family_syntax_and_totality_errors(capsys, tmp_path):
     assert code == 2 and "no entry" in err
 
 
+def test_family_with_too_many_generators_fails_fast(capsys, tmp_path):
+    # a totality search over 40 generators would visit 2^40 subsets
+    path = write_family(tmp_path, "".join(f"- ; {i} ; 1\n"
+                                          for i in range(1, 41)))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "family", "--family", path)
+    assert code == 2 and "line 13: more than 12 generators" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_family_coefficients_must_parse_in_domain(capsys, tmp_path):
     path = write_family(tmp_path, "- ; 1 ; 1/2\n")
     code, _, _ = run_cli(capsys, "family", "--family", path)
@@ -326,6 +336,10 @@ def test_bad_inputs_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--type", "A2",
                            "--window-radius", "3")
     assert code == 2
+    # Z/3 twice would print its CSV rows twice
+    code, _, err = run_cli(capsys, "cohomology", "--type", "A1",
+                           "--coeff", "Z", "--primes", "3,3")
+    assert code == 2 and "repeated prime" in err
     # labels past the caps fail before any Coxeter matrix is built
     for label in ("A13", "A100000", "I2(1000000000000)", "A" + "9" * 5000,
                   "x".join(["A1"] * 13), "x".join(["A1"] * 10**6)):

@@ -16,7 +16,8 @@ from artinfib.domains import GF, QQ, ZZ
 from artinfib.errors import (CocycleViolation, FamilyFormatError,
                              IndexOutOfRange, MissingEntry, NotSubsetIndexed,
                              RankMismatch)
-from artinfib.homology import cohomology, homology
+from artinfib.cli import main
+from artinfib.homology import cohomology, homology, verify_shift_theorem
 from artinfib.laurent import LaurentPoly, format_poly, parse_poly
 from artinfib.rmatrix import mat_mul
 
@@ -69,6 +70,57 @@ def test_complex_shape_validation():
         CochainComplex(QQ, (1, 2), diffs=(((one,),),))
     with pytest.raises(RankMismatch):
         CochainComplex(QQ, (2, 1), diffs=(((one,),),))
+
+
+def test_non_complex_rejected_at_construction():
+    f = parse_poly("1 - q", QQ)
+    # d^0 d^-1 is vacuous, d^1 d^0 = (f f) (f, -f)^T = 0, d^2 d^1 != 0
+    with pytest.raises(RankMismatch, match="d\\^2 != 0"):
+        CochainComplex(QQ, (1, 2, 1, 1),
+                       (((f,), (-f,)), ((f, f),), ((f,),)))
+
+
+@pytest.fixture
+def d_squared_checks(monkeypatch):
+    """Names of the d^2 = 0 checks run, counted at every binding."""
+    import sys
+    import artinfib.complexes as complexes
+    runs = []
+    for name in ("check_cocycle_family", "check_d_squared"):
+        original = getattr(complexes, name)
+
+        def counted(*args, _name=name, _original=original):
+            runs.append(_name)
+            return _original(*args)
+
+        for mname, module in list(sys.modules.items()):
+            if mname == "artinfib" or mname.startswith("artinfib."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    return runs
+
+
+def test_d_squared_checked_once_per_complex(d_squared_checks):
+    cohomology(build_salvetti_complex(finite_type_system("E6")))
+    assert d_squared_checks == ["check_cocycle_family"]
+    d_squared_checks.clear()
+    assert verify_shift_theorem(
+        build_salvetti_complex(finite_type_system("A3"))).ok
+    assert d_squared_checks == ["check_cocycle_family"]
+    d_squared_checks.clear()
+    # a matrix complex, such as a transpose, is checked on its matrices
+    T = transpose_complex(build_salvetti_complex(finite_type_system("A2")))
+    homology(T)
+    assert d_squared_checks == ["check_cocycle_family", "check_d_squared"]
+
+
+def test_family_file_checked_on_entry_and_on_build(d_squared_checks,
+                                                   tmp_path, capsys):
+    path = tmp_path / "fam.txt"
+    path.write_text(FAMILY_TEXT)
+    assert main(["family", "--family", str(path), "--format", "json"]) == 0
+    assert d_squared_checks == ["check_cocycle_family"] * 2
 
 
 def test_salvetti_a2_matrices():
@@ -272,8 +324,8 @@ def test_mat_mul_row_free_factors():
     with pytest.raises(ValueError):
         mat_mul(((f,),), ((f,), (f,)), QQ)
     # d^1 d^0 != 0 is still caught next to a zero-rank degree
-    C = CochainComplex(QQ, (1, 1, 1, 0), (((f,),), ((f,),), ()))
-    assert not check_d_squared(C)
+    with pytest.raises(RankMismatch, match="d\\^2 != 0"):
+        CochainComplex(QQ, (1, 1, 1, 0), (((f,),), ((f,),), ()))
     C = CochainComplex(QQ, (0, 1, 0, 1), (((),), (), ((),)))
     assert check_d_squared(C)
 

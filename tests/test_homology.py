@@ -262,9 +262,8 @@ def test_cohomology_koszul_and_free_parts():
 
 def test_cohomology_rejects_non_complex():
     one = LaurentPoly.one(QQ)
-    C = CochainComplex(QQ, (1, 1, 1), (((one,),), ((one,),)))
     with pytest.raises(RankMismatch):
-        cohomology(C)
+        cohomology(CochainComplex(QQ, (1, 1, 1), (((one,),), ((one,),))))
 
 
 def test_zero_rank_degrees():
