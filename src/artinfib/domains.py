@@ -5,9 +5,10 @@ prime fields ``GF(p)``.  Elements are plain Python values (rationals, ints,
 ints reduced mod p), and all arithmetic goes through the domain object so
 that the same polynomial code runs unchanged over each ring.
 
-Rationals use ``gmpy2.mpq`` when available (an order of magnitude faster
-than ``fractions.Fraction`` on the elimination workloads in this package)
-and fall back to ``Fraction`` otherwise.
+Rationals use ``gmpy2.mpq`` when available and fall back to
+``fractions.Fraction`` otherwise.  The choice matters for Laurent
+arithmetic and Smith forms; the series-window elimination in ``linalg``
+runs on plain ints over either.
 """
 
 from __future__ import annotations

@@ -1,33 +1,63 @@
-"""Sparse exact Gaussian elimination over a coefficient field.
+"""Sparse exact Gaussian elimination over Q or a prime field, on integers.
 
-Rows are dicts {column index: element}.  Input rows may hold zero values:
-``echelon`` drops them on entry, so the rows it keeps and returns hold
-nonzero elements only.  Elimination proceeds by increasing column, always
-clearing the current minimum column, so banded inputs (the window rows in
-this package) stay banded and the cost is rows x band^2 rather than
-cubic.  Everything is exact; no floats.
+Rows are dicts {column index: element}.  ``echelon`` maps each row on
+entry to plain Python ints with ``integer_row`` (residues over GF(p), the
+primitive integer multiple over Q; scaling a row keeps the rank and the
+pivot columns) and drops zero entries, so the rows it keeps and returns
+hold nonzero ints only.  Elimination proceeds by increasing column,
+always clearing the current minimum column, so banded inputs (the window
+rows in this package) stay banded and the cost is rows x band^2 rather
+than cubic.  Everything is exact; no floats.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 from .errors import UnsupportedDomain
+
+
+def integer_row(values, domain) -> list:
+    """Integers spanning the same line as ``values`` over ``domain``.
+
+    Over GF(p) these are the residues in [0, p).  Over Q they are the
+    primitive integer multiple: the values times the lcm of their
+    denominators, divided by the gcd of the results.  Elements are read
+    through ``int(x.numerator)`` and ``int(x.denominator)``, so Fractions,
+    ``gmpy2.mpq`` and ints all work; a list of ints with content 1 comes
+    back as it is.
+    """
+    p = domain.characteristic
+    if p:
+        return [x % p for x in values]
+    values = list(values)
+    try:
+        g = math.gcd(*values)
+    except TypeError:  # rationals, not ints: clear the denominators
+        den = math.lcm(*(int(x.denominator) for x in values))
+        values = [int(x.numerator) * (den // int(x.denominator))
+                  for x in values]
+        g = math.gcd(*values)
+    return values if g <= 1 else [x // g for x in values]
 
 
 def echelon(rows, domain):
     """Reduce an iterable of sparse rows; returns {pivot column: row}.
 
-    Rows are consumed destructively.  Pivot rows are normalized to pivot
-    coefficient 1.  The number of pivots is the rank.
+    Rows are consumed.  Over GF(p) a pivot row is scaled to pivot
+    coefficient 1 and a row with coefficient f in the pivot column
+    becomes row - f*pivot, reduced mod p.  Over Q a pivot row only has
+    its sign made positive: with pivot coefficient l, f as above and
+    g = gcd(l, f), the row becomes (l/g)*row - (f/g)*pivot, divided by
+    its content, so every row stays primitive.  The number of pivots is
+    the rank, and the pivot columns are where the rank of the leading
+    columns grows.
     """
     if not domain.is_field:
         raise UnsupportedDomain(f"elimination needs a field, not {domain}")
-    is_zero = domain.is_zero
-    mul = domain.mul
-    sub = domain.sub
-    neg = domain.neg
-    inv = domain.inv
+    p = domain.characteristic
+    gcd = math.gcd
 
     buckets: dict[int, list[dict]] = {}
     heap: list[int] = []
@@ -41,32 +71,45 @@ def echelon(rows, domain):
             buckets[c].append(row)
 
     for row in rows:
-        push({k: v for k, v in row.items() if not is_zero(v)})
+        push({k: v for k, v in zip(row, integer_row(row.values(), domain))
+              if v})
 
     pivots: dict[int, dict] = {}
     while heap:
         c = heapq.heappop(heap)
-        group = buckets.pop(c, None)
-        if not group:
-            continue
+        group = buckets.pop(c)
         group.sort(key=len)
         piv = group[0]
-        pinv = inv(piv[c])
-        if pinv != domain.one:
-            piv = {k: mul(pinv, v) for k, v in piv.items()}
+        lead = piv[c]
+        # a pivot coefficient of 1 saves scaling the rows it reduces
+        if p and lead != 1:
+            inv = pow(lead, -1, p)
+            piv = {k: v * inv % p for k, v in piv.items()}
+            lead = 1
+        elif lead < 0:
+            piv = {k: -v for k, v in piv.items()}
+            lead = -lead
         pivots[c] = piv
+        tail = [(k, v) for k, v in piv.items() if k != c]
         for row in group[1:]:
             f = row.pop(c)
-            for k, v in piv.items():
-                if k == c:
-                    continue
-                cur = row.get(k)
-                nxt = sub(cur, mul(f, v)) if cur is not None else \
-                    neg(mul(f, v))
-                if is_zero(nxt):
-                    row.pop(k, None)
-                else:
+            g = gcd(lead, f)
+            a, b = lead // g, f // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            for k, v in tail:
+                nxt = row.get(k, 0) - b * v
+                if p:
+                    nxt %= p
+                if nxt:
                     row[k] = nxt
+                else:
+                    row.pop(k, None)
+            if not p and row:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {k: v // g for k, v in row.items()}
             push(row)
     return pivots
 

@@ -23,7 +23,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .laurent import LaurentPoly, extremes_invertible
-from .linalg import projected_kernel_dim, sparse_rank
+from .linalg import integer_row, projected_kernel_dim, sparse_rank
 
 
 @dataclasses.dataclass(frozen=True)
@@ -270,6 +270,12 @@ def matrix_reach(matrix) -> int:
     return r
 
 
+def _integer_stencil(cells, domain):
+    """The cells (..., coefficient), coefficients mapped by ``integer_row``."""
+    coeffs = integer_row([cell[-1] for cell in cells], domain)
+    return [cell[:-1] + (c,) for cell, c in zip(cells, coeffs)]
+
+
 # Window vectors are flattened by exponent, then by block: on the source
 # window [-N, N], block j at exponent v is column (v + N) * src_rank + j,
 # and on an image interior [lo, hi], block i at exponent u is column
@@ -285,6 +291,8 @@ def equation_rows(entries, radius: int, domain: Domain):
     lies inside [-N, N], which bounds u by the extreme exponents of row
     i's entries.  Row i's terms are laid out once, as a stencil of column
     offsets, and each valid u shifts it.  Rows come i-major, then by u.
+    Values are ints: over Q each stencil is scaled to primitive integer
+    form, which scales an equation and so keeps the kernel.
     """
     N = radius
     src_rank = len(entries[0]) if entries else 0
@@ -292,8 +300,9 @@ def equation_rows(entries, radius: int, domain: Domain):
         terms = [(j, e) for j, e in enumerate(row) if not e.is_zero()]
         if not terms:
             continue
-        stencil = [(j - exp * src_rank, c) for j, e in terms
-                   for exp, c in e.items() if not domain.is_zero(c)]
+        stencil = _integer_stencil(
+            [(j - exp * src_rank, c) for j, e in terms
+             for exp, c in e.items() if not domain.is_zero(c)], domain)
         u_lo = -N + max(e.degree for _, e in terms)
         u_hi = N + min(e.val for _, e in terms)
         for u in range(u_lo, u_hi + 1):
@@ -308,14 +317,16 @@ def image_rows(entries, radius: int, domain: Domain, lo: int, hi: int):
     c at (i, v + exp) for each term c*q^exp of entry (i, j).  Column j's
     terms are laid out once, as a stencil, and each v shifts it; only the
     targets with lo <= v + exp <= hi are kept, and unit vectors with no
-    target there are skipped.  Rows come v-major, then by j.
+    target there are skipped.  Rows come v-major, then by j.  Values
+    are ints: over Q each column's stencil is scaled to primitive integer
+    form, which scales a source unit vector and so keeps the image.
     """
     dst_rank = len(entries)
     src_rank = len(entries[0]) if entries else 0
-    stencils = [[(exp, exp * dst_rank + i, c)
-                 for i in range(dst_rank)
-                 for exp, c in entries[i][j].items()
-                 if not domain.is_zero(c)]
+    stencils = [_integer_stencil([(exp, exp * dst_rank + i, c)
+                                  for i in range(dst_rank)
+                                  for exp, c in entries[i][j].items()
+                                  if not domain.is_zero(c)], domain)
                 for j in range(src_rank)]
     for v in range(-radius, radius + 1):
         base = (v - lo) * dst_rank

@@ -35,6 +35,9 @@ SOUNDNESS_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "F4",
 SHIFT_TYPES = ("A1", "A2", "A3", "B2", "B3", "I2(3)", "I2(4)", "I2(5)",
                "I2(6)", "I2(7)", "I2(8)", "H3")
 
+# the rank-4 types, verified over Q and Z/3 in criterion 11
+RANK_FOUR_TYPES = ("A4", "B4", "D4", "F4", "H4")
+
 # every type with group order <= 1e5; the dihedral family is sampled
 POINCARE_TYPES = ("A1", "A2", "A3", "A4", "A5", "A6", "A7",
                   "B2", "B3", "B4", "B5", "B6", "D4", "D5", "D6",
@@ -297,4 +300,17 @@ def test_criterion_10_mod_p_pipeline():
                 report = verify_shift_theorem(
                     koszul_complex(rank, seed, dom))
                 assert report.ok, (p, label)
+    body()
+
+
+def test_criterion_11_rank_four_shift_theorem():
+    @criterion(11, "degree shift matches for the rank-4 types over Q and "
+                   "Z/3", budget=45.0)
+    def body():
+        for name in RANK_FOUR_TYPES:
+            for dom in (QQ, GF(3)):
+                report = verify_shift_theorem(
+                    build_salvetti_complex(finite_type_system(name), dom))
+                assert report.ok, (name, dom)
+                assert all(d.match for d in report.degrees), (name, dom)
     body()

@@ -419,6 +419,27 @@ def test_random_koszul_shift():
         assert report.ok
 
 
+def test_non_integral_koszul_shift():
+    # window stencils with non-integral coefficients, scaled to primitive
+    # integers before the elimination
+    def poly(*factors):
+        return math.prod((parse_poly(f, QQ) for f in factors[1:]),
+                         start=parse_poly(factors[0], QQ))
+
+    cases = (((poly("1/2 - q"), poly("2/3 - 3*q")), (0, 0, 0)),
+             ((poly("1/2 - q"), poly("1 - 2*q")), (1, 1, 0)),
+             ((poly("1/2 - q"), poly("1/4*q^2 - 1/3"), poly("2/3 - 3*q")),
+              (0, 0, 0, 0)),
+             # a common factor of span 2
+             ((poly("1/2 - q", "2/3 - 3*q", "3/4 + 5/7*q"),
+               poly("1/2 - q", "2/3 - 3*q", "1 - 1/4*q")), (2, 2, 0)))
+    for polys, dims in cases:
+        fam = koszul_family(tuple(range(1, len(polys) + 1)), polys, QQ)
+        report = verify_shift_theorem(build_generic_complex(fam))
+        assert report.ok and all(d.match for d in report.degrees), polys
+        assert tuple(d.m_dim for d in report.degrees) == dims, polys
+
+
 MONODROMY_TYPES = [(name, QQ) for name in (
     "A2", "A3", "A4", "A5", "B3", "B4", "D4", "D5", "F4", "H3", "H4", "E6",
     "I2(5)", "I2(8)", "A1xB2", "A2xA2", "A1xH3")] + [(name, GF(3)) for name in (

@@ -1,10 +1,41 @@
-"""Sparse elimination: the projected kernel against its two-rank identity."""
+"""Sparse elimination against a dense Gauss elimination written here, and
+the projected kernel against its two-rank identity."""
 
 import random
+from fractions import Fraction
+
+import numpy as np
 
 import artinfib.linalg as linalg
 from artinfib.domains import GF, QQ
-from artinfib.linalg import projected_kernel_dim, sparse_rank
+from artinfib.linalg import (echelon, integer_row, projected_kernel_dim,
+                             sparse_rank)
+
+
+def dense_pivot_columns(rows, domain):
+    """Pivot columns of a dense Gauss elimination in column order, in
+    Fraction arithmetic over Q and on residues over GF(p): the columns
+    where the rank of the leading columns grows.  Their number is the
+    rank."""
+    p = domain.characteristic
+    red = (lambda x: x % p) if p else Fraction
+    cols = sorted({k for row in rows for k in row})
+    M = [[red(row.get(k, 0)) for k in cols] for row in rows]
+    pivots = []
+    for c, col in enumerate(cols):
+        r = len(pivots)
+        pick = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if pick is None:
+            continue
+        M[r], M[pick] = M[pick], M[r]
+        inv = pow(M[r][c], -1, p) if p else 1 / M[r][c]
+        M[r] = [red(x * inv) for x in M[r]]
+        for i in range(r + 1, len(M)):
+            f = M[i][c]
+            if f:
+                M[i] = [red(x - f * y) for x, y in zip(M[i], M[r])]
+        pivots.append(col)
+    return pivots
 
 
 def random_rows(rng, domain, n_rows, n_cols, band):
@@ -30,8 +61,73 @@ def reference_dim(rows, domain, keep):
     """|keep| - rank(A) + rank(A with the kept columns deleted)."""
     pruned = [{k: v for k, v in row.items() if k not in keep}
               for row in rows]
-    return (len(keep) - sparse_rank([dict(r) for r in rows], domain)
-            + sparse_rank(pruned, domain))
+    return (len(keep) - len(dense_pivot_columns(rows, domain))
+            + len(dense_pivot_columns(pruned, domain)))
+
+
+def mixed_rows(rng, domain, n_rows, n_cols):
+    """Sparse rows of which about a third combine two earlier rows, so
+    the rank falls short.  Over Q entries are non-integral rationals with
+    denominators up to 12, numerators small or near 10^6."""
+    def scalar(big):
+        if domain.characteristic:
+            return domain.normalize(rng.randrange(domain.characteristic))
+        num = rng.randint(-9, 9)
+        if big:
+            num = rng.choice((-1, 1)) * rng.randint(10 ** 6 - 99,
+                                                    10 ** 6 + 99)
+        return domain.normalize(Fraction(num, rng.randint(1, 12)))
+
+    rows = []
+    for _ in range(n_rows):
+        if len(rows) >= 2 and rng.random() < 0.35:
+            row = {}
+            for src in rng.sample(rows, 2):
+                f = scalar(False)
+                for k, v in src.items():
+                    row[k] = domain.add(row.get(k, domain.zero),
+                                        domain.mul(f, v))
+        else:
+            cols = rng.sample(range(n_cols), rng.randint(1, n_cols))
+            row = {k: scalar(rng.random() < 0.5) for k in cols}
+        rows.append(row)
+    return rows
+
+
+class ForeignRational:
+    """A rational whose parts are not Python ints, as with gmpy2.mpq."""
+
+    def __init__(self, num, den):
+        self.numerator, self.denominator = np.int64(num), np.int64(den)
+
+
+def test_integer_row():
+    assert integer_row([Fraction(1, 2), Fraction(-2, 3), Fraction(0)],
+                       QQ) == [3, -4, 0]
+    assert integer_row([6, -4, 10], QQ) == [3, -2, 5]
+    assert integer_row([1, 0, -1], QQ) == [1, 0, -1]
+    assert integer_row([], QQ) == []
+    got = integer_row([ForeignRational(1, 2), ForeignRational(-2, 3)], QQ)
+    assert got == [3, -4] and all(type(v) is int for v in got)
+    assert integer_row([4, -1, 7], GF(3)) == [1, 2, 1]
+
+
+def test_echelon_matches_dense_elimination():
+    rng = random.Random("dense-oracle")
+    for domain in (QQ, GF(3), GF(7)):
+        deficient = 0
+        for trial in range(60):
+            n_cols = rng.randint(1, 14)
+            rows = mixed_rows(rng, domain, rng.randint(1, 12), n_cols)
+            expected = dense_pivot_columns(rows, domain)
+            got = echelon([dict(r) for r in rows], domain)
+            assert sorted(got) == expected, (domain, trial)
+            assert all(type(v) is int and v for row in got.values()
+                       for v in row.values())
+            assert sparse_rank([dict(r) for r in rows], domain) == \
+                len(expected)
+            deficient += len(expected) < min(len(rows), n_cols)
+        assert deficient >= 10, domain
 
 
 def test_projected_kernel_dim_one_elimination(monkeypatch):

@@ -1,5 +1,6 @@
 """Window series, recurrences, and the banded window cohomology."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -170,9 +171,27 @@ def test_window_dims_zero_rank_degree():
         [(0, True), (1, True), (0, True)]
 
 
+def primitive_scale(values, dom):
+    """Over Q, the positive rational s that makes s * values primitive
+    integers: lcm of the denominators over gcd of the numerators.  Over
+    GF(p), or for no nonzero values, 1."""
+    vals = [Fraction(v) for v in values if v]
+    if dom.characteristic or not vals:
+        return 1
+    den = math.lcm(*(v.denominator for v in vals))
+    return Fraction(den, math.gcd(*(v.numerator * den // v.denominator
+                                    for v in vals)))
+
+
+def scaled(row, s):
+    """The row's items times s, sorted, with ints for integral values."""
+    return tuple(sorted((k, int(s * c)) for k, c in row.items()))
+
+
 def reference_equation_rows(entries, N, dom):
     """Output (i, u) = sum of c * x_(j, u - exp), kept when every input
-    exponent lies in [-N, N]; x_(j, v) is column (v + N) * n + j."""
+    exponent lies in [-N, N]; x_(j, v) is column (v + N) * n + j.  Over Q
+    each row is scaled to primitive integer form."""
     n = len(entries[0]) if entries else 0
     rows = []
     for entry_row in entries:
@@ -189,15 +208,20 @@ def reference_equation_rows(entries, N, dom):
                     row[col] = dom.add(row.get(col, dom.zero), c)
             row = {k: c for k, c in row.items() if not dom.is_zero(c)}
             if row and inside:
-                rows.append(tuple(sorted(row.items())))
+                rows.append(scaled(row, primitive_scale(row.values(), dom)))
     return rows
 
 
 def reference_image_rows(entries, N, dom, lo, hi):
     """Image of the unit vector at (j, v), cut to exponents [lo, hi];
-    y_(i, u) is column (u - lo) * m + i."""
+    y_(i, u) is column (u - lo) * m + i.  Over Q each image is scaled by
+    the factor that makes the uncut image of column j, all of its
+    coefficients, primitive integers."""
     m = len(entries)
     n = len(entries[0]) if entries else 0
+    scales = [primitive_scale([c for i in range(m)
+                               for c in entries[i][j].coeffs], dom)
+              for j in range(n)]
     rows = []
     for v in range(-N, N + 1):
         for j in range(n):
@@ -209,7 +233,7 @@ def reference_image_rows(entries, N, dom, lo, hi):
                     if not dom.is_zero(c):
                         row[(u - lo) * m + i] = c
             if row:
-                rows.append(tuple(sorted(row.items())))
+                rows.append(scaled(row, scales[j]))
     return rows
 
 
@@ -229,6 +253,8 @@ def test_window_rows_match_reference():
     fixed = [
         ((parse_poly("1 + q^2", QQ), LaurentPoly.zero(QQ)),
          (parse_poly("q^-2 - 1", QQ), parse_poly("q^-1 + 2*q", QQ))),
+        ((parse_poly("1/2 - 2/3*q", QQ), parse_poly("4 + 6*q^-1", QQ)),
+         (LaurentPoly.zero(QQ), parse_poly("3/4*q^2", QQ))),
         (),
         ((), ()),
     ]
@@ -243,6 +269,8 @@ def test_window_rows_match_reference():
                 got = [tuple(sorted(r.items()))
                        for r in image_rows(mat, N, dom, lo, hi)]
                 assert got == reference_image_rows(mat, N, dom, lo, hi)
+                assert all(type(c) is int for r in got for _, c in r)
             got = [tuple(sorted(r.items()))
                    for r in equation_rows(mat, N, dom)]
             assert got == reference_equation_rows(mat, N, dom)
+            assert all(type(c) is int for r in got for _, c in r)
