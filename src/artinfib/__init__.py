@@ -17,13 +17,13 @@ from .coxeter import (CoxeterSystem, FiniteTypeLabel, finite_type_system,
                       parabolic_components, parse_label, poincare_poly,
                       poincare_poly_bruteforce, poincare_quotient,
                       system_from_string)
-from .complexes import (CochainComplex, Filtration, PolynomialFamily,
+from .complexes import (CochainComplex, PolynomialFamily,
                         build_generic_complex, build_salvetti_complex,
                         check_cocycle_family, check_d_squared, dump_family,
                         induced_differential, is_well_filtered, koszul_family,
                         load_family, parse_family, quotient_complex,
                         random_koszul_family, salvetti_family,
-                        standard_filtration, transpose_complex)
+                        transpose_complex)
 from .homology import (InvariantFactors, MonodromyDegree, ShiftReport,
                        SmithDecomposition, cohomology, homology,
                        monodromy_char_poly, smith_normal_form,
@@ -42,13 +42,12 @@ __all__ = [
     "CoxeterSystem", "FiniteTypeLabel", "finite_type_system",
     "parabolic_components", "parse_label", "poincare_poly",
     "poincare_poly_bruteforce", "poincare_quotient", "system_from_string",
-    "CochainComplex", "Filtration", "PolynomialFamily",
+    "CochainComplex", "PolynomialFamily",
     "build_generic_complex", "build_salvetti_complex",
     "check_cocycle_family", "check_d_squared", "dump_family",
     "induced_differential", "is_well_filtered", "koszul_family",
     "load_family", "parse_family", "quotient_complex",
-    "random_koszul_family", "salvetti_family", "standard_filtration",
-    "transpose_complex",
+    "random_koszul_family", "salvetti_family", "transpose_complex",
     "InvariantFactors", "MonodromyDegree", "ShiftReport",
     "SmithDecomposition", "cohomology", "homology",
     "monodromy_char_poly", "smith_normal_form", "verify_shift_theorem",

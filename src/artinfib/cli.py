@@ -115,13 +115,10 @@ class MilnorReport:
 
 
 def milnor_report(system: CoxeterSystem, config: RunConfig,
-                  domain: Optional[Domain] = None,
-                  progress=None) -> MilnorReport:
+                  domain: Domain) -> MilnorReport:
     """Full fiber report for one coefficient field."""
-    if domain is None:
-        domain = config.domains()[0]
     C = build_salvetti_complex(system, domain)
-    shift = verify_shift_theorem(C, config.window_radius, progress=progress)
+    shift = verify_shift_theorem(C, config.window_radius)
     # a report built by hand carries no groups
     co = shift.cohomology or cohomology(C)
     mon = monodromy_char_poly(co, domain)

@@ -10,10 +10,13 @@ the quadratic relation
 
 for all Delta and all pairs w != w' outside Delta.
 
-The module also provides the standard filtration by upper sets of
-suffixes of Gamma, its quotient complexes, and the recursive
-well-filteredness check that the shift machinery in homology.py relies
-on.
+The family is the one description of such a complex: its generators,
+its basis and its standard filtration (F_i spanned by the e_Delta with
+Delta containing the i largest generators) are read off the family, and
+a complex that carries a family must have exactly the family's matrices.
+The module also gives the quotients F_i / F_{i+1} as complexes of their
+own, and the recursive well-filteredness check that the shift machinery
+in homology.py relies on.
 """
 
 from __future__ import annotations
@@ -45,6 +48,21 @@ def subsets_by_degree(gamma) -> tuple:
     return tuple(out)
 
 
+def _pairs(gamma):
+    """Every key (Delta, w) of a family on the sorted tuple gamma: Delta
+    by size and then in colex order, w ascending outside Delta."""
+    for level in subsets_by_degree(gamma):
+        for delta in level:
+            for w in gamma:
+                if w not in delta:
+                    yield delta, w
+
+
+def _alternating(p: LaurentPoly, delta, w: int) -> LaurentPoly:
+    """p times (-1)^{#{i in Delta : i < w}}."""
+    return -p if sum(1 for i in delta if i < w) % 2 else p
+
+
 @dataclasses.dataclass(frozen=True)
 class PolynomialFamily:
     """Total map (Delta, w) -> p[Delta, w] for Delta subset Gamma, w outside.
@@ -71,13 +89,11 @@ class PolynomialFamily:
         n = len(gamma)
         expected = n * 2 ** (n - 1) if n else 0
         if len(self.entries) != expected:
-            for delta in itertools.chain.from_iterable(
-                    subsets_by_degree(gamma)):
-                for w in gamma:
-                    if w not in delta and (delta, w) not in self.entries:
-                        raise MissingEntry(
-                            f"family has no entry for ({set(delta) or '{}'},"
-                            f" {w})")
+            for delta, w in _pairs(gamma):
+                if (delta, w) not in self.entries:
+                    raise MissingEntry(
+                        f"family has no entry for ({set(delta) or '{}'},"
+                        f" {w})")
 
     @property
     def rank(self) -> int:
@@ -118,25 +134,40 @@ def check_cocycle_family(family: PolynomialFamily) -> None:
                     delta=set(delta), w=w, w2=w2, lines=lines or None)
 
 
+def _assemble(family: PolynomialFamily) -> tuple:
+    """(ranks, diffs) of the family's complex, on the colex basis."""
+    basis = subsets_by_degree(family.gamma)
+    ranks = tuple(len(level) for level in basis)
+    index = {delta: i for level in basis for i, delta in enumerate(level)}
+    zero = LaurentPoly.zero(family.domain)
+    rows = [[[zero] * ranks[k] for _ in range(ranks[k + 1])]
+            for k in range(family.rank)]
+    for delta, w in _pairs(family.gamma):
+        d = rows[len(delta)]
+        d[index[delta | {w}]][index[delta]] = family.entries[(delta, w)]
+    return ranks, tuple(tuple(tuple(r) for r in d) for d in rows)
+
+
 @dataclasses.dataclass(frozen=True)
 class CochainComplex:
     """Finite complex of free R-modules with explicit matrices.
 
     diffs[k] maps degree k to degree k + 1 and has shape
-    (ranks[k+1], ranks[k]).  Subset-indexed complexes carry their basis
-    (a tuple per degree, colex-ordered) and the defining family; plain
-    matrix complexes leave those as None.
+    (ranks[k+1], ranks[k]).  A subset-indexed complex carries its
+    defining family, and its generators ``gamma`` and basis (a tuple of
+    subsets per degree, colex-ordered) are read off that family; a plain
+    matrix complex has no family, and those are None.
 
     Every instance satisfies d^2 = 0, checked once at construction:
     through ``family``'s cocycle relation when there is one (else
     CocycleViolation), otherwise on the matrices (else RankMismatch).
+    The domain and matrices of a complex with a family must be exactly
+    the family's, else RankMismatch.
     """
 
     domain: Domain
     ranks: tuple
     diffs: tuple
-    gamma: Optional[tuple] = None
-    basis: Optional[tuple] = None
     family: Optional[PolynomialFamily] = None
 
     def __post_init__(self):
@@ -153,8 +184,22 @@ class CochainComplex:
                                        f"expected {self.ranks[k]}")
         if self.family is not None:
             check_cocycle_family(self.family)
+            if ((self.domain, self.ranks, self.diffs)
+                    != (self.family.domain, *_assemble(self.family))):
+                raise RankMismatch("matrices are not those of the family")
         elif not check_d_squared(self):
             raise RankMismatch("image does not lie in the kernel, d^2 != 0")
+
+    @property
+    def gamma(self) -> Optional[tuple]:
+        """Generators of the family, None for a matrix complex."""
+        return None if self.family is None else self.family.gamma
+
+    @property
+    def basis(self) -> Optional[tuple]:
+        """Subsets of gamma per degree, colex-ordered as the matrices are;
+        None for a matrix complex."""
+        return None if self.family is None else subsets_by_degree(self.gamma)
 
     @property
     def top_degree(self) -> int:
@@ -172,7 +217,7 @@ class CochainComplex:
         return None
 
     def basis_index(self, k: int, delta) -> int:
-        if self.basis is None:
+        if self.family is None:
             raise NotSubsetIndexed("complex has no subset-indexed basis")
         return self.basis[k].index(frozenset(delta))
 
@@ -183,25 +228,8 @@ def build_generic_complex(family: PolynomialFamily) -> CochainComplex:
     The complex checks the family's cocycle relation as it is built, so
     a family that breaks it raises CocycleViolation.
     """
-    gamma = family.gamma
-    basis = subsets_by_degree(gamma)
-    ranks = tuple(len(level) for level in basis)
-    zero = LaurentPoly.zero(family.domain)
-    diffs = []
-    for k in range(len(gamma)):
-        index_above = {delta: i for i, delta in enumerate(basis[k + 1])}
-        rows = [[zero] * ranks[k] for _ in range(ranks[k + 1])]
-        for j, delta in enumerate(basis[k]):
-            for w in gamma:
-                if w in delta:
-                    continue
-                p = family.get(delta, w)
-                if not p.is_zero():
-                    rows[index_above[delta | {w}]][j] = p
-        diffs.append(tuple(tuple(r) for r in rows))
-    return CochainComplex(domain=family.domain, ranks=ranks,
-                          diffs=tuple(diffs), gamma=gamma, basis=basis,
-                          family=family)
+    ranks, diffs = _assemble(family)
+    return CochainComplex(family.domain, ranks, diffs, family)
 
 
 def check_d_squared(C: CochainComplex) -> bool:
@@ -209,10 +237,6 @@ def check_d_squared(C: CochainComplex) -> bool:
         if not mat_is_zero(mat_mul(C.diffs[k + 1], C.diffs[k], C.domain)):
             return False
     return True
-
-
-def _sign_count(w: int, delta) -> int:
-    return sum(1 for i in delta if i < w)
 
 
 def salvetti_family(system: CoxeterSystem, domain: Domain = QQ
@@ -227,15 +251,9 @@ def salvetti_family(system: CoxeterSystem, domain: Domain = QQ
     """
     gamma = tuple(range(1, system.n + 1))
     entries = {}
-    for delta in itertools.chain.from_iterable(subsets_by_degree(gamma)):
-        for w in gamma:
-            if w in delta:
-                continue
-            quot = poincare_quotient(system, delta, w, domain)
-            p = quot.subs_neg_q()
-            if _sign_count(w, delta) % 2:
-                p = -p
-            entries[(delta, w)] = p
+    for delta, w in _pairs(gamma):
+        quot = poincare_quotient(system, delta, w, domain)
+        entries[(delta, w)] = _alternating(quot.subs_neg_q(), delta, w)
     return PolynomialFamily(domain=domain, gamma=gamma, entries=entries)
 
 
@@ -256,15 +274,8 @@ def koszul_family(gamma, polys, domain: Domain) -> PolynomialFamily:
     if len(polys) != len(gamma):
         raise RankMismatch("need one polynomial per generator")
     by_gen = dict(zip(gamma, polys))
-    entries = {}
-    for delta in itertools.chain.from_iterable(subsets_by_degree(gamma)):
-        for w in gamma:
-            if w in delta:
-                continue
-            p = by_gen[w]
-            if _sign_count(w, delta) % 2:
-                p = -p
-            entries[(delta, w)] = p
+    entries = {(delta, w): _alternating(by_gen[w], delta, w)
+               for delta, w in _pairs(gamma)}
     return PolynomialFamily(domain=domain, gamma=gamma, entries=entries)
 
 
@@ -293,44 +304,11 @@ def random_koszul_family(rank: int, seed: int, domain: Domain = QQ,
 
 # -- standard filtration ---------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class Filtration:
-    """Decreasing chain of d-stable spans of basis subsets.
-
-    levels[i] is the set of Delta whose span gives F_i; there are
-    n + 2 levels, from F_0 (everything) down to F_{n+1} (zero).
-    """
-
-    complex: CochainComplex
-    levels: tuple
-
-
 def top_subset(gamma, i: int) -> frozenset:
     """The i largest generators of gamma."""
     if not 0 <= i <= len(gamma):
         raise IndexOutOfRange(f"filtration level {i} out of range")
     return frozenset(gamma[len(gamma) - i:])
-
-
-def standard_filtration(C: CochainComplex) -> Filtration:
-    """F_i spanned by the e_Delta with Delta containing the top i generators."""
-    if C.basis is None or C.gamma is None:
-        raise NotSubsetIndexed("standard filtration needs a subset basis")
-    n = len(C.gamma)
-    all_subsets = [delta for level in C.basis for delta in level]
-    levels = []
-    for i in range(n + 1):
-        needed = top_subset(C.gamma, i)
-        levels.append(frozenset(d for d in all_subsets if needed <= d))
-    levels.append(frozenset())
-    return Filtration(complex=C, levels=tuple(levels))
-
-
-def _is_standard(F: Filtration) -> bool:
-    C = F.complex
-    if C.gamma is None or C.basis is None:
-        return False
-    return F.levels == standard_filtration(C).levels
 
 
 def _quotient_family(family: PolynomialFamily, i: int) -> PolynomialFamily:
@@ -339,11 +317,8 @@ def _quotient_family(family: PolynomialFamily, i: int) -> PolynomialFamily:
     gamma = family.gamma
     fixed = top_subset(gamma, i)
     small_gamma = gamma[:max(0, len(gamma) - i - 1)]
-    entries = {}
-    for delta in itertools.chain.from_iterable(subsets_by_degree(small_gamma)):
-        for w in small_gamma:
-            if w not in delta:
-                entries[(delta, w)] = family.get(delta | fixed, w)
+    entries = {(delta, w): family.get(delta | fixed, w)
+               for delta, w in _pairs(small_gamma)}
     return PolynomialFamily(domain=family.domain, gamma=small_gamma,
                             entries=entries)
 
@@ -355,37 +330,35 @@ def _connecting_scalar(family: PolynomialFamily) -> LaurentPoly:
     return family.get(top_subset(gamma, len(gamma) - 1), gamma[0])
 
 
-def quotient_complex(F: Filtration, i: int) -> CochainComplex:
-    """F_i / F_{i+1} re-expressed as a generic complex on the low generators.
+def quotient_complex(C: CochainComplex, i: int) -> CochainComplex:
+    """F_i / F_{i+1} of the standard filtration, re-expressed as a generic
+    complex on the low generators.
 
-    Basis vectors of the quotient are the e_Delta with Delta in
-    levels[i] but not levels[i+1]; writing Delta = Delta' + (top i
-    generators) identifies them with subsets Delta' of the remaining
-    generators minus the (i+1)-st largest, and the induced entries are
-    p[Delta' + top_i, j].
+    F_i is spanned by the e_Delta with Delta containing the top i
+    generators, so it is read off C's family.  Writing Delta = Delta' +
+    (top i generators) identifies the basis of the quotient with the
+    subsets Delta' of the remaining generators minus the (i+1)-st
+    largest, and the induced entries are p[Delta' + top_i, j].
     """
-    C = F.complex
-    if not _is_standard(F):
-        raise NotSubsetIndexed("quotients need the standard filtration")
     if C.family is None:
         raise NotSubsetIndexed("quotients need the defining family")
-    n = len(C.gamma)
+    n = C.family.rank
     if not 0 <= i <= n:
         raise IndexOutOfRange(f"quotient level {i} out of range 0..{n}")
     return build_generic_complex(_quotient_family(C.family, i))
 
 
-def induced_differential(F: Filtration) -> LaurentPoly:
-    """Scalar acting on the one-dimensional layer F_{n-1} / F_n.
+def induced_differential(C: CochainComplex) -> LaurentPoly:
+    """Scalar acting on the one-dimensional layer F_{n-1} / F_n of the
+    standard filtration.
 
-    This is the entry p[top n-1 generators, lowest generator]; the
-    kernel and cokernel of multiplication by it compute the two
+    This is the family's entry p[top n-1 generators, lowest generator];
+    the kernel and cokernel of multiplication by it compute the two
     potentially nonzero cohomology groups of that layer.
     """
-    C = F.complex
-    if C.family is None or C.gamma is None:
+    if C.family is None:
         raise NotSubsetIndexed("induced differential needs the family")
-    if len(C.gamma) < 1:
+    if C.family.rank < 1:
         raise RankMismatch("rank-zero complex has no induced differential")
     return _connecting_scalar(C.family)
 
@@ -412,33 +385,27 @@ def _fail(path, condition, message):
                               message=message)
 
 
-def is_well_filtered(C: CochainComplex,
-                     F: Optional[Filtration] = None) -> WellFilteredResult:
-    """Check the conditions that make the shift argument valid.
+def is_well_filtered(C: CochainComplex) -> WellFilteredResult:
+    """Check the conditions that make the shift argument valid on the
+    standard filtration, which is read off C's family.
 
     (a) the levels form a decreasing d-stable chain from everything to
     zero, (b) the two deepest layers are one-dimensional in the top two
     degrees, (c) the scalar connecting them is nonzero with invertible
     extreme coefficients, (d) every deeper quotient is recursively well
-    filtered.  Only the standard filtration is accepted, and on it (a)
-    and (b) hold by construction (adding w to a subset keeps the top i
-    generators in it; level n is {Gamma}, level n-1 adds only the top
-    n-1), so (c) is checked on the family and, recursively, on the
-    family of each quotient F_i / F_{i+1}, i < n-1.
-    Rank <= 1 complexes pass by convention.  Returns a value rather
-    than raising, so callers can report the failing path.
+    filtered.  On the standard filtration (a) and (b) hold by
+    construction (adding w to a subset keeps the top i generators in
+    it; level n is {Gamma}, level n-1 adds only the top n-1), so (c) is
+    checked on the family and, recursively, on the family of each
+    quotient F_i / F_{i+1}, i < n-1.  A complex with no family fails
+    with condition 'structure'.  Rank <= 1 complexes pass by
+    convention.  Returns a value rather than raising, so callers can
+    report the failing path.
     """
     if sum(C.ranks) <= 1:
         return WellFilteredResult(ok=True)
-    if C.basis is None or C.gamma is None or C.family is None:
-        return _fail((), "structure",
-                     "complex lacks a subset-indexed basis and family")
-    if F is not None and F.complex is not C:
-        return _fail((), "structure",
-                     "filtration belongs to a different complex")
-    if F is not None and not _is_standard(F):
-        return _fail((), "structure",
-                     "only standard filtrations support quotient recursion")
+    if C.family is None:
+        return _fail((), "structure", "complex has no defining family")
     return _check_connecting_scalars(C.family, ())
 
 
@@ -544,18 +511,23 @@ def parse_family(text: str, domain: Domain) -> PolynomialFamily:
 
 
 def load_family(path, domain: Domain) -> PolynomialFamily:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_family(fh.read(), domain)
+    """Read a family file, which must be UTF-8 text (else
+    FamilyFormatError at the line of the first bad byte)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise FamilyFormatError(f"line {lineno}: not UTF-8 text",
+                                line=lineno) from None
+    return parse_family(text, domain)
 
 
 def dump_family(family: PolynomialFamily) -> str:
     """Text form of a family, inverse to parse_family."""
     out = []
-    for delta in itertools.chain.from_iterable(
-            subsets_by_degree(family.gamma)):
-        for w in family.gamma:
-            if w in delta:
-                continue
-            name = ",".join(str(i) for i in sorted(delta)) if delta else "-"
-            out.append(f"{name} ; {w} ; {format_poly(family.get(delta, w))}")
+    for delta, w in _pairs(family.gamma):
+        name = ",".join(str(i) for i in sorted(delta)) if delta else "-"
+        out.append(f"{name} ; {w} ; {format_poly(family.get(delta, w))}")
     return "\n".join(out) + "\n"

@@ -332,5 +332,10 @@ def domain_from_spec(spec: str) -> Domain:
     if spec == "Z":
         return ZZ
     if spec.startswith("Zp:"):
-        return GF(int(spec[3:]))
+        try:
+            p = int(spec[3:])
+        except ValueError:
+            raise UnsupportedDomain(
+                f"prime in {spec!r} is not an integer") from None
+        return GF(p)
     raise UnsupportedDomain(f"unknown coefficient spec {spec!r}")

@@ -92,7 +92,8 @@ class CocycleViolation(ArtinfibError):
 
 
 class NotSubsetIndexed(ArtinfibError):
-    """Complex lacks the subset-indexed basis an operation relies on."""
+    """Complex has no defining family, so no subset-indexed basis or
+    standard filtration for an operation to rely on."""
 
 
 class IndexOutOfRange(ArtinfibError):
@@ -101,7 +102,8 @@ class IndexOutOfRange(ArtinfibError):
 
 class RankMismatch(ArtinfibError):
     """Sizes that do not fit (matrix shapes, one polynomial per generator,
-    a rank-zero complex), or a matrix complex with d^2 != 0."""
+    a rank-zero complex), a matrix complex with d^2 != 0, or a complex
+    whose matrices are not those of its family."""
 
 
 class NotWellFiltered(ArtinfibError):

@@ -459,6 +459,12 @@ def factor_cyclotomic(p: LaurentPoly):
 
 _TOKEN_CHARS = set("+-*/^()q")
 
+# largest |e| that parse_poly accepts in q^e and (...)^e: a dense
+# polynomial stores one coefficient per exponent in its span.  Equal to
+# coxeter.MAX_DIHEDRAL_ORDER, so the family of every accepted I2(m)
+# (entries of span m - 1) parses back from its text form.
+MAX_EXPONENT = 10**5
+
 
 def _tokenize(text: str):
     tokens = []
@@ -582,11 +588,18 @@ class _Parser:
         tok = self.take()
         if tok[0] != "num":
             raise ParseError("expected integer exponent")
+        if tok[1] > MAX_EXPONENT:
+            raise ParseError(f"exponent {sign * tok[1]} beyond "
+                             f"+-{MAX_EXPONENT}")
         return sign * tok[1]
 
 
 def parse_poly(text: str, domain: Domain = QQ) -> LaurentPoly:
-    """Parse textual syntax like ``1 - q + q^2`` or ``1/2*q^-3 + q``."""
+    """Parse textual syntax like ``1 - q + q^2`` or ``1/2*q^-3 + q``.
+
+    An exponent above ``MAX_EXPONENT`` in absolute value raises
+    ParseError.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial text")

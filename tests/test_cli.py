@@ -330,6 +330,18 @@ def test_bad_inputs_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "cohomology", "--type", "A1",
                            "--coeff", f"Zp:{2**89 - 1}")
     assert code == 2 and "not a prime below" in err
+    for spec in ("Zp:abc", "Zp:", "Zp:1e3"):
+        code, _, err = run_cli(capsys, "cohomology", "--type", "A1",
+                               "--coeff", spec)
+        assert code == 2 and "error:" in err, spec
+    # a family file that is not UTF-8, or has an exponent past the bound
+    for name, poly in (("latin1.txt", b"1 - q \xff"),
+                       ("huge.txt", b"1 - q^99999999999999999999999"),
+                       ("wide.txt", b"1 - q^300000000")):
+        path = tmp_path / name
+        path.write_bytes(b"- ; 1 ; " + poly + b"\n")
+        code, _, err = run_cli(capsys, "family", "--family", str(path))
+        assert code == 2 and "line 1" in err, name
     code, _, err = run_cli(capsys, "verify", "--type", "A2",
                            "--degrees", "3:1")
     assert code == 2 and "empty degree range" in err

@@ -1,5 +1,7 @@
 """Polynomial families, filtered complexes, and the well filtered check."""
 
+import dataclasses
+
 import pytest
 
 from artinfib.complexes import (CochainComplex, PolynomialFamily,
@@ -9,8 +11,8 @@ from artinfib.complexes import (CochainComplex, PolynomialFamily,
                                 induced_differential, is_well_filtered,
                                 koszul_family, parse_family,
                                 quotient_complex, random_koszul_family,
-                                standard_filtration, subsets_by_degree,
-                                top_subset, transpose_complex)
+                                subsets_by_degree, top_subset,
+                                transpose_complex)
 from artinfib.coxeter import finite_type_system
 from artinfib.domains import GF, QQ, ZZ
 from artinfib.errors import (CocycleViolation, FamilyFormatError,
@@ -70,6 +72,26 @@ def test_complex_shape_validation():
         CochainComplex(QQ, (1, 2), diffs=(((one,),),))
     with pytest.raises(RankMismatch):
         CochainComplex(QQ, (2, 1), diffs=(((one,),),))
+
+
+def test_matrices_must_be_the_familys():
+    C = build_salvetti_complex(finite_type_system("A2"))
+    assert [f.name for f in dataclasses.fields(CochainComplex)] == [
+        "domain", "ranks", "diffs", "family"]
+    assert C.gamma == (1, 2) and C.basis == subsets_by_degree((1, 2))
+    assert CochainComplex(QQ, C.ranks, C.diffs, C.family) == C
+    one = LaurentPoly.one(QQ)
+    rank_one = koszul_family((1,), [one], QQ)
+    # d^1 d^0 = 1 != 0, which the family's cocycle check cannot see
+    with pytest.raises(RankMismatch, match="family"):
+        CochainComplex(QQ, (1, 1, 1), (((one,),), ((one,),)),
+                       family=rank_one)
+    negated = tuple(tuple(tuple(-p for p in row) for row in d)
+                    for d in C.diffs)
+    with pytest.raises(RankMismatch, match="family"):
+        CochainComplex(QQ, C.ranks, negated, C.family)
+    with pytest.raises(RankMismatch, match="family"):
+        CochainComplex(GF(3), C.ranks, C.diffs, C.family)
 
 
 def test_non_complex_rejected_at_construction():
@@ -168,40 +190,40 @@ def test_koszul_families():
 
 
 def test_standard_filtration_levels():
-    C = build_salvetti_complex(finite_type_system("A2"))
-    F = standard_filtration(C)
-    e, s1, s2, g = (frozenset(), frozenset({1}), frozenset({2}),
-                    frozenset({1, 2}))
-    assert F.levels == (frozenset({e, s1, s2, g}), frozenset({s2, g}),
-                        frozenset({g}), frozenset())
     assert top_subset((1, 2, 3), 2) == frozenset({2, 3})
     with pytest.raises(IndexOutOfRange):
         top_subset((1, 2), 3)
+    # F_i holds the subsets containing the top i generators, so the layer
+    # F_i / F_{i+1} of a rank-n complex has 2^(n-i-1) cells for i < n,
+    # and F_n = {Gamma} one
+    C = build_salvetti_complex(finite_type_system("A3"))
+    assert [sum(quotient_complex(C, i).ranks) for i in range(4)] == \
+        [4, 2, 1, 1]
     with pytest.raises(NotSubsetIndexed):
-        standard_filtration(transpose_complex(C))
+        quotient_complex(transpose_complex(C), 0)
 
 
 def test_quotient_complex_entries():
     C = build_salvetti_complex(finite_type_system("A3"))
-    F = standard_filtration(C)
-    q0 = quotient_complex(F, 0)
+    q0 = quotient_complex(C, 0)
     assert q0.gamma == (1, 2)
     assert format_poly(q0.family.get((), 1)) == "-q + 1"
-    q1 = quotient_complex(F, 1)
+    q1 = quotient_complex(C, 1)
     assert q1.gamma == (1,)
     assert format_poly(q1.family.get((), 1)) == "-q + 1"
-    q3 = quotient_complex(F, 3)
+    q3 = quotient_complex(C, 3)
     assert q3.ranks == (1,)
     with pytest.raises(IndexOutOfRange):
-        quotient_complex(F, 4)
+        quotient_complex(C, 4)
 
 
 def test_induced_differential():
     C = build_salvetti_complex(finite_type_system("A3"))
-    F = standard_filtration(C)
-    assert format_poly(induced_differential(F)) == "-q^3 + q^2 - q + 1"
-    B2 = standard_filtration(build_salvetti_complex(finite_type_system("B2")))
+    assert format_poly(induced_differential(C)) == "-q^3 + q^2 - q + 1"
+    B2 = build_salvetti_complex(finite_type_system("B2"))
     assert format_poly(induced_differential(B2)) == "-q^3 + q^2 - q + 1"
+    with pytest.raises(NotSubsetIndexed):
+        induced_differential(transpose_complex(B2))
 
 
 def test_well_filtered_salvetti():
@@ -237,10 +259,6 @@ def test_well_filtered_structure_failures():
     C = build_salvetti_complex(finite_type_system("A2"))
     res = is_well_filtered(transpose_complex(C))
     assert not res.ok and res.condition == "structure"
-    other = build_salvetti_complex(finite_type_system("A2"))
-    res = is_well_filtered(other, standard_filtration(C))
-    assert not res.ok and res.condition == "structure"
-    assert "different complex" in res.message
 
 
 def test_well_filtered_failure_in_quotient():

@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from artinfib.coxeter import MAX_DIHEDRAL_ORDER
 from artinfib.domains import GF, QQ, ZZ, Domain, domain_from_spec
 from artinfib.errors import (DivisionByZero, NotDivisible, NotUnit,
                              ParseError, UnsupportedDomain)
-from artinfib.laurent import (LaurentPoly, cyclotomic_poly, factor_cyclotomic,
-                              format_poly, parse_poly, q_bracket,
-                              extremes_invertible)
+from artinfib.laurent import (MAX_EXPONENT, LaurentPoly, cyclotomic_poly,
+                              factor_cyclotomic, format_poly, parse_poly,
+                              q_bracket, extremes_invertible)
 
 
 def test_domains_normalize_and_invert():
@@ -33,6 +34,9 @@ def test_domains_normalize_and_invert():
     assert domain_from_spec("Q") is QQ
     with pytest.raises(UnsupportedDomain):
         domain_from_spec("R")
+    for spec in ("Zp:abc", "Zp:", "Zp:1e3"):
+        with pytest.raises(UnsupportedDomain):
+            domain_from_spec(spec)
 
 
 def test_content_unit():
@@ -204,6 +208,20 @@ def test_parse_syntax():
         parse_poly("(1 + q", QQ)
     with pytest.raises(ParseError):
         parse_poly("x + 1", QQ)
+
+
+def test_parse_exponent_bound():
+    assert MAX_DIHEDRAL_ORDER - 1 <= MAX_EXPONENT
+    top = parse_poly(f"q^{MAX_EXPONENT} - q^-{MAX_EXPONENT}", QQ)
+    assert top.span == 2 * MAX_EXPONENT
+    assert parse_poly(f"(1 - q)^{MAX_EXPONENT}", GF(2)).span == MAX_EXPONENT
+    start = time.perf_counter()
+    for text in (f"1 - q^{MAX_EXPONENT + 1}", f"q^-{MAX_EXPONENT + 1}",
+                 "1 - q^300000000", "1 - q^99999999999999999999999",
+                 f"(1 - q)^{MAX_EXPONENT + 1}", f"(q)^-{10**30}"):
+        with pytest.raises(ParseError, match="exponent"):
+            parse_poly(text, QQ)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_extremes_invertible():
