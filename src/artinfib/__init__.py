@@ -28,7 +28,7 @@ from .homology import (InvariantFactors, MonodromyDegree, ShiftReport,
                        SmithDecomposition, cohomology, homology,
                        monodromy_char_poly, smith_normal_form,
                        verify_shift_theorem)
-from .cli import MilnorReport, RunConfig, milnor_report
+from .cli import RunConfig
 
 __version__ = "0.1.0"
 
@@ -51,6 +51,6 @@ __all__ = [
     "InvariantFactors", "MonodromyDegree", "ShiftReport",
     "SmithDecomposition", "cohomology", "homology",
     "monodromy_char_poly", "smith_normal_form", "verify_shift_theorem",
-    "MilnorReport", "RunConfig", "milnor_report",
+    "RunConfig",
     "__version__",
 ]

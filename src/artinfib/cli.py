@@ -9,12 +9,15 @@ well-filteredness check plus the series-window shift comparison, and
 One driver runs them: it loops over the coefficient domains, and each
 subcommand contributes only a compute step returning one per-domain
 result with optional sections (family rank, well-filtered check,
-groups, shift comparison, Milnor report).  Three renderers, pretty,
-JSON and CSV, draw from the sections that are set.
+groups, shift comparison, fiber rows).  Three renderers, pretty, JSON
+and CSV, draw from the sections that are set.  A fiber row is
+``homology.MonodromyDegree``: its ``betti`` is the degree of its
+``charpoly``, the torsion A-dimension of the next cohomology group up.
 
 Exit codes: 0 success, 1 when a verification that should hold
-mathematically fails (a shift mismatch anywhere, or a reflection-group
-complex that is not well filtered), 2 for input errors.  Reports are
+mathematically fails (a shift mismatch anywhere, a reflection-group
+complex that is not well filtered, or a torsion factor of the fiber
+reading that does not divide q^(2N) - 1), 2 for input errors.  Reports are
 deterministic: identical configurations give byte-identical output.
 """
 
@@ -31,12 +34,12 @@ from typing import Optional
 from .complexes import (CochainComplex, WellFilteredResult,
                         build_generic_complex, build_salvetti_complex,
                         is_well_filtered, load_family)
-from .coxeter import CoxeterSystem, system_from_string
+from .coxeter import CoxeterSystem, poincare_poly, system_from_string
 from .domains import GF, QQ, Domain, domain_from_spec
 from .errors import ArtinfibError, NotStabilized, NotWellFiltered
 from .homology import (ShiftReport, cohomology, monodromy_char_poly,
                        verify_shift_theorem)
-from .laurent import format_poly
+from .laurent import LaurentPoly, format_poly
 
 SCHEMA_VERSION = 1
 
@@ -87,61 +90,15 @@ class RunConfig:
             lo <= k <= hi for lo, hi in self.degrees)
 
 
-@dataclasses.dataclass(frozen=True)
-class MilnorDegree:
-    degree: int
-    betti: int
-    charpoly: object
-    cyclotomic: Optional[tuple]
-    non_cyclotomic: object
-
-
-@dataclasses.dataclass(frozen=True)
-class MilnorReport:
-    """Betti numbers and monodromy of the fiber of one reflection group.
-
-    ``irreducible`` flags whether the single-fiber interpretation
-    applies as-is; for reducible types the numbers are still those of
-    the shifted torsion cohomology, and the flag warns that the
-    geometric reading needs the irreducibility hypothesis.
-    """
-
-    label: str
-    domain: Domain
-    irreducible: bool
-    degrees: tuple
-    shift: ShiftReport
-    provenance: dict
-
-
-def milnor_report(system: CoxeterSystem, config: RunConfig,
-                  domain: Domain) -> MilnorReport:
-    """Full fiber report for one coefficient field."""
-    C = build_salvetti_complex(system, domain)
-    shift = verify_shift_theorem(C, config.window_radius)
-    # a report built by hand carries no groups
-    co = shift.cohomology or cohomology(C)
-    mon = monodromy_char_poly(co, domain)
-    rows = []
-    for k in range(C.top_degree):
-        rows.append(MilnorDegree(
-            degree=k, betti=co[k + 1].torsion_dim,
-            charpoly=mon[k].charpoly, cyclotomic=mon[k].cyclotomic,
-            non_cyclotomic=mon[k].non_cyclotomic))
-    label = config.type_label or str(system.n)
-    return MilnorReport(label=label, domain=domain,
-                        irreducible=system.is_irreducible(),
-                        degrees=tuple(rows), shift=shift,
-                        provenance=dict(PROVENANCE))
-
-
 # -- per-domain results ----------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class _Result:
     """One domain's answer: each subcommand sets the sections it computes
-    (``milnor`` also sets ``shift`` to its report's); ``failure`` stands
-    alone, for a result that contradicts the theory."""
+    (``milnor`` sets ``shift``, ``milnor``, its ``MonodromyDegree`` rows,
+    and ``irreducible``, which flags whether the single-fiber reading
+    applies as-is); ``failure`` stands alone, for a result that
+    contradicts the theory."""
 
     domain: Domain
     rank: Optional[int] = None
@@ -149,7 +106,8 @@ class _Result:
     well_filtered: Optional[WellFilteredResult] = None
     groups: Optional[tuple] = None
     shift: Optional[ShiftReport] = None
-    milnor: Optional[MilnorReport] = None
+    milnor: Optional[tuple] = None
+    irreducible: Optional[bool] = None
     failure: Optional[str] = None
 
 
@@ -166,12 +124,39 @@ def _compute_cohomology(config, domain, system, pretty):
 
 
 def _compute_milnor(config, domain, system, pretty):
+    C = _input_complex(config, domain, system)
     try:
-        rep = milnor_report(system, config, domain)
+        shift = verify_shift_theorem(C, config.window_radius)
     except NotWellFiltered as exc:
         # would contradict the theory: flag loudly
         return _Result(domain, failure=str(exc))
-    return _Result(domain, shift=rep.shift, milnor=rep)
+    # a report built by hand carries no groups
+    co = shift.cohomology or cohomology(C)
+    failure = _monodromy_order_failure(system, co, domain)
+    if failure is not None:
+        return _Result(domain, failure=failure)
+    return _Result(domain, shift=shift,
+                   milnor=monodromy_char_poly(co, domain),
+                   irreducible=system.is_irreducible())
+
+
+def _monodromy_order_failure(system, co, domain) -> Optional[str]:
+    """Why h^(2N) = id fails on the torsion of ``co``; None if it holds.
+
+    The discriminant is weighted homogeneous of degree 2N, with N the
+    number of reflections, so the fiber's monodromy h has h^(2N) = id
+    (Milnor, Singular Points of Complex Hypersurfaces, 1968, section 9):
+    every torsion factor of H^(k+1) divides q^(2N) - 1.
+    """
+    two_n = 2 * poincare_poly(system).degree
+    order = LaurentPoly.q_power(domain, two_n) - LaurentPoly.one(domain)
+    for g in co:
+        for f in g.torsion:
+            if not order.divrem(f)[1].is_zero():
+                return (f"monodromy order check failed: torsion factor "
+                        f"{format_poly(f)} of H^{g.degree} does not divide "
+                        f"q^{two_n} - 1")
+    return None
 
 
 def _compute_verify(config, domain, system, pretty):
@@ -277,10 +262,10 @@ class _Pretty:
             head += f": rank {r.rank}, {r.basis_size} basis elements"
         em.emit(head)
         if r.milnor is not None:
-            if not r.milnor.irreducible:
+            if not r.irreducible:
                 em.emit("  warning: reducible type, outside the "
                         "irreducibility hypothesis for the fiber reading")
-            for m in r.milnor.degrees:
+            for m in r.milnor:
                 if wants(m.degree):
                     em.emit(f"  degree {m.degree}: b = {m.betti}, monodromy "
                             f"{format_poly(m.charpoly)}, eigenvalues "
@@ -335,8 +320,7 @@ def _json_entry(r: _Result, config: RunConfig) -> dict:
                          "radius": d.radius, "match": d.match}
                         for d in r.shift.degrees if wants(d.degree)]}
     if r.milnor is not None:
-        entry.update(irreducible=r.milnor.irreducible,
-                     provenance=r.milnor.provenance)
+        entry.update(irreducible=r.irreducible, provenance=PROVENANCE)
         entry["degrees"] = [
             {"degree": m.degree, "betti": m.betti,
              "charpoly": format_poly(m.charpoly),
@@ -344,7 +328,7 @@ def _json_entry(r: _Result, config: RunConfig) -> dict:
              [{"order": n, "multiplicity": k} for n, k in m.cyclotomic],
              "non_cyclotomic": None if m.non_cyclotomic is None
              else format_poly(m.non_cyclotomic)}
-            for m in r.milnor.degrees if wants(m.degree)]
+            for m in r.milnor if wants(m.degree)]
     return entry
 
 
@@ -366,8 +350,8 @@ def _csv_rows(r: _Result, config: RunConfig) -> list:
                  _eigen_text(m),
                  "" if m.non_cyclotomic is None
                  else format_poly(m.non_cyclotomic),
-                 r.milnor.irreducible, r.shift.ok]
-                for m in r.milnor.degrees if wants(m.degree)]
+                 r.irreducible, r.shift.ok]
+                for m in r.milnor if wants(m.degree)]
     wf = r.well_filtered
     if r.groups is None:
         if r.shift is None:

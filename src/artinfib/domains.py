@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DivisionByZero, NotUnit, UnsupportedDomain
+from .errors import DivisionByZero, NotDivisible, NotUnit, UnsupportedDomain
 
 try:
     from gmpy2 import mpq as _rational
@@ -70,20 +70,22 @@ class Domain:
             return self.from_fraction(x)
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
+    # plain number arithmetic, as over Z and Q; GF(p) reduces mod p
+
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def sub(self, a, b):
-        raise NotImplementedError
+        return a - b
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def is_zero(self, a) -> bool:
-        raise NotImplementedError
+        return a == 0
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -131,21 +133,6 @@ class RationalField(Domain):
 
     def from_fraction(self, fr):
         return _rational(fr.numerator, fr.denominator)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a == 0
 
     def is_unit(self, a):
         return a != 0
@@ -198,21 +185,6 @@ class IntegerRing(Domain):
             raise UnsupportedDomain(f"{fr} is not an integer")
         return int(fr.numerator)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a == 0
-
     def is_unit(self, a):
         return a in (1, -1)
 
@@ -222,8 +194,6 @@ class IntegerRing(Domain):
         raise NotUnit(f"{a} is not a unit in Z")
 
     def div_exact(self, a, b):
-        from .errors import NotDivisible
-
         if b == 0:
             raise DivisionByZero("division by zero in Z")
         q, r = divmod(a, b)

@@ -493,9 +493,18 @@ class MonodromyDegree:
     cyclotomic: Optional[tuple]
     non_cyclotomic: Optional[LaurentPoly]
 
+    @property
+    def betti(self) -> int:
+        """Torsion A-dimension of H^(degree+1): the fiber's Betti number.
 
-def monodromy_char_poly(H, domain: Optional[Domain] = None) -> tuple:
-    """Per-degree monodromy data from a cohomology sequence.
+        Every factor of ``charpoly`` is monic with valuation 0, so its
+        degree is the sum of their spans.
+        """
+        return self.charpoly.degree
+
+
+def monodromy_char_poly(H, domain: Domain) -> tuple:
+    """Per-degree monodromy data from a cohomology sequence over ``domain``.
 
     Entry k of the result describes degree k of the space whose
     cohomology is the input shifted up one degree, so it is built from
@@ -503,14 +512,6 @@ def monodromy_char_poly(H, domain: Optional[Domain] = None) -> tuple:
     Empty torsion gives the constant characteristic polynomial 1.
     """
     factors = list(H)
-    if domain is None:
-        for g in factors:
-            if g.torsion:
-                domain = g.torsion[0].domain
-                break
-        else:
-            from .domains import QQ
-            domain = QQ
     one = LaurentPoly.one(domain)
     rational = domain.is_field and domain.characteristic == 0
     out = []

@@ -240,7 +240,7 @@ class LaurentPoly:
         if not self.domain.is_field:
             raise UnsupportedDomain(
                 f"division with remainder needs a field, not {self.domain}")
-        return _divide(self, other, exact=False)
+        return _divide(self, other)
 
     def xgcd(self, other):
         """(g, s, t) with s*self + t*other = g; needs a field.
@@ -272,7 +272,7 @@ class LaurentPoly:
 
     def divexact(self, other):
         """Exact quotient; NotDivisible if ``other`` does not divide."""
-        q, r = _divide(self, other, exact=True)
+        q, r = _divide(self, other)
         if not r.is_zero():
             raise NotDivisible(f"({other}) does not divide ({self})")
         return q
@@ -316,10 +316,9 @@ def _not_float(c):
     return c
 
 
-def _divide(a: LaurentPoly, b: LaurentPoly, exact: bool):
-    """Shared long division; quotient coefficient steps must be exact when
-    ``exact`` (stops with the undivided part as remainder otherwise it would
-    need fractions)."""
+def _divide(a: LaurentPoly, b: LaurentPoly):
+    """Shared long division from the top.  Over a field every step is
+    exact; over Z a leading step that is not raises NotDivisible."""
     dom = a.domain
     if b.is_zero():
         raise DivisionByZero("polynomial division by zero")
@@ -335,14 +334,7 @@ def _divide(a: LaurentPoly, b: LaurentPoly, exact: bool):
         if dom.is_zero(rem[top]):
             top -= 1
             continue
-        try:
-            c = dom.div_exact(rem[top], blead)
-        except NotDivisible:
-            if exact:
-                raise NotDivisible(
-                    f"leading step {dom.to_str(rem[top])} / "
-                    f"{dom.to_str(blead)} not exact over {dom}")
-            raise  # unreachable for fields
+        c = dom.div_exact(rem[top], blead)
         pos = top - bspan
         qcoeffs[pos] = c
         # the leading term cancels exactly
@@ -465,6 +457,11 @@ _TOKEN_CHARS = set("+-*/^()q")
 # (entries of span m - 1) parses back from its text form.
 MAX_EXPONENT = 10**5
 
+# largest (span + 1) x coefficient bit size that a product or power in
+# polynomial text may predict for its result; it is refused before it is
+# computed.  (1 - q)^511 over Q fits, and (1 - q)^MAX_EXPONENT over Z/2.
+MAX_PARSE_SIZE = 2**20
+
 
 def _tokenize(text: str):
     tokens = []
@@ -514,12 +511,17 @@ class _Parser:
         return p
 
     def expr(self):
-        p = self.term()
-        while self.peek() in ("+", "-"):
+        # summed by exponent, so a sum of n terms costs n, not n x span
+        dom = self.domain
+        total = {}
+        op = "+"
+        while True:
+            for e, c in self.term().items():
+                c = c if op == "+" else dom.neg(c)
+                total[e] = dom.add(total[e], c) if e in total else c
+            if self.peek() not in ("+", "-"):
+                return LaurentPoly.from_dict(dom, total)
             op = self.take()[0]
-            rhs = self.term()
-            p = p + rhs if op == "+" else p - rhs
-        return p
 
     def term(self):
         p = self.factor()
@@ -529,14 +531,14 @@ class _Parser:
                 op = self.take()[0]
                 rhs = self.factor()
                 if op == "*":
-                    p = p * rhs
+                    p = self.mul(p, rhs)
                 else:
                     try:
                         p = p.divexact(rhs)
                     except (NotDivisible, DivisionByZero) as exc:
                         raise ParseError(str(exc)) from exc
             elif nxt in ("num", "q", "("):
-                p = p * self.factor()
+                p = self.mul(p, self.factor())
             else:
                 return p
 
@@ -571,6 +573,9 @@ class _Parser:
             if self.peek() == "^":
                 self.take()
                 e = self.signed_int()
+                # |c| <= (len(p) max|c_p|)^|e| for each coefficient c
+                self.check_size(abs(e) * p.span, abs(e) * (
+                    _bits(p) + len(p.coeffs).bit_length()))
                 try:
                     p = p**e
                 except NotUnit as exc:
@@ -579,6 +584,22 @@ class _Parser:
         if kind is None:
             raise ParseError("unexpected end of polynomial text")
         raise ParseError(f"unexpected token {kind!r}")
+
+    def mul(self, a, b):
+        self.check_size(a.span + b.span, _bits(a) + _bits(b) + min(
+            len(a.coeffs), len(b.coeffs)).bit_length())
+        return a * b
+
+    def check_size(self, span, bits):
+        """Refuse a result of predicted ``span`` and coefficient ``bits``
+        beyond ``MAX_PARSE_SIZE``."""
+        if self.domain.characteristic:
+            # residues never outgrow the prime
+            bits = self.domain.characteristic.bit_length()
+        if (span + 1) * bits > MAX_PARSE_SIZE:
+            raise ParseError(
+                f"product or power of predicted span {span} with {bits}-bit "
+                f"coefficients is beyond {MAX_PARSE_SIZE} bits")
 
     def signed_int(self):
         sign = 1
@@ -594,11 +615,19 @@ class _Parser:
         return sign * tok[1]
 
 
+def _bits(p: LaurentPoly) -> int:
+    """Bit size of p's largest coefficient, numerator plus denominator."""
+    return max((int(c.numerator).bit_length()
+                + int(c.denominator).bit_length() for c in p.coeffs),
+               default=0)
+
+
 def parse_poly(text: str, domain: Domain = QQ) -> LaurentPoly:
     """Parse textual syntax like ``1 - q + q^2`` or ``1/2*q^-3 + q``.
 
     An exponent above ``MAX_EXPONENT`` in absolute value raises
-    ParseError.
+    ParseError, as does a product or power whose predicted result has
+    (span + 1) x coefficient bits above ``MAX_PARSE_SIZE``.
     """
     tokens = _tokenize(text)
     if not tokens:

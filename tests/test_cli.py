@@ -1,5 +1,6 @@
 """Command line behavior: formats, exit codes, and error reporting."""
 
+import dataclasses
 import json
 import time
 
@@ -296,6 +297,16 @@ def test_family_with_too_many_generators_fails_fast(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+def test_family_with_hostile_polynomial_fails_fast(capsys, tmp_path):
+    # a product or power too large to compute is refused before it is
+    for poly in ("(1 - q)^2000", "(1 + q^100000)^100000"):
+        path = write_family(tmp_path, f"- ; 1 ; {poly}\n")
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "family", "--family", path)
+        assert code == 2 and "line 1: product or power" in err, poly
+        assert time.perf_counter() - start < 1.0, poly
+
+
 def test_family_coefficients_must_parse_in_domain(capsys, tmp_path):
     path = write_family(tmp_path, "- ; 1 ; 1/2\n")
     code, _, _ = run_cli(capsys, "family", "--family", path)
@@ -401,6 +412,33 @@ def test_milnor_not_well_filtered_exits_one(capsys, monkeypatch):
     assert json.loads(out)["results"] == {}
     assert err == ("type A2 over Q: forced for the test\n"
                    "type A2 over Z/3: forced for the test\n")
+
+
+def test_milnor_monodromy_order_failure_exits_one(capsys, monkeypatch):
+    # h^(2N) = id: every torsion factor of the fiber reading divides
+    # q^(2N) - 1, which q - 2 does not (A2 has N = 3 reflections)
+    honest = cli.verify_shift_theorem
+
+    def doctored(C, radius, progress=None):
+        report = honest(C, radius)
+        co = report.cohomology
+        bad = dataclasses.replace(co[1], torsion=(parse_poly("q - 2", QQ),))
+        return dataclasses.replace(report, cohomology=(co[0], bad, *co[2:]))
+
+    monkeypatch.setattr(cli, "verify_shift_theorem", doctored)
+    message = ("type A2 over Q: monodromy order check failed: torsion "
+               "factor q - 2 of H^1 does not divide q^6 - 1\n")
+    code, out, err = run_cli(capsys, "milnor", "--type", "A2")
+    assert (code, out, err) == (1, message, "")
+    code, out, err = run_cli(capsys, "milnor", "--type", "A2",
+                             "--format", "json")
+    assert code == 1 and json.loads(out)["results"] == {}
+    assert err == message
+    code, out, err = run_cli(capsys, "milnor", "--type", "A2",
+                             "--format", "csv")
+    assert code == 1 and err == message
+    assert out == ("domain,degree,betti,charpoly,eigenvalues,"
+                   "non_cyclotomic,irreducible,shift_ok\n")
 
 
 def test_not_stabilized_exits_two(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Polynomial families, filtered complexes, and the well filtered check."""
 
 import dataclasses
+import time
 
 import pytest
 
@@ -11,9 +12,10 @@ from artinfib.complexes import (CochainComplex, PolynomialFamily,
                                 induced_differential, is_well_filtered,
                                 koszul_family, parse_family,
                                 quotient_complex, random_koszul_family,
+                                salvetti_family,
                                 subsets_by_degree, top_subset,
                                 transpose_complex)
-from artinfib.coxeter import finite_type_system
+from artinfib.coxeter import finite_type_system, system_from_string
 from artinfib.domains import GF, QQ, ZZ
 from artinfib.errors import (CocycleViolation, FamilyFormatError,
                              IndexOutOfRange, MissingEntry, NotSubsetIndexed,
@@ -366,6 +368,20 @@ def test_parse_family_round_trip():
 
     rnd = random_koszul_family(3, 7)
     assert parse_family(dump_family(rnd), QQ).entries == rnd.entries
+
+
+def test_dump_family_parses_back_for_accepted_types():
+    # a sum is added up by exponent, so the two lines of I2(10^5), of
+    # 10^5 terms each, parse in linear time
+    cases = [(name, dom) for name in ("A4", "B5", "D6", "E8", "F4", "H4",
+                                      "I2(12)", "A2xA2")
+             for dom in (QQ, GF(3))] + [("I2(100000)", GF(3))]
+    for name, dom in cases:
+        fam = salvetti_family(system_from_string(name), dom)
+        start = time.perf_counter()
+        assert parse_family(dump_family(fam), dom).entries == fam.entries, \
+            (name, dom)
+        assert time.perf_counter() - start < 30.0, (name, dom)
 
 
 def test_parse_family_errors():

@@ -381,7 +381,7 @@ def test_shift_theorem_modular():
 
 def test_monodromy_frozen():
     A2 = build_salvetti_complex(finite_type_system("A2"))
-    out = monodromy_char_poly(cohomology(A2))
+    out = monodromy_char_poly(cohomology(A2), QQ)
     assert [format_poly(d.charpoly) for d in out] == \
         ["q - 1", "q^2 - q + 1"]
     assert out[0].cyclotomic == ((1, 1),)
@@ -389,26 +389,50 @@ def test_monodromy_frozen():
     assert out[0].non_cyclotomic is None
 
     I12 = build_salvetti_complex(finite_type_system("I2(12)"))
-    out = monodromy_char_poly(cohomology(I12))
+    out = monodromy_char_poly(cohomology(I12), QQ)
     assert out[1].cyclotomic == ((1, 1), (3, 1), (4, 1), (6, 1), (12, 1))
 
     A1 = build_salvetti_complex(finite_type_system("A1"))
-    out = monodromy_char_poly(cohomology(A1))
+    out = monodromy_char_poly(cohomology(A1), QQ)
     assert len(out) == 1 and out[0].cyclotomic == ((1, 1),)
 
 
 def test_monodromy_modular_and_trivial():
     A2 = build_salvetti_complex(finite_type_system("A2"), GF(3))
-    out = monodromy_char_poly(cohomology(A2))
+    out = monodromy_char_poly(cohomology(A2), GF(3))
     assert out[1].cyclotomic is None and out[1].non_cyclotomic is None
     assert format_poly(out[1].charpoly) == "q^2 + 2*q + 1"
 
     # no torsion above: constant characteristic polynomial
     Kz = build_generic_complex(koszul_family((1,), [LaurentPoly.zero(QQ)],
                                              QQ))
-    out = monodromy_char_poly(cohomology(Kz))
+    out = monodromy_char_poly(cohomology(Kz), QQ)
     assert format_poly(out[0].charpoly) == "1"
     assert out[0].cyclotomic == ()
+
+    # the domain is the caller's, not guessed from the torsion: with none
+    # anywhere, a Z/3 complex still reads over Z/3
+    q = LaurentPoly.q_power(GF(3), 1)
+    Kq = build_generic_complex(koszul_family((1,), [q], GF(3)))
+    assert all(not g.torsion for g in cohomology(Kq))
+    out = monodromy_char_poly(cohomology(Kq), GF(3))
+    assert out[0].charpoly == LaurentPoly.one(GF(3))
+    assert out[0].cyclotomic is None and out[0].non_cyclotomic is None
+    with pytest.raises(TypeError):
+        monodromy_char_poly(cohomology(Kq))
+
+
+@pytest.mark.parametrize("name,dom", [("A3", QQ), ("H3", QQ), ("I2(12)", QQ),
+                                      ("A1xB2", QQ), ("B3", GF(2)),
+                                      ("D4", GF(3))])
+def test_fiber_betti_is_charpoly_degree(name, dom):
+    # the fiber's Betti number in degree k is the torsion A-dimension of
+    # H^(k+1), and the monodromy's characteristic polynomial has it as
+    # its degree
+    co = cohomology(build_salvetti_complex(system_from_string(name), dom))
+    rows = monodromy_char_poly(co, dom)
+    assert [r.betti for r in rows] == [g.torsion_dim for g in co[1:]]
+    assert all(r.betti == r.charpoly.span for r in rows)
 
 
 def test_random_koszul_shift():

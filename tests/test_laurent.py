@@ -10,7 +10,8 @@ from artinfib.coxeter import MAX_DIHEDRAL_ORDER
 from artinfib.domains import GF, QQ, ZZ, Domain, domain_from_spec
 from artinfib.errors import (DivisionByZero, NotDivisible, NotUnit,
                              ParseError, UnsupportedDomain)
-from artinfib.laurent import (MAX_EXPONENT, LaurentPoly, cyclotomic_poly,
+from artinfib.laurent import (MAX_EXPONENT, MAX_PARSE_SIZE, LaurentPoly,
+                              cyclotomic_poly,
                               factor_cyclotomic, format_poly, parse_poly,
                               q_bracket, extremes_invertible)
 
@@ -222,6 +223,24 @@ def test_parse_exponent_bound():
         with pytest.raises(ParseError, match="exponent"):
             parse_poly(text, QQ)
     assert time.perf_counter() - start < 0.5
+
+
+def test_parse_size_bound():
+    # (1 - q)^e has span e and, by the bound |c| <= 2^e, 4e-bit
+    # coefficients over Q: (e + 1) 4e fits the cap up to e = 511
+    assert 512 * 4 * 511 <= MAX_PARSE_SIZE < 513 * 4 * 512
+    assert parse_poly("(1 - q)^511", QQ).span == 511
+    start = time.perf_counter()
+    for text, dom in (("(1 - q)^512", QQ), ("(1 - q)^2000", QQ),
+                      ("(1 + q^100000)^100000", QQ),
+                      ("(1 + q^100000)^100000", GF(2)),
+                      ("(1 - q)^400 * (1 - q)^400 * (1 - q)^400", QQ),
+                      ("(2*q)^-100000 * (1 - q)^300", QQ)):
+        with pytest.raises(ParseError, match="product or power"):
+            parse_poly(text, dom)
+    assert time.perf_counter() - start < 1.0
+    # residues never outgrow the prime
+    assert parse_poly("(1 - q)^2000", GF(5)).span == 2000
 
 
 def test_extremes_invertible():
