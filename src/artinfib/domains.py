@@ -7,8 +7,9 @@ that the same polynomial code runs unchanged over each ring.
 
 Rationals use ``gmpy2.mpq`` when available and fall back to
 ``fractions.Fraction`` otherwise.  The choice matters for Laurent
-arithmetic and Smith forms; the series-window elimination in ``linalg``
-runs on plain ints over either.
+arithmetic and Smith forms with transforms; long division over Q, the
+transform-free Smith forms behind cohomology and the series-window
+elimination in ``linalg`` run on plain ints over either.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DivisionByZero, NotDivisible, NotUnit, UnsupportedDomain
+from .errors import NotUnit, UnsupportedDomain
 
 try:
     from gmpy2 import mpq as _rational
@@ -93,10 +94,6 @@ class Domain:
     def inv(self, a):
         raise NotImplementedError
 
-    def div_exact(self, a, b):
-        """a / b when b divides a exactly; NotDivisible otherwise."""
-        raise NotImplementedError
-
     def poly_mul(self, a, b):
         """Coefficients of the product of two dense coefficient lists."""
         out = [self.zero] * (len(a) + len(b) - 1)
@@ -142,11 +139,6 @@ class RationalField(Domain):
             raise NotUnit("0 is not invertible")
         return 1 / _rational(a)
 
-    def div_exact(self, a, b):
-        if b == 0:
-            raise DivisionByZero("division by zero in Q")
-        return _rational(a) / b
-
     def poly_mul(self, a, b):
         # one integer convolution over common denominators: a rational
         # product per term would cost a gcd per term
@@ -154,10 +146,13 @@ class RationalField(Domain):
         db = math.lcm(*(c.denominator for c in b))
         out = _convolve([c.numerator * (da // c.denominator) for c in a],
                         [c.numerator * (db // c.denominator) for c in b])
-        den = da * db
+        return self.from_ints(out, da * db)
+
+    def from_ints(self, nums, den=1):
+        """The rationals n / den for the integers n of ``nums``."""
         if den == 1:
-            return [_rational(c) for c in out]
-        return [_rational(c, den) for c in out]
+            return [_rational(n) for n in nums]
+        return [_rational(n, den) for n in nums]
 
     def content_unit(self, elems):
         num_gcd = 0
@@ -176,6 +171,7 @@ class RationalField(Domain):
 class IntegerRing(Domain):
     name = "Z"
     is_field = False
+    element_type = int
 
     def from_int(self, n):
         return int(n)
@@ -193,13 +189,8 @@ class IntegerRing(Domain):
             return a
         raise NotUnit(f"{a} is not a unit in Z")
 
-    def div_exact(self, a, b):
-        if b == 0:
-            raise DivisionByZero("division by zero in Z")
-        q, r = divmod(a, b)
-        if r:
-            raise NotDivisible(f"{b} does not divide {a} in Z")
-        return q
+    def poly_mul(self, a, b):
+        return _convolve(a, b)
 
 
 # Miller-Rabin to the thirteen prime bases up to 41 decides primality
@@ -268,11 +259,6 @@ class PrimeField(Domain):
         if a % self.p == 0:
             raise NotUnit(f"0 is not invertible mod {self.p}")
         return pow(a, -1, self.p)
-
-    def div_exact(self, a, b):
-        if b % self.p == 0:
-            raise DivisionByZero(f"division by zero mod {self.p}")
-        return a * pow(b, -1, self.p) % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -16,13 +16,15 @@ degree-shift isomorphism for well filtered complexes.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional
 
 from .complexes import CochainComplex, is_well_filtered
-from .domains import Domain
+from .domains import QQ, ZZ, Domain
 from .errors import (NotStabilized, NotWellFiltered, RankMismatch,
                      UnsupportedDomain)
 from .laurent import (LaurentPoly, factor_cyclotomic, format_poly)
+from .linalg import integer_row
 from .rmatrix import mat_identity, mat_shape
 from .series import default_window_radius, m_cohomology_dim_window
 
@@ -84,7 +86,9 @@ def smith_normal_form(A, domain: Domain,
       cofactors from an extended Euclid on the two entries alone.
 
     Bit sizes have no bound beyond what these give.  Cohomology reads
-    only D and runs the same passes without transforms (see ``_groups``).
+    only D and runs the same passes without transforms (see ``_groups``),
+    over Q on primitive integer rows; the passes here keep field
+    arithmetic, since Uinv and Vinv need inverses.
     Only field coefficients are supported; the integer Laurent ring has
     no Smith form in general.  A row-free matrix cannot carry its own
     column count, so pass ``shape`` explicitly when either dimension is
@@ -122,7 +126,12 @@ def _diagonalize(A, m, n, domain, transforms):
     The diagonal is not normalized.  With ``transforms`` false, U and
     Vinv have no columns and Uinv and V no rows: every row operation
     then touches D alone, and ``_echelon`` has no kernel rows to keep
-    small.
+    small.  Over Q such a D is returned over Z: each row enters as the
+    primitive integer row on the same line, and every step, the
+    divisibility check and the merge run on ints, each equal to the
+    step over Q up to a nonzero rational per row (per column in the
+    column pass).  So the pivots are the same, and the diagonal entries
+    are the invariant factors up to units of Q[q, q^-1].
     """
     if transforms:
         ident = lambda k: [list(r) for r in mat_identity(k, domain)]
@@ -130,7 +139,12 @@ def _diagonalize(A, m, n, domain, transforms):
     else:
         U, Uinv, V, Vinv = [[] for _ in range(m)], [], [], \
             [[] for _ in range(n)]
-    D = [list(r) for r in A]
+    if domain.characteristic == 0 and not transforms:
+        # over Q without transforms the rows are kept integral and
+        # primitive, and the elimination runs on plain ints (see _echelon)
+        D, domain = [_integer_row(r) for r in A], ZZ
+    else:
+        D = [list(r) for r in A]
     one = LaurentPoly.one(domain)
     # start on the long side, where the kernel is, and leave the other
     # transform as close to a permutation as the input allows
@@ -151,14 +165,24 @@ def _diagonalize(A, m, n, domain, transforms):
             continue
         diag = [D[t][t] for t in range(min(m, n))]
         bad = next((t for t in range(len(diag) - 1)
-                    if not diag[t + 1].is_zero()
-                    and not diag[t + 1].divrem(diag[t])[1].is_zero()), None)
+                    if not diag[t + 1].is_zero() and not
+                    diag[t + 1].pseudo_divrem(diag[t])[2].is_zero()), None)
         if bad is None:
             return D, U, Uinv, V, Vinv
         # d_t does not divide d_(t+1): put d_(t+1) into row t, where the
         # column pass replaces d_t by their gcd
         _row_addmul(D, U, Uinv, bad, bad + 1, one)
         by_rows = False
+
+
+def _integer_row(row):
+    """A row over Q as the primitive integer row on the same line, over Z."""
+    flat = integer_row([c for e in row for c in e.coeffs], QQ)
+    out, at = [], 0
+    for e in row:
+        out.append(LaurentPoly(ZZ, e.val, flat[at:at + len(e.coeffs)]))
+        at += len(e.coeffs)
+    return out
 
 
 def _transpose(mat, cols):
@@ -192,7 +216,8 @@ def _row_addmul(D, T, Tinv, i, j, c):
 
 
 def _row_combine(D, T, Tinv, i, j, M):
-    """(row i, row j) := M (row i, row j) for M = (a, b, c, d) of det 1."""
+    """(row i, row j) := M (row i, row j) for M = (a, b, c, d) of constant
+    determinant: 1 where there are transforms, as Tinv's update needs."""
     a, b, c, d = M
     for X in (D, T):
         X[i], X[j] = ([a * x + b * y for x, y in zip(X[i], X[j])],
@@ -221,11 +246,25 @@ def _echelon(D, T, Tinv, S, Sinv, domain):
     a unit pivot leaves its column clear.  The rows of T that vanish on D
     are the left kernel; they get pivots of their own in T, and the other
     rows are reduced modulo those.  A T with no columns skips that phase.
+
+    Over Z (``domain``; the rows of a matrix over Q, transform-free) the
+    same steps run on primitive integer rows, each equal to the step over
+    Q up to a nonzero integer per row, a unit over Q: a division is a
+    pseudo-division, row i := k row i - quo row t, and a Bezout step has
+    determinant c (``LaurentPoly.pseudo_divrem`` and ``pseudo_xgcd``).
+    Spans and zero patterns are those over Q, and so are the pivots.
     """
     m = len(D)
     n = len(D[0]) if m else 0
 
     def shrink(i):
+        if not domain.is_field:
+            # divide by the integer content
+            g = math.gcd(*(c for e in D[i] for c in e.coeffs))
+            if g > 1:
+                D[i] = [LaurentPoly(domain, e.val, [c // g for c in e.coeffs])
+                        for e in D[i]]
+            return
         # a rational rescaling is unimodular; taking the content of the
         # whole row of [D | T] keeps both integral and primitive (D's row
         # alone when T has no columns)
@@ -241,24 +280,26 @@ def _echelon(D, T, Tinv, S, Sinv, domain):
             if b.is_zero():
                 continue
             a = col(t)
-            quo, rem = b.divrem(a)
+            k, quo, rem = b.pseudo_divrem(a)
             if rem.is_zero():
-                reduce(i, t, quo)
+                reduce(i, t, k, quo)
                 continue
             # one 2x2 Bezout step instead of a Euclidean chain of row ops
-            g, s, u = a.xgcd(b)
+            g, s, u, _ = a.pseudo_xgcd(b)
             _row_combine(D, T, Tinv, t, i, (s, u, -b.divexact(g),
                                             a.divexact(g)))
             shrink(t)
             shrink(i)
         for i in range(t):
             if not col(i).is_zero():
-                reduce(i, t, col(i).divrem(col(t))[0])
+                reduce(i, t, *col(i).pseudo_divrem(col(t))[:2])
 
-    def reduce(i, t, quo):
-        # row i -= quo * row t
+    def reduce(i, t, k, quo):
+        # row i := k row i - quo row t, where k = 1 but over Z
         if quo.is_zero():
             return
+        if k != 1:
+            D[i] = [e.scale(k) for e in D[i]]
         _row_addmul(D, T, Tinv, i, t, -quo)
         shrink(i)
 
@@ -347,9 +388,14 @@ def _groups(C: CochainComplex, homological: bool) -> tuple:
     Only the diagonal is read, so the Smith forms run without
     transforms.  Of ``smith_normal_form``'s bounds, those on D hold as
     they are: entries above a pivot have span below the pivot's, and
-    over Q each row (column) of D is integral and primitive after every
-    step, its content now taken over D alone.  Nothing bounds U or V,
-    since neither is built.
+    over Q each row (column) of D is kept as primitive integers.  There
+    a division is a pseudo-division, row i := k row i - quo row t with k
+    dividing a power of the pivot's leading coefficient, and a Bezout
+    step s a + u b = c g, with g the primitive gcd and s, u, c integral,
+    is the 2x2 step (s, u; -b/g, a/g) of constant determinant c; each is
+    followed by division by the row's integer content.  The monic
+    factors over Q are built once, from the final diagonal.  Nothing
+    bounds U or V, since neither is built.
     """
     dom = C.domain
     if not dom.is_field:
@@ -369,8 +415,9 @@ def _groups(C: CochainComplex, homological: bool) -> tuple:
 def _invariant_factors(A, m, n, domain) -> tuple:
     """Nonzero diagonal of a transform-free Smith form, monic, valuation 0."""
     D = _diagonalize(A, m, n, domain, transforms=False)[0]
-    return tuple(D[t][t].normalized()[1] for t in range(min(m, n))
-                 if not D[t][t].is_zero())
+    # over Q the diagonal comes back over Z
+    return tuple(LaurentPoly(domain, 0, D[t][t].coeffs).normalized()[1]
+                 for t in range(min(m, n)) if not D[t][t].is_zero())
 
 
 def cohomology(C: CochainComplex) -> tuple:

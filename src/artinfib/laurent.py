@@ -21,7 +21,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .domains import QQ, Domain
+from .domains import GF, QQ, Domain
 from .errors import (
     DivisionByZero,
     NotDivisible,
@@ -89,7 +89,8 @@ class LaurentPoly:
             return cls.zero(domain)
         lo = min(d)
         hi = max(d)
-        coeffs = [d.get(e, 0) for e in range(lo, hi + 1)]
+        zero = domain.zero
+        coeffs = [d.get(e, zero) for e in range(lo, hi + 1)]
         return cls(domain, lo, coeffs)
 
     # -- structure ---------------------------------------------------
@@ -270,6 +271,56 @@ class LaurentPoly:
             else LaurentPoly.zero(dom)
         return r0, s0, t
 
+    def pseudo_divrem(self, other):
+        """(k, quo, rem) with k*self = quo*other + rem, span(rem) < span(other).
+
+        Over a field k = 1 and this is ``divrem``.  Over Z, k is a nonzero
+        integer dividing a power of the leading coefficient of ``other``,
+        and it is 1 exactly when the quotient over Q is integral.
+        """
+        dom = self.domain
+        if dom.is_field:
+            return (dom.one,) + self.divrem(other)
+        if other.is_zero():
+            raise DivisionByZero("polynomial division by zero")
+        if self.is_zero():
+            return 1, self, self
+        k, quo, rem = _pseudo_divide(self.coeffs, other.coeffs)
+        return (k, _canonical(dom, self.val - other.val, quo),
+                _canonical(dom, self.val, rem))
+
+    def pseudo_xgcd(self, other):
+        """(g, s, t, c) with s*self + t*other = c*g for a nonzero constant c.
+
+        Over a field c = 1 and (g, s, t) is ``xgcd``.  Over Z, g is the
+        primitive gcd and s, t and c are integral, so the 2x2 step
+        (s, t; -other/g, self/g) has the constant determinant c, a unit
+        over Q.  The remainder sequence is kept primitive, each remainder
+        r carrying an integer c_r with c_r r = s_r self modulo ``other``.
+        """
+        dom = self.domain
+        if dom.is_field:
+            return self.xgcd(other) + (dom.one,)
+        c0, r0 = _content(self)
+        c0, s0 = max(c0, 1), LaurentPoly.one(dom)
+        r1, s1, c1 = _content(other)[1], LaurentPoly.zero(dom), 1
+        while not r1.is_zero():
+            k, quo, rem = r0.pseudo_divrem(r1)
+            # k r0 = quo r1 + rem, so c0 c1 rem = s self modulo other
+            s = s0.scale(k * c1) - (quo * s1).scale(c0)
+            g, rem = _content(rem)
+            c = c0 * c1 * max(g, 1)
+            h = math.gcd(c, *s.coeffs)
+            r0, s0, c0 = r1, s1, c1
+            r1, s1, c1 = rem, _content_divided(s, h), c // h
+        if other.is_zero():
+            return r0, s0, other, c0
+        # one exact division gives t; over the primitive part of other it
+        # is integral (Gauss's lemma), so scale s and c by other's content
+        m, prim = _content(other)
+        t = (r0.scale(c0) - s0 * self).divexact(prim)
+        return r0, s0.scale(m), t, c0 * m
+
     def divexact(self, other):
         """Exact quotient; NotDivisible if ``other`` does not divide."""
         q, r = _divide(self, other)
@@ -310,6 +361,20 @@ def _canonical(domain, val, coeffs):
     return p
 
 
+def _content(p):
+    """(content, primitive part) of a polynomial over Z; the content is
+    positive, and 0 for the zero polynomial."""
+    g = math.gcd(*p.coeffs)
+    return g, _content_divided(p, g)
+
+
+def _content_divided(p, g):
+    """p / g over Z, for a positive g dividing every coefficient of p."""
+    if g <= 1:
+        return p
+    return _canonical(p.domain, p.val, [c // g for c in p.coeffs])
+
+
 def _not_float(c):
     if isinstance(c, float):
         raise TypeError("float coefficients are not exact; use Fraction")
@@ -317,35 +382,89 @@ def _not_float(c):
 
 
 def _divide(a: LaurentPoly, b: LaurentPoly):
-    """Shared long division from the top.  Over a field every step is
-    exact; over Z a leading step that is not raises NotDivisible."""
+    """Shared long division from the top.  Over Q and Z it is one integer
+    pseudo-division of the numerators over common denominators; over Z a
+    quotient that is not integral raises NotDivisible."""
     dom = a.domain
     if b.is_zero():
         raise DivisionByZero("polynomial division by zero")
     if a.is_zero():
         return LaurentPoly.zero(dom), LaurentPoly.zero(dom)
+    val = a.val - b.val
+    if dom.characteristic == 0:
+        if not dom.is_field:
+            k, quo, rem = a.pseudo_divrem(b)
+            if k != 1:
+                raise NotDivisible(f"({b}) does not divide ({a}) over {dom}")
+            return quo, rem
+        da, num = _numerators(a.coeffs)
+        db, den = _numerators(b.coeffs)
+        k, quo, rem = _pseudo_divide(num, den)
+        # a = num / da and b = den / db, so a = (quo db / (k da)) b +
+        # rem / (k da): one rational per result coefficient
+        return (_canonical(dom, val, dom.from_ints([c * db for c in quo],
+                                                   k * da)),
+                _canonical(dom, a.val, dom.from_ints(rem, k * da)))
+    # a prime field: one inverse, then each step is exact
     rem = list(a.coeffs)
-    blead = b.coeffs[-1]
-    qcoeffs = {}
-    # operate on exponent offsets relative to a.val, dividing from the top
-    top = len(rem) - 1
-    bspan = len(b.coeffs) - 1
-    while top >= bspan:
-        if dom.is_zero(rem[top]):
-            top -= 1
+    binv = dom.inv(b.coeffs[-1])
+    quo = [dom.zero] * max(len(rem) - len(b.coeffs) + 1, 0)
+    top = len(b.coeffs) - 1
+    for i in reversed(range(len(quo))):
+        c = rem[i + top]
+        if dom.is_zero(c):
             continue
-        c = dom.div_exact(rem[top], blead)
-        pos = top - bspan
-        qcoeffs[pos] = c
-        # the leading term cancels exactly
+        c = quo[i] = dom.mul(c, binv)
         for j, bc in enumerate(b.coeffs[:-1]):
-            rem[pos + j] = dom.sub(rem[pos + j], dom.mul(c, bc))
-        rem[top] = dom.zero
-        top -= 1
-    qpoly = LaurentPoly.from_dict(
-        dom, {a.val - b.val + k: v for k, v in qcoeffs.items()})
-    rpoly = _canonical(dom, a.val, rem)
-    return qpoly, rpoly
+            rem[i + j] = dom.sub(rem[i + j], dom.mul(c, bc))
+    return _canonical(dom, val, quo), _canonical(dom, a.val, rem[:top])
+
+
+def _numerators(coeffs):
+    """(d, numerators): the coefficients as integers over their lcm d.
+
+    Read through ``numerator`` and ``denominator`` only, so Fractions and
+    ``gmpy2.mpq`` both work."""
+    d = math.lcm(*(int(c.denominator) for c in coeffs))
+    return d, [int(c.numerator) * (d // int(c.denominator)) for c in coeffs]
+
+
+def _pseudo_divide(num, den):
+    """(k, quo, rem) with k num = quo den + rem, for integer coefficient
+    lists (constant term first) and a nonzero top coefficient of den.
+
+    Pseudo-division (Knuth, TAOCP vol. 2, 4.6.1), with each step scaled
+    only by what it needs: a top coefficient c of the running remainder
+    takes the quotient term c / l when the leading coefficient l of den
+    divides it, and otherwise scales the remainder and the quotient so
+    far by l / gcd(c, l).  So k divides a power of l, is 1 exactly when
+    the quotient over Q is integral, and rem has fewer coefficients than
+    den.
+    """
+    rem = list(num)
+    top = len(den) - 1
+    lead = den[-1]
+    tail = den[:-1]
+    k = 1
+    quo = [0] * max(len(rem) - top, 0)
+    for i in reversed(range(len(quo))):
+        c = rem[i + top]
+        if not c:
+            continue
+        if c % lead:
+            g = math.gcd(c, lead)
+            s, c = lead // g, c // g
+            k *= s
+            rem = [x * s for x in rem[:i + top]]
+            for j in range(i + 1, len(quo)):
+                quo[j] *= s
+        else:
+            c //= lead
+        quo[i] = c
+        for j, d in enumerate(tail, i):
+            if d:
+                rem[j] -= c * d
+    return k, quo, rem[:top]
 
 
 # -- named constructions ------------------------
@@ -462,6 +581,16 @@ MAX_EXPONENT = 10**5
 # computed.  (1 - q)^511 over Q fits, and (1 - q)^MAX_EXPONENT over Z/2.
 MAX_PARSE_SIZE = 2**20
 
+# largest convolution work, nonzero terms of one factor x length of the
+# other, of one product in polynomial text (a power is computed by
+# squaring, each product checked); over Z/p the size cap alone lets a
+# dense power square in quadratic time.
+MAX_PARSE_WORK = 2**22
+
+# 2^61 - 1, a prime: a division in polynomial text over Q or Z is first
+# tried modulo it, where an inexact one shows without coefficient growth
+_CHECK_PRIME = (1 << 61) - 1
+
 
 def _tokenize(text: str):
     tokens = []
@@ -533,10 +662,7 @@ class _Parser:
                 if op == "*":
                     p = self.mul(p, rhs)
                 else:
-                    try:
-                        p = p.divexact(rhs)
-                    except (NotDivisible, DivisionByZero) as exc:
-                        raise ParseError(str(exc)) from exc
+                    p = self.divide(p, rhs)
             elif nxt in ("num", "q", "("):
                 p = self.mul(p, self.factor())
             else:
@@ -576,10 +702,7 @@ class _Parser:
                 # |c| <= (len(p) max|c_p|)^|e| for each coefficient c
                 self.check_size(abs(e) * p.span, abs(e) * (
                     _bits(p) + len(p.coeffs).bit_length()))
-                try:
-                    p = p**e
-                except NotUnit as exc:
-                    raise ParseError(str(exc)) from exc
+                p = self.power(p, e)
             return p
         if kind is None:
             raise ParseError("unexpected end of polynomial text")
@@ -588,7 +711,39 @@ class _Parser:
     def mul(self, a, b):
         self.check_size(a.span + b.span, _bits(a) + _bits(b) + min(
             len(a.coeffs), len(b.coeffs)).bit_length())
-        return a * b
+        # the convolution runs over the nonzero terms of its left factor
+        work_a = _nonzeros(a) * len(b.coeffs)
+        work_b = _nonzeros(b) * len(a.coeffs)
+        if min(work_a, work_b) > MAX_PARSE_WORK:
+            raise ParseError(
+                f"product or power of {min(work_a, work_b)} term products "
+                f"is beyond {MAX_PARSE_WORK}")
+        return a * b if work_a <= work_b else b * a
+
+    def power(self, p, e):
+        """p^e by squaring, each product checked by ``mul``."""
+        if e < 0:
+            try:
+                p, e = p.inverse(), -e
+            except NotUnit as exc:
+                raise ParseError(str(exc)) from exc
+        result = LaurentPoly.one(self.domain)
+        while e:
+            if e & 1:
+                result = self.mul(result, p)
+            e >>= 1
+            if e:
+                p = self.mul(p, p)
+        return result
+
+    def divide(self, a, b):
+        """The exact quotient a / b; ParseError if there is none."""
+        if self.domain.characteristic == 0 and not _divides_mod_prime(a, b):
+            raise ParseError(f"({b}) does not divide ({a})")
+        try:
+            return a.divexact(b)
+        except (NotDivisible, DivisionByZero) as exc:
+            raise ParseError(str(exc)) from exc
 
     def check_size(self, span, bits):
         """Refuse a result of predicted ``span`` and coefficient ``bits``
@@ -613,6 +768,29 @@ class _Parser:
             raise ParseError(f"exponent {sign * tok[1]} beyond "
                              f"+-{MAX_EXPONENT}")
         return sign * tok[1]
+
+
+def _nonzeros(p: LaurentPoly) -> int:
+    return len(p.coeffs) - sum(1 for c in p.coeffs if p.domain.is_zero(c))
+
+
+def _divides_mod_prime(a: LaurentPoly, b: LaurentPoly) -> bool:
+    """False when b does not divide a over Q, seen modulo ``_CHECK_PRIME``.
+
+    With a and b scaled to integer coefficients, and the leading one of
+    b a unit modulo the prime, an exact quotient over Q is integral at
+    the prime and reduces to one there; so a nonzero remainder there
+    proves the division inexact.  True when the remainder there is zero
+    or the leading coefficient of b vanishes there.
+    """
+    if b.is_zero():
+        return True
+    # a and b over their denominators: rescaling keeps divisibility
+    field = GF(_CHECK_PRIME)
+    am, bm = (_canonical(field, p.val, [c % field.p for c in
+                                        _numerators(p.coeffs)[1]])
+              for p in (a, b))
+    return bm.degree != b.degree or am.divrem(bm)[1].is_zero()
 
 
 def _bits(p: LaurentPoly) -> int:

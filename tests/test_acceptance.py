@@ -38,6 +38,10 @@ SHIFT_TYPES = ("A1", "A2", "A3", "B2", "B3", "I2(3)", "I2(4)", "I2(5)",
 # the rank-4 types, verified over Q and Z/3 in criterion 11
 RANK_FOUR_TYPES = ("A4", "B4", "D4", "F4", "H4")
 
+# rank 8, where the Smith forms over Q of the Salvetti complexes are
+# most of the cost, in criterion 12
+RANK_EIGHT_TYPES = ("A8", "E8")
+
 # every type with group order <= 1e5; the dihedral family is sampled
 POINCARE_TYPES = ("A1", "A2", "A3", "A4", "A5", "A6", "A7",
                   "B2", "B3", "B4", "B5", "B6", "D4", "D5", "D6",
@@ -313,4 +317,21 @@ def test_criterion_11_rank_four_shift_theorem():
                     build_salvetti_complex(finite_type_system(name), dom))
                 assert report.ok, (name, dom)
                 assert all(d.match for d in report.degrees), (name, dom)
+    body()
+
+
+def test_criterion_12_rank_eight_cohomology():
+    @criterion(12, "cohomology over Q of A8 and E8: no free part, torsion "
+                   "divides q^(2N) - 1", budget=30.0)
+    def body():
+        # the fiber's monodromy has order dividing 2N, N the number of
+        # reflections (the degree of the Poincare polynomial)
+        for name in RANK_EIGHT_TYPES:
+            system = finite_type_system(name)
+            N = poincare_poly(system).degree
+            order = LaurentPoly.q_power(QQ, 2 * N) - LaurentPoly.one(QQ)
+            for g in cohomology(build_salvetti_complex(system)):
+                assert g.free_rank == 0, (name, g.degree)
+                for f in g.torsion:
+                    assert order.divrem(f)[1].is_zero(), (name, g.degree)
     body()

@@ -298,12 +298,18 @@ def test_family_with_too_many_generators_fails_fast(capsys, tmp_path):
 
 
 def test_family_with_hostile_polynomial_fails_fast(capsys, tmp_path):
-    # a product or power too large to compute is refused before it is
-    for poly in ("(1 - q)^2000", "(1 + q^100000)^100000"):
+    # a product or power too large or too slow to compute is refused
+    # before it is, and an inexact division before it runs over Q
+    for poly, coeff, message in (
+            ("(1 - q)^2000", "Q", "product or power"),
+            ("(1 + q^100000)^100000", "Q", "product or power"),
+            ("(1 + q + q^2)^20000", "Zp:3", "product or power"),
+            ("(1 - q^100000)/(3 - q)", "Q", "(-q + 3) does not divide")):
         path = write_family(tmp_path, f"- ; 1 ; {poly}\n")
         start = time.perf_counter()
-        code, _, err = run_cli(capsys, "family", "--family", path)
-        assert code == 2 and "line 1: product or power" in err, poly
+        code, _, err = run_cli(capsys, "family", "--family", path,
+                               "--coeff", coeff)
+        assert code == 2 and f"line 1: {message}" in err, poly
         assert time.perf_counter() - start < 1.0, poly
 
 

@@ -144,20 +144,42 @@ def test_transform_free_repair_merges_diagonal():
     assert _invariant_factors(((), ()), 2, 0, QQ) == ()
 
 
-@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "A6", "B3", "B4",
-                                  "B5", "D4", "F4", "H3", "H4", "E6"])
-def test_transform_free_factors_match_salvetti_smith_forms(name):
-    C = build_salvetti_complex(finite_type_system(name))
+def assert_factors_match_field_path(C, label):
+    # over Q the transform-free path runs on integer rows; with transforms
+    # the Smith form keeps field arithmetic, an independent reference
     for k, d in enumerate(C.diffs):
         m, n = C.ranks[k + 1], C.ranks[k]
-        assert _invariant_factors(d, m, n, QQ) == smith_normal_form(
-            d, QQ, shape=(m, n)).invariant_factors, (name, k)
+        assert _invariant_factors(d, m, n, C.domain) == smith_normal_form(
+            d, C.domain, shape=(m, n)).invariant_factors, (label, k)
 
 
-def criterion6_matrix(index):
-    """Matrix ``index`` of acceptance criterion 6's random stream."""
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "A6", "B3",
+                                  "B4", "B5", "D4", "D5", "F4", "H3", "H4",
+                                  "E6", "I2(5)", "I2(12)", "A1xB2"])
+def test_transform_free_factors_match_salvetti_smith_forms(name):
+    assert_factors_match_field_path(
+        build_salvetti_complex(system_from_string(name)), name)
+
+
+def test_transform_free_factors_match_koszul_and_criterion6_smith_forms():
+    rng = random.Random(4)
+    for _ in range(60):
+        seed = rng.randrange(10 ** 9)
+        assert_factors_match_field_path(build_generic_complex(
+            random_koszul_family(4, seed, QQ, span_bound=3)), seed)
+    # every 20th of criterion 6's matrices, as in the benchmark's corpus
+    picks = range(20, 1000, 20)
+    for index, A in zip(picks, itertools.islice(criterion6_matrices(),
+                                                20, 1000, 20)):
+        m, n = len(A), len(A[0])
+        assert _invariant_factors(A, m, n, QQ) == smith_normal_form(
+            A, QQ, shape=(m, n)).invariant_factors, index
+
+
+def criterion6_matrices():
+    """Acceptance criterion 6's random stream of matrices over Q."""
     rng = random.Random(1000003)
-    for _ in range(index + 1):
+    while True:
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         A = []
         for _ in range(m):
@@ -175,7 +197,12 @@ def criterion6_matrix(index):
                 row.append(LaurentPoly(QQ, rng.randint(-3, 3),
                                        tuple(coeffs)))
             A.append(tuple(row))
-    return tuple(A)
+        yield tuple(A)
+
+
+def criterion6_matrix(index):
+    """Matrix ``index`` of acceptance criterion 6's random stream."""
+    return next(itertools.islice(criterion6_matrices(), index, None))
 
 
 def coeff_bits(p):

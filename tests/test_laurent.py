@@ -1,5 +1,6 @@
 """Laurent polynomial arithmetic, parsing, and cyclotomic helpers."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -11,7 +12,7 @@ from artinfib.domains import GF, QQ, ZZ, Domain, domain_from_spec
 from artinfib.errors import (DivisionByZero, NotDivisible, NotUnit,
                              ParseError, UnsupportedDomain)
 from artinfib.laurent import (MAX_EXPONENT, MAX_PARSE_SIZE, LaurentPoly,
-                              cyclotomic_poly,
+                              _pseudo_divide, cyclotomic_poly,
                               factor_cyclotomic, format_poly, parse_poly,
                               q_bracket, extremes_invertible)
 
@@ -112,6 +113,102 @@ def test_divrem_property_seeded():
         quo, rem = a.divrem(b)
         assert a == quo * b + rem
         assert rem.is_zero() or rem.span < b.span
+
+
+def schoolbook_divide(num, den):
+    """Long division of coefficient lists (constant term first) in
+    Fractions, one exact rational step per quotient term."""
+    rem = [Fraction(c) for c in num]
+    top = len(den) - 1
+    quo = [Fraction(0)] * max(len(num) - top, 0)
+    for i in reversed(range(len(quo))):
+        c = quo[i] = rem[i + top] / den[-1]
+        for j, d in enumerate(den):
+            rem[i + j] -= c * d
+    return quo, rem[:top]
+
+
+def int_product(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def random_ints(rng, length, lead_choices):
+    out = [rng.randint(-9, 9) for _ in range(length)]
+    if out:
+        out[-1] = rng.choice(lead_choices)
+    return out
+
+
+def test_pseudo_division_kernel():
+    # k num = quo den + rem over Z, with quo / k and rem / k the quotient
+    # and remainder of schoolbook division over Q; non-unit and negative
+    # leading coefficients force the scaling
+    rng = random.Random(41)
+    leads = (1, -1, 2, -3, 4, -6, 9)
+    for _ in range(400):
+        den = random_ints(rng, rng.randint(1, 5), leads)
+        num = random_ints(rng, rng.randint(0, 10), leads + (0,))
+        k, quo, rem = _pseudo_divide(num, den)
+        assert k != 0 and den[-1] ** len(quo) % k == 0
+        assert len(rem) < len(den)
+        lhs = [k * c for c in num]
+        rhs = int_product(quo, den)
+        rhs += [0] * (len(lhs) - len(rhs))
+        for j, c in enumerate(rem):
+            rhs[j] += c
+        assert lhs == rhs, (num, den)
+        school_quo, school_rem = schoolbook_divide(num, den)
+        assert [Fraction(c, k) for c in quo] == school_quo
+        assert [Fraction(c, k) for c in rem] == school_rem
+        assert (k == 1) == all(c.denominator == 1 for c in school_quo)
+
+
+def test_rational_division_matches_schoolbook():
+    # Laurent division over Q, with denominators and valuations, against
+    # schoolbook division of the coefficient lists
+    rng = random.Random(43)
+    for _ in range(300):
+        a, b = ([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                 for _ in range(rng.randint(1, 9))] for _ in "ab")
+        b[-1] = b[-1] or Fraction(-5, 3)
+        pa = LaurentPoly(QQ, rng.randint(-4, 4), a)
+        pb = LaurentPoly(QQ, rng.randint(-4, 4), b)
+        quo, rem = pa.divrem(pb)
+        a, b = list(pa.coeffs), list(pb.coeffs)
+        school_quo, school_rem = schoolbook_divide(a, b)
+        assert quo == LaurentPoly(QQ, pa.val - pb.val, school_quo)
+        assert rem == LaurentPoly(QQ, pa.val, school_rem)
+        assert pa == quo * pb + rem
+
+
+def test_pseudo_division_and_xgcd_over_z():
+    rng = random.Random(47)
+    leads = (1, -1, 2, -3, 5)
+    for _ in range(200):
+        a, b = (LaurentPoly(ZZ, rng.randint(-3, 3), random_ints(
+            rng, rng.randint(0, 6), leads)) for _ in "ab")
+        if not b.is_zero():
+            k, quo, rem = a.pseudo_divrem(b)
+            assert k != 0 and LaurentPoly.constant(ZZ, k) * a == \
+                quo * b + rem
+            assert rem.span < b.span
+        g, s, t, c = a.pseudo_xgcd(b)
+        assert c != 0 and s * a + t * b == g.scale(c)
+        if a.is_zero() and b.is_zero():
+            assert g.is_zero()
+            continue
+        # the primitive associate of the gcd over Q
+        assert math.gcd(*g.coeffs) == 1
+        field_g = LaurentPoly(QQ, 0, a.coeffs).xgcd(
+            LaurentPoly(QQ, 0, b.coeffs))[0]
+        assert LaurentPoly(QQ, 0, g.coeffs).normalized()[1] == \
+            field_g.normalized()[1]
+        a.divexact(g)
+        b.divexact(g)
 
 
 def test_xgcd_property_seeded():
@@ -241,6 +338,39 @@ def test_parse_size_bound():
     assert time.perf_counter() - start < 1.0
     # residues never outgrow the prime
     assert parse_poly("(1 - q)^2000", GF(5)).span == 2000
+
+
+def test_parse_work_bound():
+    # over Z/p the size cap does not bound time: a dense power squares in
+    # quadratic time, so each product's convolution work is capped
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="product or power"):
+        parse_poly("(1 + q + q^2)^20000", GF(3))
+    assert time.perf_counter() - start < 1.0
+    assert parse_poly("(1 + q + q^2)^200", GF(3)).span == 400
+    # a sparse factor costs its nonzero terms only
+    assert parse_poly(f"(1 - q^{MAX_EXPONENT})*(1 + q)^400", GF(3)).span \
+        == MAX_EXPONENT + 400
+
+
+def test_parse_inexact_division_fails_fast():
+    # the division is first run modulo 2^61 - 1, where the remainder of
+    # an inexact one shows without the growth of its coefficients over Q
+    for dom in (QQ, ZZ):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="does not divide"):
+            parse_poly("(1 - q^100000)/(3 - q)", dom)
+        assert time.perf_counter() - start < 1.0, dom
+        assert parse_poly("(1 - q^100000)/(1 - q)", dom) == q_bracket(
+            100000, dom)
+    # exact over Q but not over Z
+    assert parse_poly("(2 - 2q^2)/(4 + 4q)", QQ) == parse_poly(
+        "1/2 - 1/2q", QQ)
+    with pytest.raises(ParseError):
+        parse_poly("(1 - q^2)/(2 + 2q)", ZZ)
+    # a leading coefficient that vanishes modulo the prime skips the test
+    assert parse_poly(f"(q - {2**61 - 1})^2/(q - {2**61 - 1})", QQ) == \
+        parse_poly(f"q - {2**61 - 1}", QQ)
 
 
 def test_extremes_invertible():
