@@ -7,9 +7,9 @@ that the same polynomial code runs unchanged over each ring.
 
 Rationals use ``gmpy2.mpq`` when available and fall back to
 ``fractions.Fraction`` otherwise.  The choice matters for Laurent
-arithmetic and Smith forms with transforms; long division over Q, the
-transform-free Smith forms behind cohomology and the series-window
-elimination in ``linalg`` run on plain ints over either.
+arithmetic only: long division over Q, every Smith form over Q (but for
+the entries of Uinv and Vinv) and the series-window elimination in
+``linalg`` run on plain ints over either.
 """
 
 from __future__ import annotations
@@ -23,16 +23,6 @@ try:
     from gmpy2 import mpq as _rational
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     _rational = Fraction
-
-
-def _convolve(a, b):
-    """Coefficients of the product of two integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 class Domain:
@@ -95,23 +85,14 @@ class Domain:
         raise NotImplementedError
 
     def poly_mul(self, a, b):
-        """Coefficients of the product of two dense coefficient lists."""
-        out = [self.zero] * (len(a) + len(b) - 1)
+        """Coefficients of the product of two dense coefficient lists: the
+        plain convolution, as over Z; Q and GF(p) run it on integers."""
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if self.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = self.add(out[i + j], self.mul(x, y))
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
         return out
-
-    def content_unit(self, elems):
-        """Invertible scalar that shrinks the representation of ``elems``.
-
-        Rescaling a row by the returned scalar maps it to primitive
-        integer form; None (the default) means no shrink is available.
-        Exact elimination uses this to keep coefficient growth in check.
-        """
-        return None
 
     def to_str(self, a) -> str:
         return str(a)
@@ -144,28 +125,15 @@ class RationalField(Domain):
         # product per term would cost a gcd per term
         da = math.lcm(*(c.denominator for c in a))
         db = math.lcm(*(c.denominator for c in b))
-        out = _convolve([c.numerator * (da // c.denominator) for c in a],
-                        [c.numerator * (db // c.denominator) for c in b])
-        return self.from_ints(out, da * db)
+        na = [c.numerator * (da // c.denominator) for c in a]
+        nb = [c.numerator * (db // c.denominator) for c in b]
+        return self.from_ints(super().poly_mul(na, nb), da * db)
 
     def from_ints(self, nums, den=1):
         """The rationals n / den for the integers n of ``nums``."""
         if den == 1:
             return [_rational(n) for n in nums]
         return [_rational(n, den) for n in nums]
-
-    def content_unit(self, elems):
-        num_gcd = 0
-        den_lcm = 1
-        for c in elems:
-            if c == 0:
-                continue
-            num_gcd = math.gcd(num_gcd, int(c.numerator))
-            den = int(c.denominator)
-            den_lcm = den_lcm // math.gcd(den_lcm, den) * den
-        if num_gcd == 0 or (num_gcd == 1 and den_lcm == 1):
-            return None
-        return _rational(den_lcm, num_gcd)
 
 
 class IntegerRing(Domain):
@@ -188,9 +156,6 @@ class IntegerRing(Domain):
         if a in (1, -1):
             return a
         raise NotUnit(f"{a} is not a unit in Z")
-
-    def poly_mul(self, a, b):
-        return _convolve(a, b)
 
 
 # Miller-Rabin to the thirteen prime bases up to 41 decides primality
@@ -244,7 +209,7 @@ class PrimeField(Domain):
     def poly_mul(self, a, b):
         # plain integer convolution, reduced once per coefficient
         p = self.p
-        return [c % p for c in _convolve(a, b)]
+        return [c % p for c in super().poly_mul(a, b)]
 
     def neg(self, a):
         return (-a) % self.p

@@ -17,15 +17,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 from typing import Optional
 
 from .complexes import CochainComplex, is_well_filtered
-from .domains import QQ, ZZ, Domain
+from .domains import ZZ, Domain
 from .errors import (NotStabilized, NotWellFiltered, RankMismatch,
                      UnsupportedDomain)
 from .laurent import (LaurentPoly, factor_cyclotomic, format_poly)
-from .linalg import integer_row
-from .rmatrix import mat_identity, mat_shape
+from .rmatrix import mat_shape
 from .series import default_window_radius, m_cohomology_dim_window
 
 
@@ -79,16 +79,16 @@ def smith_normal_form(A, domain: Domain,
       pivots of their own, and every other row of U is reduced modulo
       them, so in each such pivot column the other entries of U have
       span below the pivot's; likewise the kernel columns of V;
-    * over Q, a row of [D | U] (column of [D ; V]) is rescaled to
-      integral primitive form after every elimination step, so none
-      carries a rational common factor;
+    * over Q, D, U and V hold integers, and a row of [D | U] (column
+      of [D ; V]) is divided by its integer content after every
+      elimination step, so none carries a rational common factor;
     * a column is cleared by one 2x2 Bezout step per entry, with the
       cofactors from an extended Euclid on the two entries alone.
 
-    Bit sizes have no bound beyond what these give.  Cohomology reads
-    only D and runs the same passes without transforms (see ``_groups``),
-    over Q on primitive integer rows; the passes here keep field
-    arithmetic, since Uinv and Vinv need inverses.
+    Bit sizes have no bound beyond what these give.  Over Q, D, U and
+    V are mapped back from Z once, before the diagonal is normalized;
+    Uinv and Vinv stay over Q throughout.  Cohomology reads only D and
+    runs the same passes without transforms (see ``_groups``).
     Only field coefficients are supported; the integer Laurent ring has
     no Smith form in general.  A row-free matrix cannot carry its own
     column count, so pass ``shape`` explicitly when either dimension is
@@ -102,18 +102,22 @@ def smith_normal_form(A, domain: Domain,
     if len(A) != m or any(len(row) != n for row in A):
         raise RankMismatch(f"matrix does not have shape {m}x{n}")
     D, U, Uinv, V, Vinv = _diagonalize(A, m, n, domain, transforms=True)
+    # over Q, D, U and V come back over Z
+    D, U, V = ([[_over(domain, e) for e in r] for r in M] for M in (D, U, V))
     for t in range(min(m, n)):
         d = D[t][t]
         if d.is_zero():
             continue
         u = d.normalized()[0].inverse()
+        D[t][t], uinv = d * u, u.inverse()
         if m >= n:
-            _row_scale(D, U, Uinv, t, u)
+            U[t] = [a * u for a in U[t]]
+            for r in Uinv:
+                r[t] = r[t] * uinv
         else:
-            D[t][t] = d * u
             for r in V:
                 r[t] = r[t] * u
-            Vinv[t] = [a * u.inverse() for a in Vinv[t]]
+            Vinv[t] = [a * uinv for a in Vinv[t]]
     freeze = lambda mat: tuple(tuple(r) for r in mat)
     return SmithDecomposition(domain=domain, shape=(m, n), U=freeze(U),
                               Uinv=freeze(Uinv), V=freeze(V),
@@ -126,26 +130,35 @@ def _diagonalize(A, m, n, domain, transforms):
     The diagonal is not normalized.  With ``transforms`` false, U and
     Vinv have no columns and Uinv and V no rows: every row operation
     then touches D alone, and ``_echelon`` has no kernel rows to keep
-    small.  Over Q such a D is returned over Z: each row enters as the
-    primitive integer row on the same line, and every step, the
-    divisibility check and the merge run on ints, each equal to the
-    step over Q up to a nonzero rational per row (per column in the
-    column pass).  So the pivots are the same, and the diagonal entries
+    small.  Over Q, D, U and V are returned over Z, and Uinv and Vinv
+    over Q: row i of [A | I] enters times the lcm l_i of its
+    denominators, so U starts as diag(l) and Uinv as diag(1/l), and
+    every step, the divisibility check and the merge run on ints.  Each
+    is the step over Q times a nonzero rational per row (per column in
+    the column pass), which Uinv (Vinv) takes inverted on the matching
+    column.  So the pivots are those over Q, and the diagonal entries
     are the invariant factors up to units of Q[q, q^-1].
     """
+    if domain.characteristic:
+        ring, lam, D = domain, [1] * m, [list(r) for r in A]
+    else:
+        ring = ZZ
+        lam = [math.lcm(*(int(c.denominator) for e in r for c in e.coeffs))
+               for r in A]
+        D = [[LaurentPoly(ZZ, e.val, [int(c.numerator) * (k // int(
+            c.denominator)) for c in e.coeffs]) for e in r]
+             for r, k in zip(A, lam)]
     if transforms:
-        ident = lambda k: [list(r) for r in mat_identity(k, domain)]
-        U, Uinv, V, Vinv = ident(m), ident(m), ident(n), ident(n)
+        diag = lambda dom, xs: [[LaurentPoly.constant(dom, x) if i == j
+                                 else LaurentPoly.zero(dom)
+                                 for j in range(len(xs))]
+                                for i, x in enumerate(xs)]
+        U, Uinv = diag(ring, lam), diag(domain, [Fraction(1, k) for k in lam])
+        V, Vinv = diag(ring, [1] * n), diag(domain, [1] * n)
     else:
         U, Uinv, V, Vinv = [[] for _ in range(m)], [], [], \
             [[] for _ in range(n)]
-    if domain.characteristic == 0 and not transforms:
-        # over Q without transforms the rows are kept integral and
-        # primitive, and the elimination runs on plain ints (see _echelon)
-        D, domain = [_integer_row(r) for r in A], ZZ
-    else:
-        D = [list(r) for r in A]
-    one = LaurentPoly.one(domain)
+    one = LaurentPoly.one(ring)
     # start on the long side, where the kernel is, and leave the other
     # transform as close to a permutation as the input allows
     by_rows = m >= n
@@ -171,18 +184,13 @@ def _diagonalize(A, m, n, domain, transforms):
             return D, U, Uinv, V, Vinv
         # d_t does not divide d_(t+1): put d_(t+1) into row t, where the
         # column pass replaces d_t by their gcd
-        _row_addmul(D, U, Uinv, bad, bad + 1, one)
+        _row_addmul(D, U, Uinv, bad, bad + 1, one, domain)
         by_rows = False
 
 
-def _integer_row(row):
-    """A row over Q as the primitive integer row on the same line, over Z."""
-    flat = integer_row([c for e in row for c in e.coeffs], QQ)
-    out, at = [], 0
-    for e in row:
-        out.append(LaurentPoly(ZZ, e.val, flat[at:at + len(e.coeffs)]))
-        at += len(e.coeffs)
-    return out
+def _over(domain, p):
+    """p with its coefficients read in ``domain`` (a Z row meets Q's Tinv)."""
+    return p if p.domain is domain else LaurentPoly(domain, p.val, p.coeffs)
 
 
 def _transpose(mat, cols):
@@ -197,7 +205,7 @@ def _is_diagonal(D):
 
 # Row operations on D, mirrored on the rows of the transform T and,
 # inverted, on the columns of Tinv, so that T A (...) = D and T Tinv = I
-# stay true.
+# stay true.  Tinv is over ``domain``; over Q, D and T are over Z.
 
 def _row_swap(D, T, Tinv, i, j):
     D[i], D[j] = D[j], D[i]
@@ -206,33 +214,39 @@ def _row_swap(D, T, Tinv, i, j):
         r[i], r[j] = r[j], r[i]
 
 
-def _row_addmul(D, T, Tinv, i, j, c):
+def _row_addmul(D, T, Tinv, i, j, c, domain):
     """Row i += c * row j."""
     D[i] = [a if b.is_zero() else a + c * b for a, b in zip(D[i], D[j])]
     T[i] = [a if b.is_zero() else a + c * b for a, b in zip(T[i], T[j])]
+    if Tinv:
+        c = _over(domain, c)
     for r in Tinv:
         if not r[i].is_zero():
             r[j] = r[j] - c * r[i]
 
 
-def _row_combine(D, T, Tinv, i, j, M):
+def _row_combine(D, T, Tinv, i, j, M, det, domain):
     """(row i, row j) := M (row i, row j) for M = (a, b, c, d) of constant
-    determinant: 1 where there are transforms, as Tinv's update needs."""
+    determinant ``det``, whose inverse is (d, -b; -c, a) / det."""
     a, b, c, d = M
     for X in (D, T):
         X[i], X[j] = ([a * x + b * y for x, y in zip(X[i], X[j])],
                       [c * x + d * y for x, y in zip(X[i], X[j])])
+    if Tinv:
+        a, b, c, d = (_over(domain, x).scale(Fraction(1, det)) for x in M)
     for r in Tinv:
         r[i], r[j] = r[i] * d - r[j] * c, r[j] * a - r[i] * b
 
 
-def _row_scale(D, T, Tinv, i, u):
-    """Row i *= u for a unit u."""
-    uinv = u.inverse()
-    D[i] = [a * u for a in D[i]]
-    T[i] = [a * u for a in T[i]]
+def _row_rescale(D, T, Tinv, i, k, g):
+    """Row i *= k / g over Z, for integers k and g with g dividing it."""
+    for X in (D, T):
+        X[i] = [LaurentPoly(ZZ, e.val, [c * k // g for c in e.coeffs])
+                for e in X[i]]
+    if Tinv:
+        s = Fraction(g, k)
     for r in Tinv:
-        r[i] = r[i] * uinv
+        r[i] = r[i].scale(s)
 
 
 def _echelon(D, T, Tinv, S, Sinv, domain):
@@ -247,30 +261,26 @@ def _echelon(D, T, Tinv, S, Sinv, domain):
     are the left kernel; they get pivots of their own in T, and the other
     rows are reduced modulo those.  A T with no columns skips that phase.
 
-    Over Z (``domain``; the rows of a matrix over Q, transform-free) the
-    same steps run on primitive integer rows, each equal to the step over
-    Q up to a nonzero integer per row, a unit over Q: a division is a
+    Over Q (``domain``, the field of Tinv) D and T hold integers, and
+    the same steps run on them, each equal to the step over Q times a
+    nonzero rational per row, a unit over Q: a division is a
     pseudo-division, row i := k row i - quo row t, and a Bezout step has
     determinant c (``LaurentPoly.pseudo_divrem`` and ``pseudo_xgcd``).
-    Spans and zero patterns are those over Q, and so are the pivots.
+    After each step a row of [D | T] is divided by its integer content.
+    Tinv takes each rational inverted on the matching column.  Spans and
+    zero patterns are those over Q, and so are the pivots.
     """
     m = len(D)
     n = len(D[0]) if m else 0
 
     def shrink(i):
-        if not domain.is_field:
-            # divide by the integer content
-            g = math.gcd(*(c for e in D[i] for c in e.coeffs))
-            if g > 1:
-                D[i] = [LaurentPoly(domain, e.val, [c // g for c in e.coeffs])
-                        for e in D[i]]
+        # over Z, the content of the whole row of [D | T] keeps both
+        # integral and primitive (D's row alone when T has no columns)
+        if domain.characteristic:
             return
-        # a rational rescaling is unimodular; taking the content of the
-        # whole row of [D | T] keeps both integral and primitive (D's row
-        # alone when T has no columns)
-        s = domain.content_unit(c for e in D[i] + T[i] for c in e.coeffs)
-        if s is not None:
-            _row_scale(D, T, Tinv, i, LaurentPoly(domain, 0, (s,)))
+        g = math.gcd(*(c for e in D[i] + T[i] for c in e.coeffs))
+        if g > 1:
+            _row_rescale(D, T, Tinv, i, 1, g)
 
     def clear(t, col):
         # zero col(.) below row t, leaving a gcd in row t, then reduce
@@ -285,9 +295,9 @@ def _echelon(D, T, Tinv, S, Sinv, domain):
                 reduce(i, t, k, quo)
                 continue
             # one 2x2 Bezout step instead of a Euclidean chain of row ops
-            g, s, u, _ = a.pseudo_xgcd(b)
+            g, s, u, c = a.pseudo_xgcd(b)
             _row_combine(D, T, Tinv, t, i, (s, u, -b.divexact(g),
-                                            a.divexact(g)))
+                                            a.divexact(g)), c, domain)
             shrink(t)
             shrink(i)
         for i in range(t):
@@ -299,8 +309,8 @@ def _echelon(D, T, Tinv, S, Sinv, domain):
         if quo.is_zero():
             return
         if k != 1:
-            D[i] = [e.scale(k) for e in D[i]]
-        _row_addmul(D, T, Tinv, i, t, -quo)
+            _row_rescale(D, T, Tinv, i, k, 1)
+        _row_addmul(D, T, Tinv, i, t, -quo, domain)
         shrink(i)
 
     def best(rows, cols, entry):
@@ -388,14 +398,9 @@ def _groups(C: CochainComplex, homological: bool) -> tuple:
     Only the diagonal is read, so the Smith forms run without
     transforms.  Of ``smith_normal_form``'s bounds, those on D hold as
     they are: entries above a pivot have span below the pivot's, and
-    over Q each row (column) of D is kept as primitive integers.  There
-    a division is a pseudo-division, row i := k row i - quo row t with k
-    dividing a power of the pivot's leading coefficient, and a Bezout
-    step s a + u b = c g, with g the primitive gcd and s, u, c integral,
-    is the 2x2 step (s, u; -b/g, a/g) of constant determinant c; each is
-    followed by division by the row's integer content.  The monic
-    factors over Q are built once, from the final diagonal.  Nothing
-    bounds U or V, since neither is built.
+    over Q each row (column) of D is kept as primitive integers.  The
+    monic factors over Q are built once, from the final diagonal.
+    Nothing bounds U or V, since neither is built.
     """
     dom = C.domain
     if not dom.is_field:
@@ -416,7 +421,7 @@ def _invariant_factors(A, m, n, domain) -> tuple:
     """Nonzero diagonal of a transform-free Smith form, monic, valuation 0."""
     D = _diagonalize(A, m, n, domain, transforms=False)[0]
     # over Q the diagonal comes back over Z
-    return tuple(LaurentPoly(domain, 0, D[t][t].coeffs).normalized()[1]
+    return tuple(_over(domain, D[t][t]).normalized()[1]
                  for t in range(min(m, n)) if not D[t][t].is_zero())
 
 

@@ -485,20 +485,6 @@ def q_bracket(n: int, domain: Domain = QQ) -> LaurentPoly:
     return LaurentPoly(domain, 0, [domain.one] * n)
 
 
-def _divide_monic(num, den):
-    """num / den for integer coefficient lists (constant term first) and
-    a monic den; None when den does not divide num."""
-    rest = list(num)
-    top = len(den) - 1
-    quo = [0] * max(len(rest) - top, 0)
-    for i in reversed(range(len(quo))):
-        c = quo[i] = rest[i + top]
-        if c:
-            for j in range(top):
-                rest[i + j] -= c * den[j]
-    return None if any(rest[:top]) else quo
-
-
 _cyclo_int_cache: dict[int, tuple[int, ...]] = {1: (-1, 1)}
 
 
@@ -508,7 +494,8 @@ def _cyclotomic_int(n: int) -> tuple[int, ...]:
         num = [-1] + [0] * (n - 1) + [1]  # q^n - 1
         for d in range(1, n):
             if n % d == 0:
-                num = _divide_monic(num, _cyclotomic_int(d))
+                # Phi_d is monic, so k = 1 and the division is exact
+                num = _pseudo_divide(num, _cyclotomic_int(d))[1]
         _cyclo_int_cache[n] = tuple(num)
     return _cyclo_int_cache[n]
 
@@ -557,8 +544,9 @@ def factor_cyclotomic(p: LaurentPoly):
             continue
         phi = _cyclotomic_int(n)
         mult = 0
-        while (quo := _divide_monic(coeffs, phi)) is not None:
-            coeffs, mult = quo, mult + 1
+        # Phi_n is monic, so k = 1: an integer quotient or a remainder
+        while not any((step := _pseudo_divide(coeffs, phi))[2]):
+            coeffs, mult = step[1], mult + 1
         if mult:
             factors.append((n, mult))
     rem = LaurentPoly(QQ, 0, coeffs).scale(Fraction(1, den))

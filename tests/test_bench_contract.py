@@ -54,3 +54,18 @@ def test_traced_cohomology_binds_every_layer():
     assert code == 0
     assert metrics["homology.cohomology_s"] > 0
     assert metrics["homology.cohomology_calls"] == 1
+
+
+def test_recorded_answers_still_hold():
+    # the fixed jobs' answers, recomputed from this tree, equal the ones
+    # bench/expected.json holds; record() returns them without writing
+    script = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+              "import record_expected; "
+              "print(json.dumps(record_expected.record()))")
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", script, str(ROOT / "bench")],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    expected = json.loads((ROOT / "bench" / "expected.json").read_text(
+        encoding="utf-8"))
+    assert json.loads(proc.stdout) == expected

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -74,7 +75,9 @@ def test_snf_rejects_integer_coefficients():
         smith_normal_form(((parse_poly("2", ZZ),),), ZZ)
 
 
-def random_matrix(rng, dom, m, n, span_bound=4):
+def random_matrix(rng, dom, m, n, span_bound=4, dens=None):
+    """Random Laurent entries, a coefficient's denominator drawn from
+    ``dens`` when given."""
     out = []
     for _ in range(m):
         row = []
@@ -88,6 +91,8 @@ def random_matrix(rng, dom, m, n, span_bound=4):
                 coeffs[0] = 1
             while coeffs[-1] == 0:
                 coeffs[-1] = rng.randint(-3, 3)
+            if dens:
+                coeffs = [Fraction(c, rng.choice(dens)) for c in coeffs]
             row.append(LaurentPoly(dom, rng.randint(-2, 2), tuple(coeffs)))
         out.append(tuple(row))
     return tuple(out)
@@ -101,6 +106,14 @@ def test_snf_random_property():
         A = random_matrix(rng, dom, m, n)
         dec = smith_normal_form(A, dom, shape=(m, n))
         check_decomposition(A, dec, dom)
+    # rational entries: row i of [A | I] enters the elimination over Z
+    # times the lcm of its denominators, and U and Uinv start diagonal
+    for _ in range(60):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        A = random_matrix(rng, QQ, m, n, dens=(1, 2, 3, 6))
+        dec = smith_normal_form(A, QQ, shape=(m, n))
+        check_decomposition(A, dec, QQ)
+        assert _invariant_factors(A, m, n, QQ) == dec.invariant_factors
 
 
 def test_transform_free_factors_match_random_smith_forms():
@@ -144,9 +157,10 @@ def test_transform_free_repair_merges_diagonal():
     assert _invariant_factors(((), ()), 2, 0, QQ) == ()
 
 
-def assert_factors_match_field_path(C, label):
-    # over Q the transform-free path runs on integer rows; with transforms
-    # the Smith form keeps field arithmetic, an independent reference
+def assert_factors_match_full_decomposition(C, label):
+    # both run on integer rows over Q, but with transforms a row of
+    # [D | U] is kept primitive, not D's row alone, and the kernel rows
+    # of U take pivots of their own
     for k, d in enumerate(C.diffs):
         m, n = C.ranks[k + 1], C.ranks[k]
         assert _invariant_factors(d, m, n, C.domain) == smith_normal_form(
@@ -157,7 +171,7 @@ def assert_factors_match_field_path(C, label):
                                   "B4", "B5", "D4", "D5", "F4", "H3", "H4",
                                   "E6", "I2(5)", "I2(12)", "A1xB2"])
 def test_transform_free_factors_match_salvetti_smith_forms(name):
-    assert_factors_match_field_path(
+    assert_factors_match_full_decomposition(
         build_salvetti_complex(system_from_string(name)), name)
 
 
@@ -165,7 +179,7 @@ def test_transform_free_factors_match_koszul_and_criterion6_smith_forms():
     rng = random.Random(4)
     for _ in range(60):
         seed = rng.randrange(10 ** 9)
-        assert_factors_match_field_path(build_generic_complex(
+        assert_factors_match_full_decomposition(build_generic_complex(
             random_koszul_family(4, seed, QQ, span_bound=3)), seed)
     # every 20th of criterion 6's matrices, as in the benchmark's corpus
     picks = range(20, 1000, 20)
