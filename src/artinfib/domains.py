@@ -5,11 +5,12 @@ prime fields ``GF(p)``.  Elements are plain Python values (rationals, ints,
 ints reduced mod p), and all arithmetic goes through the domain object so
 that the same polynomial code runs unchanged over each ring.
 
-Rationals use ``gmpy2.mpq`` when available and fall back to
-``fractions.Fraction`` otherwise.  The choice matters for Laurent
-arithmetic only: long division over Q, every Smith form over Q (but for
-the entries of Uinv and Vinv) and the series-window elimination in
-``linalg`` run on plain ints over either.
+Rationals are ``fractions.Fraction``.  The hot loops over Q (the
+product and long division of Laurent polynomials, every Smith form over
+Q but for the entries of Uinv and Vinv, and the series-window
+elimination in ``linalg``) run on plain ints instead: ``QQ.to_ints``
+writes rationals over one common denominator and ``QQ.from_ints`` reads
+them back.
 """
 
 from __future__ import annotations
@@ -19,18 +20,13 @@ from fractions import Fraction
 
 from .errors import NotUnit, UnsupportedDomain
 
-try:
-    from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _rational = Fraction
-
 
 class Domain:
     """A commutative ring with exact element arithmetic.
 
     Subclasses fix the element representation; ``zero`` and ``one`` are
-    canonical elements, and ``normalize`` maps any raw input (int, string,
-    Fraction) into that representation.
+    canonical elements, and ``normalize`` maps an int or a Fraction into
+    that representation; anything else raises TypeError.
     """
 
     name = "?"
@@ -57,7 +53,7 @@ class Domain:
     def normalize(self, x):
         if isinstance(x, int):
             return self.from_int(x)
-        if isinstance(x, (Fraction, type(_rational(0)))):
+        if isinstance(x, Fraction):
             return self.from_fraction(x)
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
@@ -104,13 +100,13 @@ class Domain:
 class RationalField(Domain):
     name = "Q"
     is_field = True
-    element_type = type(_rational(0))
+    element_type = Fraction
 
     def from_int(self, n):
-        return _rational(n)
+        return Fraction(n)
 
     def from_fraction(self, fr):
-        return _rational(fr.numerator, fr.denominator)
+        return fr
 
     def is_unit(self, a):
         return a != 0
@@ -118,22 +114,27 @@ class RationalField(Domain):
     def inv(self, a):
         if a == 0:
             raise NotUnit("0 is not invertible")
-        return 1 / _rational(a)
+        return 1 / Fraction(a)
 
     def poly_mul(self, a, b):
         # one integer convolution over common denominators: a rational
         # product per term would cost a gcd per term
-        da = math.lcm(*(c.denominator for c in a))
-        db = math.lcm(*(c.denominator for c in b))
-        na = [c.numerator * (da // c.denominator) for c in a]
-        nb = [c.numerator * (db // c.denominator) for c in b]
+        da, na = self.to_ints(a)
+        db, nb = self.to_ints(b)
         return self.from_ints(super().poly_mul(na, nb), da * db)
+
+    def to_ints(self, values):
+        """(den, nums): the rationals of the sequence ``values`` (ints
+        too) as the integers nums over den, the lcm of their
+        denominators; the inverse of ``from_ints``."""
+        den = math.lcm(*(c.denominator for c in values))
+        return den, [c.numerator * (den // c.denominator) for c in values]
 
     def from_ints(self, nums, den=1):
         """The rationals n / den for the integers n of ``nums``."""
         if den == 1:
-            return [_rational(n) for n in nums]
-        return [_rational(n, den) for n in nums]
+            return [Fraction(n) for n in nums]
+        return [Fraction(n, den) for n in nums]
 
 
 class IntegerRing(Domain):
@@ -147,7 +148,7 @@ class IntegerRing(Domain):
     def from_fraction(self, fr):
         if fr.denominator != 1:
             raise UnsupportedDomain(f"{fr} is not an integer")
-        return int(fr.numerator)
+        return fr.numerator
 
     def is_unit(self, a):
         return a in (1, -1)

@@ -44,6 +44,11 @@ class WindowTooSmall(ArtinfibError):
     """Truncation radius leaves no stable interior to work with."""
 
 
+class WindowTooLarge(ArtinfibError):
+    """Initial truncation radius beyond the largest the default
+    schedule of window doublings would try."""
+
+
 class NotStabilized(ArtinfibError):
     """Window dimensions kept changing up to the configured retry limit.
 

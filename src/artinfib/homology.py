@@ -23,7 +23,7 @@ from typing import Optional
 from .complexes import CochainComplex, is_well_filtered
 from .domains import ZZ, Domain
 from .errors import (NotStabilized, NotWellFiltered, RankMismatch,
-                     UnsupportedDomain)
+                     UnsupportedDomain, WindowTooLarge)
 from .laurent import (LaurentPoly, factor_cyclotomic, format_poly)
 from .rmatrix import mat_shape
 from .series import default_window_radius, m_cohomology_dim_window
@@ -142,12 +142,13 @@ def _diagonalize(A, m, n, domain, transforms):
     if domain.characteristic:
         ring, lam, D = domain, [1] * m, [list(r) for r in A]
     else:
-        ring = ZZ
-        lam = [math.lcm(*(int(c.denominator) for e in r for c in e.coeffs))
-               for r in A]
-        D = [[LaurentPoly(ZZ, e.val, [int(c.numerator) * (k // int(
-            c.denominator)) for c in e.coeffs]) for e in r]
-             for r, k in zip(A, lam)]
+        ring, lam, D = ZZ, [], []
+        for r in A:
+            k, nums = domain.to_ints([c for e in r for c in e.coeffs])
+            lam.append(k)
+            nums = iter(nums)
+            D.append([LaurentPoly(ZZ, e.val, [next(nums) for _ in e.coeffs])
+                      for e in r])
     if transforms:
         diag = lambda dom, xs: [[LaurentPoly.constant(dom, x) if i == j
                                  else LaurentPoly.zero(dom)
@@ -483,7 +484,9 @@ def verify_shift_theorem(C: CochainComplex, radius: Optional[int] = None,
 
     Each degree starts at window ``radius`` (None: 8x the largest entry
     reach); on a non-stabilized answer the radius doubles, at most
-    ``WINDOW_DOUBLINGS`` times, before giving up.
+    ``WINDOW_DOUBLINGS`` times, before giving up.  An initial radius
+    beyond the last the default schedule tries, 2^WINDOW_DOUBLINGS
+    times the default, raises WindowTooLarge before any work is done.
 
     Raises NotWellFiltered (with the failing trace attached) when the
     complex does not satisfy the filtration conditions the shift
@@ -492,14 +495,20 @@ def verify_shift_theorem(C: CochainComplex, radius: Optional[int] = None,
     doublings.  ``progress``, if given, is called with each DegreeShift
     as soon as it is known, so long runs can stream results.
     """
+    default = default_window_radius(C)
+    cap = default * 2 ** WINDOW_DOUBLINGS
+    if radius is None:
+        radius = default
+    elif radius > cap:
+        raise WindowTooLarge(
+            f"window radius {radius} is beyond {cap}, the largest the "
+            f"default schedule tries (2^{WINDOW_DOUBLINGS} x {default})")
     wf = is_well_filtered(C)
     if not wf.ok:
         raise NotWellFiltered(
             f"complex is not well filtered: condition ({wf.condition}) "
             f"at path {list(wf.path)}: {wf.message}", trace=wf)
     co = cohomology(C)
-    if radius is None:
-        radius = default_window_radius(C)
     top = C.top_degree
     degrees = []
     for k in range(top + 1):

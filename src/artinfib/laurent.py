@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
 
 from .domains import GF, QQ, Domain
 from .errors import (
@@ -40,13 +39,12 @@ class LaurentPoly:
     coeffs: tuple
 
     def __init__(self, domain, val, coeffs):
-        # values of the domain's own type are canonical already; only
-        # foreign ints and rationals go through normalize
+        # values of the domain's own type are canonical already; anything
+        # else goes through normalize, which refuses what is not an int
+        # or a Fraction
         own = domain.element_type
-        self._store(domain, val,
-                    [c if type(c) is own
-                     else domain.normalize(c) if isinstance(c, (int, Fraction))
-                     else _not_float(c) for c in coeffs])
+        self._store(domain, val, [c if type(c) is own
+                                  else domain.normalize(c) for c in coeffs])
 
     def _store(self, domain, val, coeffs):
         """Trim zero coefficients off both ends and set the fields."""
@@ -206,8 +204,7 @@ class LaurentPoly:
         return _canonical(self.domain, self.val + k, self.coeffs)
 
     def scale(self, c):
-        c = self.domain.normalize(c) if isinstance(c, (int, Fraction)) \
-            else _not_float(c)
+        c = self.domain.normalize(c)
         return _canonical(self.domain, self.val,
                           [self.domain.mul(c, a) for a in self.coeffs])
 
@@ -226,7 +223,7 @@ class LaurentPoly:
     def evaluate(self, x):
         """Value at q = x (x must be invertible if valuation < 0)."""
         dom = self.domain
-        x = dom.normalize(x) if isinstance(x, (int, Fraction)) else x
+        x = dom.normalize(x)
         acc = dom.zero
         for c in reversed(self.coeffs):
             acc = dom.add(dom.mul(acc, x), c)
@@ -375,12 +372,6 @@ def _content_divided(p, g):
     return _canonical(p.domain, p.val, [c // g for c in p.coeffs])
 
 
-def _not_float(c):
-    if isinstance(c, float):
-        raise TypeError("float coefficients are not exact; use Fraction")
-    return c
-
-
 def _divide(a: LaurentPoly, b: LaurentPoly):
     """Shared long division from the top.  Over Q and Z it is one integer
     pseudo-division of the numerators over common denominators; over Z a
@@ -397,8 +388,8 @@ def _divide(a: LaurentPoly, b: LaurentPoly):
             if k != 1:
                 raise NotDivisible(f"({b}) does not divide ({a}) over {dom}")
             return quo, rem
-        da, num = _numerators(a.coeffs)
-        db, den = _numerators(b.coeffs)
+        da, num = dom.to_ints(a.coeffs)
+        db, den = dom.to_ints(b.coeffs)
         k, quo, rem = _pseudo_divide(num, den)
         # a = num / da and b = den / db, so a = (quo db / (k da)) b +
         # rem / (k da): one rational per result coefficient
@@ -418,15 +409,6 @@ def _divide(a: LaurentPoly, b: LaurentPoly):
         for j, bc in enumerate(b.coeffs[:-1]):
             rem[i + j] = dom.sub(rem[i + j], dom.mul(c, bc))
     return _canonical(dom, val, quo), _canonical(dom, a.val, rem[:top])
-
-
-def _numerators(coeffs):
-    """(d, numerators): the coefficients as integers over their lcm d.
-
-    Read through ``numerator`` and ``denominator`` only, so Fractions and
-    ``gmpy2.mpq`` both work."""
-    d = math.lcm(*(int(c.denominator) for c in coeffs))
-    return d, [int(c.numerator) * (d // int(c.denominator)) for c in coeffs]
 
 
 def _pseudo_divide(num, den):
@@ -534,8 +516,7 @@ def factor_cyclotomic(p: LaurentPoly):
     _, rem = p.normalized()
     # scaled to integer coefficients; dividing by the monic integer Phi_n
     # keeps them integral
-    den = math.lcm(*(c.denominator for c in rem.coeffs))
-    coeffs = [int(c * den) for c in rem.coeffs]
+    den, coeffs = QQ.to_ints(rem.coeffs)
     factors = []
     n = 0
     while n < 2 * (len(coeffs) - 1) ** 2:
@@ -549,7 +530,7 @@ def factor_cyclotomic(p: LaurentPoly):
             coeffs, mult = step[1], mult + 1
         if mult:
             factors.append((n, mult))
-    rem = LaurentPoly(QQ, 0, coeffs).scale(Fraction(1, den))
+    rem = LaurentPoly(QQ, 0, QQ.from_ints(coeffs, den))
     unit = LaurentPoly(QQ, p.val, (p.coeffs[-1],))
     return unit, factors, rem
 
@@ -776,15 +757,15 @@ def _divides_mod_prime(a: LaurentPoly, b: LaurentPoly) -> bool:
     # a and b over their denominators: rescaling keeps divisibility
     field = GF(_CHECK_PRIME)
     am, bm = (_canonical(field, p.val, [c % field.p for c in
-                                        _numerators(p.coeffs)[1]])
+                                        QQ.to_ints(p.coeffs)[1]])
               for p in (a, b))
     return bm.degree != b.degree or am.divrem(bm)[1].is_zero()
 
 
 def _bits(p: LaurentPoly) -> int:
     """Bit size of p's largest coefficient, numerator plus denominator."""
-    return max((int(c.numerator).bit_length()
-                + int(c.denominator).bit_length() for c in p.coeffs),
+    return max((c.numerator.bit_length() + c.denominator.bit_length()
+                for c in p.coeffs),
                default=0)
 
 
@@ -793,7 +774,10 @@ def parse_poly(text: str, domain: Domain = QQ) -> LaurentPoly:
 
     An exponent above ``MAX_EXPONENT`` in absolute value raises
     ParseError, as does a product or power whose predicted result has
-    (span + 1) x coefficient bits above ``MAX_PARSE_SIZE``.
+    (span + 1) x coefficient bits above ``MAX_PARSE_SIZE``, a product
+    whose convolution work is above ``MAX_PARSE_WORK`` (so
+    ``(1 + q + q^2)^20000`` over Z/3), and a ``/`` that is not exact
+    in ``domain`` (so ``(1 - q^5)/(3 - q)`` over Q).
     """
     tokens = _tokenize(text)
     if not tokens:

@@ -23,10 +23,8 @@ def integer_row(values, domain) -> list:
 
     Over GF(p) these are the residues in [0, p).  Over Q they are the
     primitive integer multiple: the values times the lcm of their
-    denominators, divided by the gcd of the results.  Elements are read
-    through ``int(x.numerator)`` and ``int(x.denominator)``, so Fractions,
-    ``gmpy2.mpq`` and ints all work; a list of ints with content 1 comes
-    back as it is.
+    denominators (``QQ.to_ints``), divided by the gcd of the results.  A
+    list of ints with content 1 comes back as it is.
     """
     p = domain.characteristic
     if p:
@@ -35,9 +33,7 @@ def integer_row(values, domain) -> list:
     try:
         g = math.gcd(*values)
     except TypeError:  # rationals, not ints: clear the denominators
-        den = math.lcm(*(int(x.denominator) for x in values))
-        values = [int(x.numerator) * (den // int(x.denominator))
-                  for x in values]
+        values = domain.to_ints(values)[1]
         g = math.gcd(*values)
     return values if g <= 1 else [x // g for x in values]
 

@@ -13,7 +13,6 @@ same for a full complex of series modules via banded linear algebra.
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
 
 from .domains import Domain
 from .errors import (
@@ -43,9 +42,7 @@ class WindowSeries:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "lo", int(lo))
         object.__setattr__(
-            self, "coeffs",
-            tuple(domain.normalize(c) if isinstance(c, (int, Fraction))
-                  else c for c in coeffs))
+            self, "coeffs", tuple(domain.normalize(c) for c in coeffs))
 
     @property
     def hi(self) -> int:

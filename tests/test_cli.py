@@ -365,6 +365,12 @@ def test_bad_inputs_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--type", "A2",
                            "--window-radius", "3")
     assert code == 2
+    # a radius past the doubling schedule's last is refused at once
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "verify", "--type", "A1",
+                           "--window-radius", "100000000")
+    assert code == 2 and "window radius 100000000 is beyond" in err
+    assert time.perf_counter() - start < 2.0
     # Z/3 twice would print its CSV rows twice
     code, _, err = run_cli(capsys, "cohomology", "--type", "A1",
                            "--coeff", "Z", "--primes", "3,3")

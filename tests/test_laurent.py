@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from artinfib.coxeter import MAX_DIHEDRAL_ORDER
@@ -55,6 +56,16 @@ def test_construction_trims_and_normalizes():
     assert c == 2 and type(c) is int
     with pytest.raises(UnsupportedDomain):
         LaurentPoly(ZZ, 0, (Fraction(1, 2),))
+    # numbers of other types are refused, not stored: an int64 kept over
+    # Z would wrap when squared
+    for dom in (QQ, ZZ, GF(5)):
+        for foreign in (np.int64(2**40), 0.5, 2.0):
+            with pytest.raises(TypeError):
+                LaurentPoly(dom, 0, (foreign, 1))
+            with pytest.raises(TypeError):
+                LaurentPoly.one(dom).scale(foreign)
+            with pytest.raises(TypeError):
+                LaurentPoly.one(dom).evaluate(foreign)
 
 
 def test_basic_arithmetic():

@@ -4,8 +4,6 @@ the projected kernel against its two-rank identity."""
 import random
 from fractions import Fraction
 
-import numpy as np
-
 import artinfib.linalg as linalg
 from artinfib.domains import GF, QQ
 from artinfib.linalg import (echelon, integer_row, projected_kernel_dim,
@@ -94,22 +92,24 @@ def mixed_rows(rng, domain, n_rows, n_cols):
     return rows
 
 
-class ForeignRational:
-    """A rational whose parts are not Python ints, as with gmpy2.mpq."""
-
-    def __init__(self, num, den):
-        self.numerator, self.denominator = np.int64(num), np.int64(den)
-
-
 def test_integer_row():
     assert integer_row([Fraction(1, 2), Fraction(-2, 3), Fraction(0)],
                        QQ) == [3, -4, 0]
     assert integer_row([6, -4, 10], QQ) == [3, -2, 5]
     assert integer_row([1, 0, -1], QQ) == [1, 0, -1]
     assert integer_row([], QQ) == []
-    got = integer_row([ForeignRational(1, 2), ForeignRational(-2, 3)], QQ)
-    assert got == [3, -4] and all(type(v) is int for v in got)
     assert integer_row([4, -1, 7], GF(3)) == [1, 2, 1]
+    # the rational branch runs on QQ.to_ints, the inverse of from_ints
+    for values, den, nums in (
+            ([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)], 12,
+             [6, -8, 15]),
+            ([Fraction(-7, 6), Fraction(0), Fraction(-1, 3)], 6,
+             [-7, 0, -2]),
+            ([3, -2, 0], 1, [3, -2, 0]),
+            ([], 1, [])):
+        got = QQ.to_ints(values)
+        assert got == (den, nums) and all(type(n) is int for n in got[1])
+        assert QQ.from_ints(nums, den) == values
 
 
 def test_echelon_matches_dense_elimination():

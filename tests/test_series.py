@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from artinfib.domains import GF, QQ, ZZ
@@ -31,6 +32,11 @@ def test_window_series_basics():
         w.restrict(-3, 0)
     assert not w.is_zero()
     assert WindowSeries(QQ, 4, (0, 0)).is_zero()
+    # numbers of other types are refused, not stored
+    for dom in (QQ, ZZ, GF(5)):
+        for foreign in (np.int64(2), 0.5):
+            with pytest.raises(TypeError):
+                WindowSeries(dom, 0, (1, foreign))
 
 
 def test_recurrence_geometric():
