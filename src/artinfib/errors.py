@@ -45,8 +45,8 @@ class WindowTooSmall(ArtinfibError):
 
 
 class WindowTooLarge(ArtinfibError):
-    """Initial truncation radius beyond the largest the default
-    schedule of window doublings would try."""
+    """Truncation radius beyond the largest the default schedule of
+    window doublings would try."""
 
 
 class NotStabilized(ArtinfibError):

@@ -26,7 +26,8 @@ from .errors import (NotStabilized, NotWellFiltered, RankMismatch,
                      UnsupportedDomain, WindowTooLarge)
 from .laurent import (LaurentPoly, factor_cyclotomic, format_poly)
 from .rmatrix import mat_shape
-from .series import default_window_radius, m_cohomology_dim_window
+from .series import (WINDOW_DOUBLINGS, default_window_radius,
+                     m_cohomology_dim_window)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -441,9 +442,6 @@ def homology(C: CochainComplex) -> tuple:
     its torsion is the nonunit invariant factors of d^k.
     """
     return _groups(C, homological=True)
-
-
-WINDOW_DOUBLINGS = 3
 
 
 @dataclasses.dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 from .domains import GF, QQ, Domain
 from .errors import (
@@ -41,8 +42,10 @@ class LaurentPoly:
     def __init__(self, domain, val, coeffs):
         # values of the domain's own type are canonical already; anything
         # else goes through normalize, which refuses what is not an int
-        # or a Fraction
+        # or a Fraction.  The valuation is an int in the same way: a float
+        # raises TypeError and a numpy integer becomes an int.
         own = domain.element_type
+        val = operator.index(val)
         self._store(domain, val, [c if type(c) is own
                                   else domain.normalize(c) for c in coeffs])
 
@@ -199,6 +202,7 @@ class LaurentPoly:
 
     def shift(self, k: int):
         """Multiply by q^k."""
+        k = operator.index(k)
         if self.is_zero():
             return self
         return _canonical(self.domain, self.val + k, self.coeffs)

@@ -4,21 +4,29 @@ An element of the module A[[q, q^-1]] of formal series with coefficients
 in both directions is never stored whole; computations work on a window
 [lo, hi] of coefficients plus the recurrences that extend them.  For a
 polynomial p with invertible extreme coefficients, multiplication by p on
-the series module is surjective with kernel of dimension span(p); the
-window side of that statement is what ``kernel_of_scalar_mul`` and
-``solve_scalar_mul`` compute, and ``m_cohomology_dim_window`` does the
-same for a full complex of series modules via banded linear algebra.
+the series module is surjective with kernel of dimension span(p).  The
+window side of that statement rests on one recurrence and one product:
+the rightward recurrence forced by p*m = 0 (``recurrence_extend``; the
+leftward one is the same after q -> q^-1), and ``LaurentPoly``
+multiplication of p by a window read as a polynomial.
+``kernel_of_scalar_mul`` runs the recurrence from unit seeds,
+``poly_window_product`` slices the product, and ``solve_scalar_mul``
+multiplies each half of its right-hand side by a one-sided inverse of p,
+the recurrence run from one unit seed.  ``m_cohomology_dim_window`` does
+the same for a full complex of series modules via banded linear algebra.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 from .domains import Domain
 from .errors import (
     NonInvertibleExtremes,
     SeedTooShort,
     UnsupportedDomain,
+    WindowTooLarge,
     WindowTooSmall,
 )
 from .laurent import LaurentPoly, extremes_invertible
@@ -40,7 +48,7 @@ class WindowSeries:
 
     def __init__(self, domain, lo, coeffs):
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "lo", int(lo))
+        object.__setattr__(self, "lo", operator.index(lo))
         object.__setattr__(
             self, "coeffs", tuple(domain.normalize(c) for c in coeffs))
 
@@ -79,6 +87,16 @@ def _extremes(p: LaurentPoly):
     return p.val, p.degree, p.coeffs[0], p.coeffs[-1]
 
 
+def _mirror(x: WindowSeries) -> WindowSeries:
+    """x after q -> q^-1: the window [-hi, -lo], read backwards."""
+    return WindowSeries(x.domain, -x.hi, x.coeffs[::-1])
+
+
+def _poly(x: WindowSeries) -> LaurentPoly:
+    """The window as a polynomial: x taken as zero outside it."""
+    return LaurentPoly(x.domain, x.lo, x.coeffs)
+
+
 def recurrence_extend(seed: WindowSeries, p: LaurentPoly, direction: str,
                       steps: int) -> WindowSeries:
     """Extend a seed window by the coefficients forced by p*m = 0.
@@ -86,35 +104,31 @@ def recurrence_extend(seed: WindowSeries, p: LaurentPoly, direction: str,
     Writing p = sum b_i q^i for i in [s, t], the relation pins
 
         a_k = -b_s^{-1} * sum_{i=1..t-s} b_{s+i} a_{k-i}   (rightward)
-        a_k = -b_t^{-1} * sum_{i=1..t-s} b_{t-i} a_{k+i}   (leftward)
 
-    so each new coefficient needs the previous span(p) ones.
+    so each new coefficient needs the previous span(p) ones.  Leftward
+    is the same recurrence after q -> q^-1, which turns m into its
+    mirror image and p into p(q^-1).
     """
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right': {direction}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    s, t, b_s, b_t = _extremes(p)
+    s, t, b_s, _ = _extremes(p)
     d = t - s
     if len(seed) < d:
         raise SeedTooShort(f"seed of length {len(seed)} < span {d}")
+    if direction == "left":
+        return _mirror(recurrence_extend(
+            _mirror(seed), p.subs_q_inverse(), "right", steps))
     dom = seed.domain
+    c = dom.neg(dom.inv(b_s))
     buf = list(seed.coeffs)
-    if direction == "right":
-        c = dom.neg(dom.inv(b_s))
-        for _ in range(steps):
-            acc = dom.zero
-            for i in range(1, d + 1):
-                acc = dom.add(acc, dom.mul(p.coeffs[i], buf[-i]))
-            buf.append(dom.mul(c, acc))
-        return WindowSeries(dom, seed.lo, buf)
-    c = dom.neg(dom.inv(b_t))
     for _ in range(steps):
         acc = dom.zero
         for i in range(1, d + 1):
-            acc = dom.add(acc, dom.mul(p.coeffs[d - i], buf[i - 1]))
-        buf.insert(0, dom.mul(c, acc))
-    return WindowSeries(dom, seed.lo - steps, buf)
+            acc = dom.add(acc, dom.mul(p.coeffs[i], buf[-i]))
+        buf.append(dom.mul(c, acc))
+    return WindowSeries(dom, seed.lo, buf)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,89 +178,49 @@ def poly_window_product(p: LaurentPoly, x: WindowSeries,
     With ``conservative`` (default) only coefficients fully determined by
     the window are returned, i.e. exponents [x.lo + deg p, x.hi + val p];
     otherwise x is treated as identically zero outside its window and the
-    full support [x.lo + val p, x.hi + deg p] comes back.
+    full support [x.lo + val p, x.hi + deg p] comes back.  Both are a
+    slice of the polynomial product p * x.
     """
     dom = x.domain
     if p.is_zero():
         return WindowSeries(dom, x.lo, [dom.zero] * len(x))
-    s, t = p.val, p.degree
     if conservative:
-        lo, hi = x.lo + t, x.hi + s
+        lo, hi = x.lo + p.degree, x.hi + p.val
     else:
-        lo, hi = x.lo + s, x.hi + t
-    out = []
-    for u in range(lo, hi + 1):
-        acc = dom.zero
-        for e, c in p.items():
-            v = u - e
-            if x.lo <= v <= x.hi:
-                acc = dom.add(acc, dom.mul(c, x.coeffs[v - x.lo]))
-        out.append(acc)
-    return WindowSeries(dom, lo, out) if hi >= lo else \
-        WindowSeries(dom, 0, ())
+        lo, hi = x.lo + p.val, x.hi + p.degree
+    if hi < lo:
+        return WindowSeries(dom, 0, ())
+    prod = p * _poly(x)
+    return WindowSeries(dom, lo, [prod.coeff(u) for u in range(lo, hi + 1)])
 
 
 def solve_scalar_mul(p: LaurentPoly, rhs: WindowSeries) -> WindowSeries:
     """A preimage x with p*x = rhs on the whole rhs window.
 
-    Splits rhs at exponent 0 and applies the two one-sided inverse series
-    of p (lower extreme for the nonnegative part, upper extreme for the
-    negative part); x comes back on [rhs.lo - deg p, rhs.hi - val p] and
-    the conservative product p*x reproduces rhs exactly on its window.
+    Splits rhs at exponent 0 and multiplies each half by a one-sided
+    inverse series of p: the nonnegative half by the one running right
+    from q^-val(p), the negative half by the one running left from
+    q^-deg(p).  Each inverse is the kernel recurrence run from a unit
+    seed; x comes back on [rhs.lo - deg p, rhs.hi - val p] and the
+    conservative product p*x reproduces rhs exactly on its window.
     """
     if len(rhs) == 0:
         raise WindowTooSmall("empty right-hand side window")
     s, t, b_s, b_t = _extremes(p)
-    d = t - s
     dom = rhs.domain
+    # a unit seed has length 1 even for span(p) = 0
+    zeros = [dom.zero] * max(t - s - 1, 0)
+    right = recurrence_extend(
+        WindowSeries(dom, -s - len(zeros), zeros + [dom.inv(b_s)]),
+        p, "right", max(rhs.hi, 0))
+    left = recurrence_extend(
+        WindowSeries(dom, -t, [dom.inv(b_t)] + zeros),
+        p, "left", max(-rhs.lo, 0))
+    plus = LaurentPoly(dom, rhs.lo, [c if rhs.lo + i >= 0 else dom.zero
+                                     for i, c in enumerate(rhs.coeffs)])
+    x = _poly(right) * plus + _poly(left) * (_poly(rhs) - plus)
     x_lo, x_hi = rhs.lo - t, rhs.hi - s
-
-    # alpha: p * q^-s / b_s, a polynomial with constant term 1
-    inv_bs = dom.inv(b_s)
-    alpha = [dom.mul(inv_bs, c) for c in p.coeffs]
-    # beta: p * q^-t / b_t, exponents -d..0, constant term 1
-    inv_bt = dom.inv(b_t)
-    beta = [dom.mul(inv_bt, c) for c in p.coeffs]
-
-    plus_hi = rhs.hi
-    c_series = []
-    if plus_hi >= 0:
-        # inverse of alpha as a power series: C_0 = 1, recurrence below
-        c_series = [dom.one]
-        for u in range(1, plus_hi + 1):
-            acc = dom.zero
-            for i in range(1, min(u, d) + 1):
-                acc = dom.add(acc, dom.mul(alpha[i], c_series[u - i]))
-            c_series.append(dom.neg(acc))
-
-    minus_lo = rhs.lo
-    d_series = []
-    if minus_lo < 0:
-        depth = -minus_lo  # need D_0 .. D_{minus_lo+1}; one spare is fine
-        d_series = [dom.one]  # d_series[u] holds D_{-u}
-        for u in range(1, depth + 1):
-            acc = dom.zero
-            for i in range(1, min(u, d) + 1):
-                acc = dom.add(acc, dom.mul(beta[d - i], d_series[u - i]))
-            d_series.append(dom.neg(acc))
-
-    out = []
-    for w in range(x_lo, x_hi + 1):
-        acc = dom.zero
-        # x_plus: sum over rhs exponents v >= 0 with C index w - v + s >= 0
-        for v in range(max(rhs.lo, 0), rhs.hi + 1):
-            idx = w - v + s
-            if 0 <= idx < len(c_series):
-                acc = dom.add(acc, dom.mul(
-                    dom.mul(inv_bs, c_series[idx]), rhs.coeffs[v - rhs.lo]))
-        # x_minus: rhs exponents v < 0 with D index w - v + t <= 0
-        for v in range(rhs.lo, min(rhs.hi, -1) + 1):
-            idx = v - w - t  # = -(w - v + t)
-            if 0 <= idx < len(d_series):
-                acc = dom.add(acc, dom.mul(
-                    dom.mul(inv_bt, d_series[idx]), rhs.coeffs[v - rhs.lo]))
-        out.append(acc)
-    return WindowSeries(dom, x_lo, out)
+    return WindowSeries(dom, x_lo, [x.coeff(w) for w in range(x_lo, x_hi + 1)])
 
 
 # -- windowed complexes of series modules ------------------------------
@@ -334,6 +308,12 @@ def image_rows(entries, radius: int, domain: Domain, lo: int, hi: int):
                 yield row
 
 
+# the shift check doubles a radius that has not stabilized at most this
+# many times; 2^(2 * WINDOW_DOUBLINGS) times the default radius is the
+# largest it can reach, and the largest a window computation accepts
+WINDOW_DOUBLINGS = 3
+
+
 def default_window_radius(complex_) -> int:
     """Default truncation radius: 8x the largest entry reach."""
     reach = 1
@@ -350,7 +330,9 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     vectors under d^(k-1), and measures both only on the stable interior
     (3x the band reach discarded at each end).  The computation runs at N
     and N + 2*reach; ``stabilized`` reports whether the two agree, and the
-    dimension at the larger radius is returned.
+    dimension at the larger radius is returned.  A radius beyond
+    2^(2 * WINDOW_DOUBLINGS) times the default raises WindowTooLarge
+    before any row is built.
     """
     dom = complex_.domain
     if not dom.is_field:
@@ -366,8 +348,14 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     d_in = complex_.diff(k - 1) or ()
     reach = max(1, matrix_reach(d_out), matrix_reach(d_in))
     discard = 3 * reach
+    default = default_window_radius(complex_)
+    cap = default * 2 ** (2 * WINDOW_DOUBLINGS)
     if radius is None:
-        radius = default_window_radius(complex_)
+        radius = default
+    elif radius > cap:
+        raise WindowTooLarge(
+            f"window radius {radius} is beyond {cap}, the largest a window "
+            f"computation accepts (2^{2 * WINDOW_DOUBLINGS} x {default})")
     if radius < discard + 1:
         raise WindowTooSmall(
             f"radius {radius} leaves no interior beyond the {discard} "

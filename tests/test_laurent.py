@@ -68,6 +68,24 @@ def test_construction_trims_and_normalizes():
                 LaurentPoly.one(dom).evaluate(foreign)
 
 
+def test_exponents_are_ints():
+    # a float valuation or shift is refused, not stored as q^2.5
+    with pytest.raises(TypeError):
+        LaurentPoly(QQ, 2.5, (1, 1))
+    with pytest.raises(TypeError):
+        LaurentPoly.q_power(QQ, 1.5)
+    for p in (LaurentPoly.one(QQ), LaurentPoly.zero(QQ)):
+        with pytest.raises(TypeError):
+            p.shift(1.5)
+    # a numpy integer becomes an int
+    for p in (LaurentPoly(QQ, np.int64(2), (1, 1)),
+              LaurentPoly.q_power(GF(5), np.int32(2)).shift(np.int64(1)) *
+              LaurentPoly.q_power(GF(5), -1)):
+        assert p.val == 2 and type(p.val) is int
+    assert str(LaurentPoly(QQ, np.int64(2), (1, 1)) ** 2) == \
+        "q^6 + 2*q^5 + q^4"
+
+
 def test_basic_arithmetic():
     one = LaurentPoly.one(QQ)
     q = LaurentPoly.q_power(QQ, 1)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +10,14 @@ import pytest
 
 from artinfib.domains import GF, QQ, ZZ
 from artinfib.errors import (NonInvertibleExtremes, SeedTooShort,
-                             UnsupportedDomain, WindowTooSmall)
+                             UnsupportedDomain, WindowTooLarge,
+                             WindowTooSmall)
 from artinfib.laurent import LaurentPoly, parse_poly
-from artinfib.series import (WindowSeries, equation_rows, image_rows,
-                             kernel_of_scalar_mul, m_cohomology_dim_window,
-                             poly_window_product, recurrence_extend,
-                             solve_scalar_mul)
+from artinfib.series import (WINDOW_DOUBLINGS, WindowSeries,
+                             default_window_radius, equation_rows,
+                             image_rows, kernel_of_scalar_mul,
+                             m_cohomology_dim_window, poly_window_product,
+                             recurrence_extend, solve_scalar_mul)
 from artinfib.complexes import (CochainComplex, build_generic_complex,
                                 build_salvetti_complex, koszul_family,
                                 transpose_complex)
@@ -37,6 +40,11 @@ def test_window_series_basics():
         for foreign in (np.int64(2), 0.5):
             with pytest.raises(TypeError):
                 WindowSeries(dom, 0, (1, foreign))
+    # and so is a window start that is not an integer
+    with pytest.raises(TypeError):
+        WindowSeries(QQ, 2.7, (1,))
+    lo = WindowSeries(QQ, np.int64(-2), (1,)).lo
+    assert lo == -2 and type(lo) is int
 
 
 def test_recurrence_geometric():
@@ -127,6 +135,55 @@ def test_solve_round_trip_seeded():
             assert back.coeffs == rhs.coeffs
     with pytest.raises(WindowTooSmall):
         solve_scalar_mul(parse_poly("1 - q", QQ), WindowSeries(QQ, 0, ()))
+
+
+def test_span_zero_round_trip():
+    # a monomial c*q^k is a unit: no kernel, and x = c^-1 q^-k * rhs
+    for dom in (QQ, GF(3), ZZ):
+        for c, k in ((1, 0), (-1, 3), (2 if dom is not ZZ else -1, -2)):
+            p = LaurentPoly(dom, k, (c,))
+            ker = kernel_of_scalar_mul(p)
+            assert ker.dim == 0 and ker.basis_on_window(-5, 5) == []
+            for lo in (-6, -1, 0, 2):
+                rhs = WindowSeries(dom, lo, (1, -2, 0, 4, 5))
+                x = solve_scalar_mul(p, rhs)
+                assert (x.lo, x.hi) == (lo - k, rhs.hi - k)
+                assert x.coeffs == tuple(dom.mul(dom.inv(p.coeffs[0]), a)
+                                         for a in rhs.coeffs)
+                back = poly_window_product(p, x)
+                assert (back.lo, back.coeffs) == (rhs.lo, rhs.coeffs)
+
+
+def test_kernel_matches_koszul_window():
+    # the recurrence side and the elimination side are independent: the
+    # kernel of p on the series module is H^0 of the one-generator
+    # Koszul complex R --p--> R tensored with it, and p is onto
+    rng = random.Random(23)
+    for dom in (QQ, GF(3)):
+        for _ in range(40):
+            span = rng.randint(0, 5)
+            coeffs = [rng.choice((-1, 1, 2))] + \
+                [rng.randint(-3, 3) for _ in range(span - 1)] + \
+                ([rng.choice((-1, 1))] if span else [])
+            p = LaurentPoly(dom, rng.randint(-3, 3), tuple(coeffs))
+            K = build_generic_complex(koszul_family((1,), [p], dom))
+            dim = kernel_of_scalar_mul(p).dim
+            assert dim == m_cohomology_dim_window(K, 0)[0] == p.span
+            assert m_cohomology_dim_window(K, 1)[0] == 0
+
+
+def test_window_radius_cap():
+    C = build_salvetti_complex(finite_type_system("A1"))
+    cap = default_window_radius(C) * 2 ** (2 * WINDOW_DOUBLINGS)
+    # the largest radius the shift check's doublings reach still runs
+    assert m_cohomology_dim_window(C, 0, cap) == (1, True)
+    with pytest.raises(WindowTooLarge):
+        m_cohomology_dim_window(C, 0, cap + 1)
+    # and a huge radius fails before any row is built
+    start = time.perf_counter()
+    with pytest.raises(WindowTooLarge):
+        m_cohomology_dim_window(C, 0, 10**8)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_window_dims_a2():
