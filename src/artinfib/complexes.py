@@ -245,14 +245,16 @@ def salvetti_family(system: CoxeterSystem, domain: Domain = QQ
 
     p[Delta, w] = (-1)^{#{i in Delta : i < w}} (W_{Delta+w} / W_Delta)(-q),
     where W_X is the Poincare polynomial of the parabolic subgroup on X.
-    Every finite standard parabolic makes the quotient an honest
-    polynomial, so this is defined whenever all proper parabolics are
-    finite, in particular for all finite and affine types.
+    The quotients are integer polynomials, mapped into ``domain``.  The
+    family needs W_Gamma itself to be finite: a system whose full
+    generating set is not of finite type, an affine one included, raises
+    NotFiniteType.
     """
     gamma = tuple(range(1, system.n + 1))
     entries = {}
     for delta, w in _pairs(gamma):
-        quot = poincare_quotient(system, delta, w, domain)
+        quot = poincare_quotient(system, delta, w)
+        quot = LaurentPoly(domain, quot.val, quot.coeffs)
         entries[(delta, w)] = _alternating(quot.subs_neg_q(), delta, w)
     return PolynomialFamily(domain=domain, gamma=gamma, entries=entries)
 

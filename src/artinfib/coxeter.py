@@ -5,12 +5,14 @@ parabolic W_Delta is the length generating function
 
     W_Delta(q) = sum_{w in W_Delta} q^{l(w)} = prod_i [d_i]_q
 
-with d_i the degrees of the component types; ``poincare_poly`` uses the
-degree tables, ``poincare_poly_bruteforce`` enumerates the group through
-an exact reflection representation and is the independent cross-check.
+with d_i the degrees of the component types, so every Poincare polynomial
+here is over Z.  ``poincare_poly`` uses the degree tables,
+``poincare_poly_bruteforce`` enumerates the group through an exact
+reflection representation and is the independent cross-check.
 
-Diagram numbering conventions (used by ``finite_type_system`` and by the
-component ordering that ``parabolic_components`` returns):
+Diagram numbering conventions, which belong to ``finite_type_system``
+alone (``parabolic_components`` names each component by its type and
+lists its generators in ascending order):
 
     A_n   chain 1-2-...-n
     B_n   chain with the double edge last: m(n-1, n) = 4
@@ -30,7 +32,7 @@ import re
 
 import numpy as np
 
-from .domains import QQ, Domain
+from .domains import ZZ
 from .errors import (
     GroupTooLarge,
     InfiniteGroup,
@@ -42,7 +44,10 @@ from .laurent import LaurentPoly, q_bracket
 DEFAULT_GROUP_BOUND = 10**6
 
 # caps on what ``system_from_string`` accepts: A12 already has a
-# 4096-cell complex, and I2(m) work grows with m
+# 4096-cell complex, and I2(m) work grows with m.  Labels of rank 10-12
+# pass the cap, but their cohomology does not finish in minutes (A10
+# ran for more than 200 s over Z/3 and 240 s over Q); see ROADMAP.md,
+# item 1
 MAX_TOTAL_RANK = 12
 MAX_DIHEDRAL_ORDER = 10**5
 
@@ -269,103 +274,56 @@ def system_from_string(text: str) -> CoxeterSystem:
 # -- component classification -------------------------------------------
 
 
-def _walk_path(adj, start, verts):
-    """Order a path's vertices starting from the endpoint ``start``."""
-    order = [start]
-    prev = None
-    cur = start
-    while len(order) < len(verts):
-        nxts = [w for w in adj[cur] if w != prev]
-        assert len(nxts) == 1
-        prev, cur = cur, nxts[0]
-        order.append(cur)
-    return order
+def _classify_component(system: CoxeterSystem, verts) -> FiniteTypeLabel:
+    """The finite type of the connected diagram on ``verts``.
 
-
-def _classify_component(system: CoxeterSystem, verts) -> tuple:
-    """(FiniteTypeLabel, generator tuple ordered per the type numbering).
-
-    NotFiniteType if the connected diagram is not of finite type.
+    A, D and E are told apart by the arm lengths at the branch node, B, F
+    and H by where the one edge labeled above 3 sits.  NotFiniteType if
+    the diagram is not of finite type.
     """
-    verts = sorted(verts)
     k = len(verts)
-    if k == 1:
-        return FiniteTypeLabel("A", 1), (verts[0],)
     edges = _edges(system, verts)
     if len(edges) != k - 1:
         raise NotFiniteType(
             f"component {verts} contains a circuit; not finite type")
-    adj = {v: [] for v in verts}
-    for (a, b) in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    degs = {v: len(adj[v]) for v in verts}
-    heavy = sorted((m, (a, b)) for (a, b), m in edges.items() if m > 3)
+    degs = {v: 0 for v in verts}
+    for a, b in edges:
+        degs[a] += 1
+        degs[b] += 1
+    branch = [v for v in verts if degs[v] >= 3]
+    heavy = [(m, e) for e, m in edges.items() if m > 3]
 
     if not heavy:
-        branch = [v for v in verts if degs[v] >= 3]
         if not branch:
-            ends = sorted(v for v in verts if degs[v] == 1)
-            return (FiniteTypeLabel("A", k),
-                    tuple(_walk_path(adj, ends[0], verts)))
+            return FiniteTypeLabel("A", k)
         if len(branch) > 1 or degs[branch[0]] > 3:
             raise NotFiniteType(
                 f"component {verts} has more than one branch point")
-        node = branch[0]
-        arms = []
-        for first in adj[node]:
-            arm = [first]
-            prev, cur = node, first
-            while degs[cur] == 2:
-                nxt = [w for w in adj[cur] if w != prev][0]
-                prev, cur = cur, nxt
-                arm.append(cur)
-            arms.append(arm)
-        arms.sort(key=lambda a: (len(a), a[-1]))
-        lens = tuple(len(a) for a in arms)
-        if lens[0] == 1 and lens[1] == 1:
-            chain = list(reversed(arms[2])) + [node]
-            leaves = sorted((arms[0][0], arms[1][0]))
-            return (FiniteTypeLabel("D", k), tuple(chain) + tuple(leaves))
-        if lens[0] == 1 and lens[1] == 2 and lens[2] in (2, 3, 4):
-            label = FiniteTypeLabel("E", k)
-            short, mid, long_ = arms
-            order = [mid[1], short[0], mid[0], node] + long_
-            return label, tuple(order)
+        arms = sorted(len(c) for c in
+                      _connected_components(system, set(verts) - {branch[0]}))
+        if arms[:2] == [1, 1]:
+            return FiniteTypeLabel("D", k)
+        if arms[:2] == [1, 2] and arms[2] <= 4:
+            return FiniteTypeLabel("E", k)
         raise NotFiniteType(
-            f"component {verts} branches with arm lengths {lens}")
+            f"component {verts} branches with arm lengths {tuple(arms)}")
 
     if len(heavy) > 1:
         raise NotFiniteType(
             f"component {verts} has several edges labeled above 3")
-    m, (a, b) = heavy[0]
-    if k == 2:
-        if m == 3:
-            return FiniteTypeLabel("A", 2), (a, b)
-        if m == 4:
-            return FiniteTypeLabel("B", 2), (a, b)
-        return FiniteTypeLabel("I", 2, m), (a, b)
-    if any(degs[v] >= 3 for v in verts):
+    if branch:
         raise NotFiniteType(
             f"component {verts} mixes a branch point with a labeled edge")
-    ends = sorted(v for v in verts if degs[v] == 1)
-    path = _walk_path(adj, ends[0], verts)
-    pos = {v: i for i, v in enumerate(path)}
-    ia, ib = sorted((pos[a], pos[b]))
-    if m == 4:
-        if (ia, ib) == (k - 2, k - 1):
-            return FiniteTypeLabel("B", k), tuple(path)
-        if (ia, ib) == (0, 1):
-            return FiniteTypeLabel("B", k), tuple(reversed(path))
-        if k == 4 and (ia, ib) == (1, 2):
-            return FiniteTypeLabel("F", 4), tuple(path)
-        raise NotFiniteType(
-            f"component {verts}: interior 4-edge is not finite type")
-    if m == 5 and k in (3, 4):
-        if (ia, ib) == (0, 1):
-            return FiniteTypeLabel("H", k), tuple(path)
-        if (ia, ib) == (k - 2, k - 1):
-            return FiniteTypeLabel("H", k), tuple(reversed(path))
+    m, (a, b) = heavy[0]
+    if k == 2:
+        return FiniteTypeLabel("B", 2) if m == 4 else FiniteTypeLabel("I", 2, m)
+    at_leaf = 1 in (degs[a], degs[b])
+    if m == 4 and at_leaf:
+        return FiniteTypeLabel("B", k)
+    if m == 4 and k == 4:  # the middle edge of a path of four
+        return FiniteTypeLabel("F", 4)
+    if m == 5 and k in (3, 4) and at_leaf:
+        return FiniteTypeLabel("H", k)
     raise NotFiniteType(
         f"component {verts}: edge label {m} in rank {k} is not finite type")
 
@@ -373,14 +331,14 @@ def _classify_component(system: CoxeterSystem, verts) -> tuple:
 def parabolic_components(system: CoxeterSystem, delta) -> list:
     """Split Delta into connected components and classify each.
 
-    Returns a list of (FiniteTypeLabel, ordered generator tuple); raises
-    NotFiniteType if any component is not of finite type.
+    Returns a list of (FiniteTypeLabel, ascending generator tuple);
+    raises NotFiniteType if any component is not of finite type.
     """
     delta = set(delta)
     for v in delta:
         if not 1 <= v <= system.n:
             raise InvalidRank(f"generator {v} outside 1..{system.n}")
-    return [_classify_component(system, comp)
+    return [(_classify_component(system, comp), tuple(comp))
             for comp in _connected_components(system, delta)]
 
 
@@ -388,31 +346,28 @@ def parabolic_components(system: CoxeterSystem, delta) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _poincare_cached(matrix, delta, domain):
-    system = CoxeterSystem(matrix)
-    out = LaurentPoly.one(domain)
-    for label, _gens in parabolic_components(system, delta):
+def _poincare_cached(matrix, delta):
+    out = LaurentPoly.one(ZZ)
+    for label, _gens in parabolic_components(CoxeterSystem(matrix), delta):
         for d in label.degrees():
-            out = out * q_bracket(d, domain)
+            out = out * q_bracket(d, ZZ)
     return out
 
 
-def poincare_poly(system: CoxeterSystem, delta=None,
-                  domain: Domain = QQ) -> LaurentPoly:
+def poincare_poly(system: CoxeterSystem, delta=None) -> LaurentPoly:
     """Length generating polynomial of W_Delta via the degree tables."""
     if delta is None:
         delta = system.generators
-    return _poincare_cached(system.matrix, tuple(sorted(set(delta))), domain)
+    return _poincare_cached(system.matrix, tuple(sorted(set(delta))))
 
 
-def poincare_quotient(system: CoxeterSystem, delta, j: int,
-                      domain: Domain = QQ) -> LaurentPoly:
+def poincare_quotient(system: CoxeterSystem, delta, j: int) -> LaurentPoly:
     """W_{Delta + {j}}(q) / W_Delta(q); exact for finite types."""
     delta = set(delta)
     if j in delta:
         raise InvalidRank(f"generator {j} already in {sorted(delta)}")
-    num = poincare_poly(system, delta | {j}, domain)
-    den = poincare_poly(system, delta, domain)
+    num = poincare_poly(system, delta | {j})
+    den = poincare_poly(system, delta)
     return num.divexact(den)
 
 
@@ -553,7 +508,6 @@ def _component_length_counts(system, verts, bound):
 
 
 def poincare_poly_bruteforce(system: CoxeterSystem, delta=None,
-                             domain: Domain = QQ,
                              bound: int = DEFAULT_GROUP_BOUND) -> LaurentPoly:
     """Length generating polynomial by exact group enumeration.
 
@@ -565,9 +519,8 @@ def poincare_poly_bruteforce(system: CoxeterSystem, delta=None,
     if delta is None:
         delta = system.generators
     delta = set(delta)
-    out = LaurentPoly.one(domain)
+    out = LaurentPoly.one(ZZ)
     for comp in _connected_components(system, delta):
-        counts = _component_length_counts(system, comp, bound)
-        out = out * LaurentPoly(domain, 0, [domain.from_int(c)
-                                            for c in counts])
+        out = out * LaurentPoly(ZZ, 0, _component_length_counts(
+            system, comp, bound))
     return out

@@ -161,10 +161,22 @@ def _diagonalize(A, m, n, domain, transforms):
         U, Uinv, V, Vinv = [[] for _ in range(m)], [], [], \
             [[] for _ in range(n)]
     one = LaurentPoly.one(ring)
+    # A cap on the passes turns a faulty elimination step, which would
+    # alternate forever, into an error.  No count is proved for this pivot
+    # rule (least span first, wherever it sits), so the cap is set well
+    # above the longest runs found, in terms of S, the total span of A.
+    # Random matrices up to 6x6, shifted by up to q^60 or not, and the
+    # Salvetti complexes A3-H4 end within 4 passes.  The longest family
+    # found is diagonal, d_i = (q - 2)^(k-i) (q - 3)^i, whose chain needs
+    # a repair per step: k^2 = S passes.  No repair was followed by more
+    # than 3 passes, and 2 (min(m, n) + 1) (S + 1) is at least 4 times
+    # the passes of every input tried.
+    limit = 2 * (min(m, n) + 1) * (
+        sum(e.span for r in A for e in r if e.coeffs) + 1)
     # start on the long side, where the kernel is, and leave the other
     # transform as close to a permutation as the input allows
     by_rows = m >= n
-    while True:
+    for _ in range(limit):
         if by_rows:
             _echelon(D, U, Uinv, V, Vinv, domain)
         else:
@@ -188,6 +200,8 @@ def _diagonalize(A, m, n, domain, transforms):
         # column pass replaces d_t by their gcd
         _row_addmul(D, U, Uinv, bad, bad + 1, one, domain)
         by_rows = False
+    raise RuntimeError(f"{m}x{n} Smith form not diagonal after {limit} "
+                       f"passes: an elimination step is at fault")
 
 
 def _over(domain, p):

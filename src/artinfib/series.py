@@ -80,7 +80,14 @@ class WindowSeries:
         return f"[q^{self.lo}..q^{self.hi}: {body}]"
 
 
-def _extremes(p: LaurentPoly):
+def _same_domain(p: LaurentPoly, domain: Domain):
+    if p.domain != domain:
+        raise UnsupportedDomain(
+            f"({p}) is over {p.domain}, the window over {domain}")
+
+
+def _extremes(p: LaurentPoly, domain: Domain):
+    _same_domain(p, domain)
     if not extremes_invertible(p):
         raise NonInvertibleExtremes(
             f"({p}) needs invertible extreme coefficients over {p.domain}")
@@ -113,7 +120,7 @@ def recurrence_extend(seed: WindowSeries, p: LaurentPoly, direction: str,
         raise ValueError(f"direction must be 'left' or 'right': {direction}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    s, t, b_s, _ = _extremes(p)
+    s, t, b_s, _ = _extremes(p, seed.domain)
     d = t - s
     if len(seed) < d:
         raise SeedTooShort(f"seed of length {len(seed)} < span {d}")
@@ -161,7 +168,7 @@ class RecurrenceKernel:
 
 def kernel_of_scalar_mul(p: LaurentPoly) -> RecurrenceKernel:
     """Kernel of multiplication by p on the bi-infinite series module."""
-    _extremes(p)
+    _extremes(p, p.domain)
     d = p.span
     dom = p.domain
     seeds = tuple(
@@ -182,6 +189,7 @@ def poly_window_product(p: LaurentPoly, x: WindowSeries,
     slice of the polynomial product p * x.
     """
     dom = x.domain
+    _same_domain(p, dom)
     if p.is_zero():
         return WindowSeries(dom, x.lo, [dom.zero] * len(x))
     if conservative:
@@ -206,7 +214,7 @@ def solve_scalar_mul(p: LaurentPoly, rhs: WindowSeries) -> WindowSeries:
     """
     if len(rhs) == 0:
         raise WindowTooSmall("empty right-hand side window")
-    s, t, b_s, b_t = _extremes(p)
+    s, t, b_s, b_t = _extremes(p, rhs.domain)
     dom = rhs.domain
     # a unit seed has length 1 even for span(p) = 0
     zeros = [dom.zero] * max(t - s - 1, 0)

@@ -1,5 +1,6 @@
 """Finite type labels, Coxeter systems, and Poincare polynomials."""
 
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from artinfib.coxeter import (CoxeterSystem, FiniteTypeLabel,
                               parse_label, poincare_poly,
                               poincare_poly_bruteforce, poincare_quotient,
                               system_from_string)
-from artinfib.domains import QQ
+from artinfib.domains import QQ, ZZ
 from artinfib.errors import (GroupTooLarge, InfiniteGroup, InvalidRank,
                              NotFiniteType)
 from artinfib.laurent import parse_poly
@@ -116,10 +117,10 @@ def test_poincare_matches_bruteforce():
 
 def test_poincare_of_parabolic():
     a3 = finite_type_system("A3")
-    assert poincare_poly(a3, {1, 3}) == parse_poly("(1 + q)^2", QQ)
-    assert poincare_poly(a3, set()) == parse_poly("1", QQ)
+    assert poincare_poly(a3, {1, 3}) == parse_poly("(1 + q)^2", ZZ)
+    assert poincare_poly(a3, set()) == parse_poly("1", ZZ)
     quot = poincare_quotient(a3, {1, 2}, 3)
-    assert quot == parse_poly("1 + q + q^2 + q^3", QQ)
+    assert quot == parse_poly("1 + q + q^2 + q^3", ZZ)
     with pytest.raises(InvalidRank):
         poincare_quotient(a3, {1, 2}, 2)
 
@@ -145,3 +146,56 @@ def test_bruteforce_guards():
     seven = CoxeterSystem(((1, 7, 2), (7, 1, 3), (2, 3, 1)))
     with pytest.raises(InfiniteGroup):
         poincare_poly_bruteforce(seven)
+
+
+# every tree on 3, 4 and 5 nodes, up to isomorphism, with the edge
+# labels tried on it and the enumeration bound that separates the finite
+# groups of that rank (largest: H3 = 120, H4 = 14400, B5 = 3840) from the
+# infinite ones
+TREES = (
+    (3, ((1, 2), (2, 3)), (3, 4, 5, 6), 200),
+    (4, ((1, 2), (2, 3), (3, 4)), (3, 4, 5, 6), 15000),
+    (4, ((1, 2), (2, 3), (2, 4)), (3, 4, 5, 6), 15000),
+    (5, ((1, 2), (2, 3), (3, 4), (4, 5)), (3, 4, 5), 4000),
+    (5, ((1, 2), (2, 3), (3, 4), (3, 5)), (3, 4, 5), 4000),
+    (5, ((1, 2), (2, 3), (2, 4), (2, 5)), (3, 4, 5), 4000),
+)
+
+
+def test_classifier_agrees_with_enumeration_on_labelled_trees():
+    # the degree tables (through the classifier) and the brute force
+    # enumeration must agree on every labelled tree: both polynomials
+    # where the group is finite, both refusals where it is not
+    rng = random.Random(31)
+    seen, finite = 0, 0
+    for n, edges, labels, bound in TREES:
+        for marks in itertools.product(labels, repeat=len(edges)):
+            # a random numbering, so no shape comes in one order only
+            perm = list(range(n))
+            rng.shuffle(perm)
+            mat = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+            for (a, b), m in zip(edges, marks):
+                mat[perm[a - 1]][perm[b - 1]] = m
+                mat[perm[b - 1]][perm[a - 1]] = m
+            system = CoxeterSystem(mat)
+            try:
+                table = poincare_poly(system)
+            except NotFiniteType:
+                table = None
+            try:
+                brute = poincare_poly_bruteforce(system, bound=bound)
+            except (GroupTooLarge, InfiniteGroup):
+                brute = None
+            assert table == brute, (mat, table, brute)
+            seen += 1
+            finite += table is not None
+    # finite: A3, B3 and H3 (the last two either way round), A4, B4 and
+    # H4 (either way round), F4, D4, A5, B5 (either way round) and D5
+    assert (seen, finite) == (387, 16)
+    # one arm too long for E8: the affine E8, whose group is infinite
+    e8 = [[1 if i == j else 2 for j in range(9)] for i in range(9)]
+    for a, b in ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9),
+                 (2, 4)):
+        e8[a - 1][b - 1] = e8[b - 1][a - 1] = 3
+    with pytest.raises(NotFiniteType):
+        poincare_poly(CoxeterSystem(e8))

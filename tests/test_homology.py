@@ -157,6 +157,20 @@ def test_transform_free_repair_merges_diagonal():
     assert _invariant_factors(((), ()), 2, 0, QQ) == ()
 
 
+def test_diagonalize_stops_when_a_pass_makes_no_progress(monkeypatch):
+    # with an elimination pass that does nothing, the alternation would
+    # run forever; past its cap on passes it raises instead
+    module = importlib.import_module("artinfib.homology")
+    monkeypatch.setattr(module, "_echelon", lambda *args: None)
+    f, g, zero = P("q - 1"), P("q + 1"), LaurentPoly.zero(QQ)
+    # not diagonal, and diagonal but not a divisibility chain
+    for A in (((f, g), (g, f)), ((f, zero), (zero, g))):
+        with pytest.raises(RuntimeError, match="not diagonal"):
+            _invariant_factors(A, 2, 2, QQ)
+        with pytest.raises(RuntimeError, match="not diagonal"):
+            smith_normal_form(A, QQ)
+
+
 def assert_factors_match_full_decomposition(C, label):
     # both run on integer rows over Q, but with transforms a row of
     # [D | U] is kept primitive, not D's row alone, and the kernel rows

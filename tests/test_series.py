@@ -116,6 +116,23 @@ def test_window_product_modes():
     assert len(narrow) == 0
 
 
+def test_mixed_domains_raise_one_error():
+    # p over Q against windows over Z/3, short and long: every helper
+    # refuses the pair before it computes anything
+    p = parse_poly("1 - q + q^2", QQ)
+    for x in (WindowSeries(GF(3), 0, (1,)),
+              WindowSeries(GF(3), -4, (1, 2, 0, 1, 1, 2, 1, 0, 1))):
+        with pytest.raises(UnsupportedDomain):
+            recurrence_extend(x, p, "right", 2)
+        with pytest.raises(UnsupportedDomain):
+            recurrence_extend(x, p, "left", 2)
+        with pytest.raises(UnsupportedDomain):
+            solve_scalar_mul(p, x)
+        for conservative in (True, False):
+            with pytest.raises(UnsupportedDomain):
+                poly_window_product(p, x, conservative)
+
+
 def test_solve_round_trip_seeded():
     rng = random.Random(19)
     for dom in (QQ, GF(3)):
