@@ -37,8 +37,8 @@ from .complexes import (CochainComplex, WellFilteredResult,
 from .coxeter import CoxeterSystem, poincare_poly, system_from_string
 from .domains import GF, QQ, Domain, domain_from_spec
 from .errors import ArtinfibError, NotStabilized, NotWellFiltered
-from .homology import (ShiftReport, cohomology, monodromy_char_poly,
-                       verify_shift_theorem)
+from .homology import (ShiftReport, check_smith_cells, cohomology,
+                       monodromy_char_poly, verify_shift_theorem)
 from .laurent import LaurentPoly, format_poly
 
 SCHEMA_VERSION = 1
@@ -397,6 +397,9 @@ def _drive(config: RunConfig, em: _Emitter) -> int:
     system = None
     if config.type_label is not None:
         system = system_from_string(config.type_label)
+        # every command runs Smith forms: refuse a Salvetti complex, one
+        # cell per subset of the generators, before it is built
+        check_smith_cells(2 ** system.n)
     pretty = _Pretty(config, em, title) if config.fmt == "pretty" else None
     code = 0
     results = []

@@ -71,7 +71,8 @@ class NotFiniteType(ArtinfibError):
 
 
 class GroupTooLarge(ArtinfibError):
-    """Brute force enumeration exceeded the configured element bound."""
+    """Brute force enumeration exceeded the configured element bound, or
+    a complex has more cells than a Smith form can take."""
 
 
 class InfiniteGroup(ArtinfibError):

@@ -22,8 +22,8 @@ from typing import Optional
 
 from .complexes import CochainComplex, is_well_filtered
 from .domains import ZZ, Domain
-from .errors import (NotStabilized, NotWellFiltered, RankMismatch,
-                     UnsupportedDomain, WindowTooLarge)
+from .errors import (GroupTooLarge, NotStabilized, NotWellFiltered,
+                     RankMismatch, UnsupportedDomain, WindowTooLarge)
 from .laurent import (LaurentPoly, factor_cyclotomic, format_poly)
 from .rmatrix import mat_shape
 from .series import (WINDOW_DOUBLINGS, default_window_radius,
@@ -402,6 +402,20 @@ class InvariantFactors:
         return " + ".join(parts)
 
 
+# the most cells a complex may have for its Smith forms to run: A9 over
+# Q (2^9 cells) takes about 73 s, and A10 (2^10) did not finish in 240 s
+# with its memory still growing
+MAX_SMITH_CELLS = 2 ** 9
+
+
+def check_smith_cells(cells: int) -> None:
+    """Raise GroupTooLarge for a complex of more than ``MAX_SMITH_CELLS``."""
+    if cells > MAX_SMITH_CELLS:
+        raise GroupTooLarge(
+            f"complex has {cells} cells, more than the {MAX_SMITH_CELLS} "
+            f"whose Smith forms are within reach")
+
+
 def _groups(C: CochainComplex, homological: bool) -> tuple:
     """Invariant factors of C in degrees 0..top, one Smith form per map.
 
@@ -416,12 +430,15 @@ def _groups(C: CochainComplex, homological: bool) -> tuple:
     they are: entries above a pivot have span below the pivot's, and
     over Q each row (column) of D is kept as primitive integers.  The
     monic factors over Q are built once, from the final diagonal.
-    Nothing bounds U or V, since neither is built.
+    Nothing bounds U or V, since neither is built.  A complex of more
+    than ``MAX_SMITH_CELLS`` cells raises GroupTooLarge before any
+    Smith form runs.
     """
     dom = C.domain
     if not dom.is_field:
         raise UnsupportedDomain(
             f"cohomology needs field coefficients, not {dom}")
+    check_smith_cells(sum(C.ranks))
     # factors[k] belongs to d^(k-1); d^-1 and d^top are zero maps
     factors = [()] + [_invariant_factors(d, C.ranks[k + 1], C.ranks[k], dom)
                       for k, d in enumerate(C.diffs)] + [()]
@@ -494,7 +511,7 @@ def verify_shift_theorem(C: CochainComplex, radius: Optional[int] = None,
                          progress=None) -> ShiftReport:
     """Certify H^k(series side) = H^(k+1)(Laurent side) in each degree.
 
-    Each degree starts at window ``radius`` (None: 8x the largest entry
+    Each degree starts at window ``radius`` (None: 4x the largest entry
     reach); on a non-stabilized answer the radius doubles, at most
     ``WINDOW_DOUBLINGS`` times, before giving up.  An initial radius
     beyond the last the default schedule tries, 2^WINDOW_DOUBLINGS

@@ -323,11 +323,11 @@ WINDOW_DOUBLINGS = 3
 
 
 def default_window_radius(complex_) -> int:
-    """Default truncation radius: 8x the largest entry reach."""
+    """Default truncation radius: 4x the largest entry reach."""
     reach = 1
     for mat in complex_.diffs:
         reach = max(reach, matrix_reach(mat))
-    return 8 * reach
+    return 4 * reach
 
 
 def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):

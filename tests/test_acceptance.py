@@ -24,7 +24,8 @@ from artinfib.homology import (DegreeShift, ShiftReport, cohomology,
                                verify_shift_theorem)
 from artinfib.laurent import LaurentPoly
 from artinfib.rmatrix import (det_bareiss, mat_eq, mat_identity, mat_mul)
-from artinfib.series import kernel_of_scalar_mul, poly_window_product
+from artinfib.series import (default_window_radius, kernel_of_scalar_mul,
+                             poly_window_product)
 
 # rank <= 4 irreducible types (dihedral family sampled) plus the named
 # higher-rank cases
@@ -41,6 +42,10 @@ RANK_FOUR_TYPES = ("A4", "B4", "D4", "F4", "H4")
 # rank 8, where the Smith forms over Q of the Salvetti complexes are
 # most of the cost, in criterion 12
 RANK_EIGHT_TYPES = ("A8", "E8")
+
+# ranks 5 and 6, verified through the CLI over Q and Z/3 at the default
+# window radius in criterion 13
+RANK_SIX_TYPES = ("A5", "B5", "D5", "A6", "B6", "D6", "E6")
 
 # every type with group order <= 1e5; the dihedral family is sampled
 POINCARE_TYPES = ("A1", "A2", "A3", "A4", "A5", "A6", "A7",
@@ -334,4 +339,27 @@ def test_criterion_12_rank_eight_cohomology():
                 assert g.free_rank == 0, (name, g.degree)
                 for f in g.torsion:
                     assert order.divrem(f)[1].is_zero(), (name, g.degree)
+    body()
+
+
+def test_criterion_13_rank_six_shift_theorem():
+    @criterion(13, "degree shift matches in every degree for the rank-5 "
+                   "and rank-6 types over Q and Z/3", budget=90.0)
+    def body():
+        for name in RANK_SIX_TYPES:
+            system = finite_type_system(name)
+            for coeff, dom in (("Q", QQ), ("Zp:3", GF(3))):
+                default = default_window_radius(
+                    build_salvetti_complex(system, dom))
+                code, doc = cli_json("verify", "--type", name,
+                                     "--coeff", coeff, "--format", "json")
+                assert code == 0, (name, coeff)
+                (entry,) = doc["results"].values()
+                degrees = entry["shift"]["degrees"]
+                assert entry["shift"]["ok"], (name, coeff)
+                assert len(degrees) == system.n + 1, (name, coeff)
+                assert all(d["match"] for d in degrees), (name, coeff)
+                # every degree stabilized at the first radius tried
+                assert all(d["radius"] == default for d in degrees), \
+                    (name, coeff)
     body()

@@ -117,7 +117,7 @@ def test_verify_pretty_and_csv(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("domain,well_filtered,degree,m_dim")
-    assert lines[1] == "Q,True,0,1,1,0,0,16,True,"
+    assert lines[1] == "Q,True,0,1,1,0,0,8,True,"
 
 
 def test_milnor_json_a2(capsys):
@@ -184,25 +184,25 @@ PINNED = {
     ("verify", "pretty"): (
         "verify type A2 over Q\n"
         "  well filtered: yes\n"
-        "  degree 0: M-side 1, shifted torsion 1, radius 16, match\n"
-        "  degree 1: M-side 2, shifted torsion 2, radius 16, match\n"
-        "  degree 2: M-side 0, shifted torsion 0, radius 16, match\n"
+        "  degree 0: M-side 1, shifted torsion 1, radius 8, match\n"
+        "  degree 1: M-side 2, shifted torsion 2, radius 8, match\n"
+        "  degree 2: M-side 0, shifted torsion 0, radius 8, match\n"
         "  shift verification: ok\n"
         "verify type A2 over Z/3\n"
         "  well filtered: yes\n"
-        "  degree 0: M-side 1, shifted torsion 1, radius 16, match\n"
-        "  degree 1: M-side 2, shifted torsion 2, radius 16, match\n"
-        "  degree 2: M-side 0, shifted torsion 0, radius 16, match\n"
+        "  degree 0: M-side 1, shifted torsion 1, radius 8, match\n"
+        "  degree 1: M-side 2, shifted torsion 2, radius 8, match\n"
+        "  degree 2: M-side 0, shifted torsion 0, radius 8, match\n"
         "  shift verification: ok\n"),
     ("verify", "csv"): (
         "domain,well_filtered,degree,m_dim,shifted_torsion_dim,free_rank,"
         "free_rank_next,radius,match,note\n"
-        "Q,True,0,1,1,0,0,16,True,\n"
-        "Q,True,1,2,2,0,0,16,True,\n"
-        "Q,True,2,0,0,0,0,16,True,\n"
-        "Z/3,True,0,1,1,0,0,16,True,\n"
-        "Z/3,True,1,2,2,0,0,16,True,\n"
-        "Z/3,True,2,0,0,0,0,16,True,\n"),
+        "Q,True,0,1,1,0,0,8,True,\n"
+        "Q,True,1,2,2,0,0,8,True,\n"
+        "Q,True,2,0,0,0,0,8,True,\n"
+        "Z/3,True,0,1,1,0,0,8,True,\n"
+        "Z/3,True,1,2,2,0,0,8,True,\n"
+        "Z/3,True,2,0,0,0,0,8,True,\n"),
     ("milnor", "pretty"): (
         "Milnor fiber of type A2 over Q\n"
         "  degree 0: b = 1, monodromy q - 1, eigenvalues Phi_1\n"
@@ -225,9 +225,9 @@ PINNED = {
         "  H^0 = 0\n"
         "  H^1 = R/(q - 1)\n"
         "  H^2 = R/(q - 1)\n"
-        "  degree 0: M-side 1, shifted torsion 1, radius 8, match\n"
-        "  degree 1: M-side 1, shifted torsion 1, radius 8, match\n"
-        "  degree 2: M-side 0, shifted torsion 0, radius 8, match\n"
+        "  degree 0: M-side 1, shifted torsion 1, radius 4, match\n"
+        "  degree 1: M-side 1, shifted torsion 1, radius 4, match\n"
+        "  degree 2: M-side 0, shifted torsion 0, radius 4, match\n"
         "  shift verification: ok\n"),
     ("family", "csv"): (
         "domain,degree,free_rank,torsion,m_dim,shifted_torsion_dim,match,"
@@ -382,6 +382,18 @@ def test_bad_inputs_exit_two(capsys, tmp_path):
         code, _, err = run_cli(capsys, "cohomology", "--type", label)
         assert code == 2 and "error:" in err, label[:20]
         assert time.perf_counter() - start < 1.0, label[:20]
+
+
+def test_smith_cell_cap_fails_fast(capsys):
+    # A10 has 2^10 cells, past the 2^9 whose Smith forms are within
+    # reach; the Salvetti complex is refused before it is built
+    for label in ("A10", "A12"):
+        for coeff in ("Q", "Zp:3"):
+            start = time.perf_counter()
+            code, _, err = run_cli(capsys, "cohomology", "--type", label,
+                                   "--coeff", coeff)
+            assert code == 2 and "more than the 512" in err, (label, coeff)
+            assert time.perf_counter() - start < 2.0, (label, coeff)
 
 
 def test_shift_mismatch_exits_one(capsys, monkeypatch):

@@ -14,11 +14,11 @@ from artinfib.complexes import (CochainComplex, build_generic_complex,
 from artinfib.coxeter import finite_type_system, poincare_poly, \
     system_from_string
 from artinfib.domains import GF, QQ, ZZ
-from artinfib.errors import (NotStabilized, NotWellFiltered, RankMismatch,
-                             UnsupportedDomain)
-from artinfib.homology import (_invariant_factors, cohomology, homology,
-                               monodromy_char_poly, smith_normal_form,
-                               verify_shift_theorem)
+from artinfib.errors import (GroupTooLarge, NotStabilized, NotWellFiltered,
+                             RankMismatch, UnsupportedDomain)
+from artinfib.homology import (MAX_SMITH_CELLS, _invariant_factors,
+                               cohomology, homology, monodromy_char_poly,
+                               smith_normal_form, verify_shift_theorem)
 from artinfib.laurent import LaurentPoly, format_poly, parse_poly
 from artinfib.linalg import sparse_rank
 from artinfib.rmatrix import det_bareiss, mat_eq, mat_identity, mat_mul
@@ -319,6 +319,15 @@ def test_cohomology_rejects_non_complex():
     one = LaurentPoly.one(QQ)
     with pytest.raises(RankMismatch):
         cohomology(CochainComplex(QQ, (1, 1, 1), (((one,),), ((one,),))))
+
+
+def test_smith_forms_refuse_complexes_past_the_cell_cap():
+    at_cap = CochainComplex(QQ, (MAX_SMITH_CELLS,), ())
+    assert cohomology(at_cap)[0].free_rank == MAX_SMITH_CELLS
+    past = CochainComplex(QQ, (MAX_SMITH_CELLS + 1,), ())
+    for groups in (cohomology, homology):
+        with pytest.raises(GroupTooLarge, match="more than the 512"):
+            groups(past)
 
 
 def test_zero_rank_degrees():

@@ -1,5 +1,7 @@
 """Window series, recurrences, and the banded window cohomology."""
 
+import collections
+import importlib
 import math
 import random
 import time
@@ -16,12 +18,14 @@ from artinfib.laurent import LaurentPoly, parse_poly
 from artinfib.series import (WINDOW_DOUBLINGS, WindowSeries,
                              default_window_radius, equation_rows,
                              image_rows, kernel_of_scalar_mul,
-                             m_cohomology_dim_window, poly_window_product,
-                             recurrence_extend, solve_scalar_mul)
+                             m_cohomology_dim_window, matrix_reach,
+                             poly_window_product, recurrence_extend,
+                             solve_scalar_mul)
 from artinfib.complexes import (CochainComplex, build_generic_complex,
                                 build_salvetti_complex, koszul_family,
                                 transpose_complex)
 from artinfib.coxeter import finite_type_system
+from artinfib.homology import verify_shift_theorem
 
 
 def test_window_series_basics():
@@ -201,6 +205,52 @@ def test_window_radius_cap():
     with pytest.raises(WindowTooLarge):
         m_cohomology_dim_window(C, 0, 10**8)
     assert time.perf_counter() - start < 1.0
+
+
+def test_window_stability_check_runs_two_windows(monkeypatch):
+    # the stability verdict compares two full windows, at the default
+    # radius and at that radius plus 2 * reach: a speed-up that drops
+    # the second one must fail here
+    module = importlib.import_module("artinfib.series")
+    calls = collections.Counter()
+    radii = collections.defaultdict(list)
+
+    def counted(name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    def at_radius(name):
+        original = getattr(module, name)
+
+        def wrapper(entries, radius, *args):
+            radii[name].append(radius)
+            return original(entries, radius, *args)
+        return wrapper
+
+    for name in ("projected_kernel_dim", "sparse_rank"):
+        monkeypatch.setattr(module, name, counted(name))
+    for name in ("equation_rows", "image_rows"):
+        monkeypatch.setattr(module, name, at_radius(name))
+    C = build_salvetti_complex(finite_type_system("A3"))
+    k = 1
+    reach = max(1, matrix_reach(C.diff(k)), matrix_reach(C.diff(k - 1)))
+    N = default_window_radius(C)
+    assert m_cohomology_dim_window(C, k) == (2, True)
+    assert calls == {"projected_kernel_dim": 2, "sparse_rank": 2}
+    assert radii == {"equation_rows": [N, N + 2 * reach],
+                     "image_rows": [N, N + 2 * reach]}
+    monkeypatch.undo()
+
+    # and the shift check reports that default, 4 * reach, in every degree
+    A2 = build_salvetti_complex(finite_type_system("A2"))
+    reach = max(matrix_reach(d) for d in A2.diffs)
+    report = verify_shift_theorem(A2)
+    assert report.ok
+    assert all(d.radius == 4 * reach for d in report.degrees)
 
 
 def test_window_dims_a2():
