@@ -37,8 +37,8 @@ from .complexes import (CochainComplex, WellFilteredResult,
 from .coxeter import CoxeterSystem, poincare_poly, system_from_string
 from .domains import GF, QQ, Domain, domain_from_spec
 from .errors import ArtinfibError, NotStabilized, NotWellFiltered
-from .homology import (ShiftReport, check_smith_cells, cohomology,
-                       monodromy_char_poly, verify_shift_theorem)
+from .homology import (MAX_SMITH_CELLS, ShiftReport, check_smith_cells,
+                       cohomology, monodromy_char_poly, verify_shift_theorem)
 from .laurent import LaurentPoly, format_poly
 
 SCHEMA_VERSION = 1
@@ -115,7 +115,11 @@ def _input_complex(config: RunConfig, domain: Domain,
                    system: Optional[CoxeterSystem]) -> CochainComplex:
     if system is not None:
         return build_salvetti_complex(system, domain)
-    return build_generic_complex(load_family(config.family_path, domain))
+    # every command runs Smith forms on the complex, a cell per subset of
+    # the generators: a family file is refused at the line that brings
+    # one more generator than ``check_smith_cells`` admits
+    return build_generic_complex(load_family(
+        config.family_path, domain, MAX_SMITH_CELLS.bit_length() - 1))
 
 
 def _compute_cohomology(config, domain, system, pretty):

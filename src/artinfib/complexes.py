@@ -458,13 +458,14 @@ def _parse_subset(text: str):
     return frozenset(members)
 
 
-def parse_family(text: str, domain: Domain) -> PolynomialFamily:
+def parse_family(text: str, domain: Domain,
+                 max_generators: int = MAX_TOTAL_RANK) -> PolynomialFamily:
     """Read a family from its text form.
 
     One entry per line, ``Delta ; w ; polynomial`` with Delta a comma
     list of generators or ``-`` for the empty set.  ``#`` starts a
     comment.  The generator set is inferred, and more than
-    ``MAX_TOTAL_RANK`` generators are refused at the line that brings
+    ``max_generators`` generators are refused at the line that brings
     one too many.  Totality is enforced, and the cocycle relation is
     checked with offending line numbers attached to any violation.
     """
@@ -500,9 +501,9 @@ def parse_family(text: str, domain: Domain) -> PolynomialFamily:
         entries[key] = poly
         lines[key] = lineno
         gamma |= delta | {w}
-        if len(gamma) > MAX_TOTAL_RANK:
+        if len(gamma) > max_generators:
             raise FamilyFormatError(
-                f"line {lineno}: more than {MAX_TOTAL_RANK} generators",
+                f"line {lineno}: more than {max_generators} generators",
                 line=lineno)
     if not entries:
         raise FamilyFormatError("family file has no entries", line=0)
@@ -512,9 +513,11 @@ def parse_family(text: str, domain: Domain) -> PolynomialFamily:
     return family
 
 
-def load_family(path, domain: Domain) -> PolynomialFamily:
+def load_family(path, domain: Domain,
+                max_generators: int = MAX_TOTAL_RANK) -> PolynomialFamily:
     """Read a family file, which must be UTF-8 text (else
-    FamilyFormatError at the line of the first bad byte)."""
+    FamilyFormatError at the line of the first bad byte); see
+    ``parse_family``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -523,7 +526,7 @@ def load_family(path, domain: Domain) -> PolynomialFamily:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise FamilyFormatError(f"line {lineno}: not UTF-8 text",
                                 line=lineno) from None
-    return parse_family(text, domain)
+    return parse_family(text, domain, max_generators)
 
 
 def dump_family(family: PolynomialFamily) -> str:

@@ -7,10 +7,11 @@ that the same polynomial code runs unchanged over each ring.
 
 Rationals are ``fractions.Fraction``.  The hot loops over Q (the
 product and long division of Laurent polynomials, every Smith form over
-Q but for the entries of Uinv and Vinv, and the series-window
-elimination in ``linalg``) run on plain ints instead: ``QQ.to_ints``
-writes rationals over one common denominator and ``QQ.from_ints`` reads
-them back.
+Q with its transforms and their inverses, the exact matrix product of
+``rmatrix``, and the series-window elimination in ``linalg``) run on
+plain ints instead: ``to_ints`` writes the elements over one common
+denominator and ``from_ints`` reads them back.  Over Z and GF(p) the
+elements are ints already, so the same code runs with denominator 1.
 """
 
 from __future__ import annotations
@@ -79,6 +80,17 @@ class Domain:
 
     def inv(self, a):
         raise NotImplementedError
+
+    def to_ints(self, values):
+        """(den, nums): the elements of the sequence ``values`` as the
+        integers nums over den; the inverse of ``from_ints``.  Elements
+        of Z and Z/p are ints already, so den is 1."""
+        return 1, list(values)
+
+    def from_ints(self, nums, den=1):
+        """The elements n / den for the integers n of ``nums``."""
+        inv = self.inv(self.from_int(den))
+        return [self.mul(self.from_int(n), inv) for n in nums]
 
     def poly_mul(self, a, b):
         """Coefficients of the product of two dense coefficient lists: the

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
 from typing import Optional
 
 from .complexes import CochainComplex, is_well_filtered
@@ -87,9 +86,11 @@ def smith_normal_form(A, domain: Domain,
       cofactors from an extended Euclid on the two entries alone.
 
     Bit sizes have no bound beyond what these give.  Over Q, D, U and
-    V are mapped back from Z once, before the diagonal is normalized;
-    Uinv and Vinv stay over Q throughout.  Cohomology reads only D and
-    runs the same passes without transforms (see ``_groups``).
+    V stay on integers throughout, and Uinv and Vinv on integer vectors
+    over one denominator each (``_Inverse``).  The diagonal is
+    normalized on these, and every entry is read over Q once, as the
+    decomposition is returned.  Cohomology reads only D and runs the
+    same passes without transforms (see ``_groups``).
     Only field coefficients are supported; the integer Laurent ring has
     no Smith form in general.  A row-free matrix cannot carry its own
     column count, so pass ``shape`` explicitly when either dimension is
@@ -103,22 +104,22 @@ def smith_normal_form(A, domain: Domain,
     if len(A) != m or any(len(row) != n for row in A):
         raise RankMismatch(f"matrix does not have shape {m}x{n}")
     D, U, Uinv, V, Vinv = _diagonalize(A, m, n, domain, transforms=True)
-    # over Q, D, U and V come back over Z
-    D, U, V = ([[_over(domain, e) for e in r] for r in M] for M in (D, U, V))
+    # d_t = c q^v times a monic polynomial of valuation 0: the unit c q^v
+    # leaves row t of U (column t of V) and enters vector t of Uinv (Vinv)
+    units = {}
     for t in range(min(m, n)):
         d = D[t][t]
-        if d.is_zero():
-            continue
-        u = d.normalized()[0].inverse()
-        D[t][t], uinv = d * u, u.inverse()
-        if m >= n:
-            U[t] = [a * u for a in U[t]]
-            for r in Uinv:
-                r[t] = r[t] * uinv
-        else:
-            for r in V:
-                r[t] = r[t] * u
-            Vinv[t] = [a * uinv for a in Vinv[t]]
+        if not d.is_zero():
+            units[t] = (d.coeffs[-1], -d.val)
+            (Uinv if m >= n else Vinv).rescale(t, 1, d.coeffs[-1], d.val)
+    # every entry is read over the field once, here
+    over = lambda e, t=None: _over(domain, e, *units.get(t, (1, 0)))
+    D = [[over(e, i) for e in r] for i, r in enumerate(D)]
+    U = [[over(e, i if m >= n else None) for e in r]
+         for i, r in enumerate(U)]
+    V = [[over(e, None if m >= n else j) for j, e in enumerate(r)]
+         for r in V]
+    Uinv, Vinv = _transpose(Uinv.over(domain), m), Vinv.over(domain)
     freeze = lambda mat: tuple(tuple(r) for r in mat)
     return SmithDecomposition(domain=domain, shape=(m, n), U=freeze(U),
                               Uinv=freeze(Uinv), V=freeze(V),
@@ -131,14 +132,16 @@ def _diagonalize(A, m, n, domain, transforms):
     The diagonal is not normalized.  With ``transforms`` false, U and
     Vinv have no columns and Uinv and V no rows: every row operation
     then touches D alone, and ``_echelon`` has no kernel rows to keep
-    small.  Over Q, D, U and V are returned over Z, and Uinv and Vinv
-    over Q: row i of [A | I] enters times the lcm l_i of its
-    denominators, so U starts as diag(l) and Uinv as diag(1/l), and
-    every step, the divisibility check and the merge run on ints.  Each
-    is the step over Q times a nonzero rational per row (per column in
-    the column pass), which Uinv (Vinv) takes inverted on the matching
-    column.  So the pivots are those over Q, and the diagonal entries
-    are the invariant factors up to units of Q[q, q^-1].
+    small.  Over Q, D, U and V are returned over Z: row i of [A | I]
+    enters times the lcm l_i of its denominators, so U starts as
+    diag(l), and every step, the divisibility check and the merge run
+    on ints.  Each is the step over Q times a nonzero rational per row
+    (per column in the column pass), which Uinv (Vinv) takes inverted
+    on the matching vector.  So the pivots are those over Q, and the
+    diagonal entries are the invariant factors up to units of
+    Q[q, q^-1].  Uinv and Vinv are ``_Inverse`` objects, which hold
+    the columns of Uinv and the rows of Vinv (None without
+    ``transforms``), starting at diag(1/l) and I.
     """
     if domain.characteristic:
         ring, lam, D = domain, [1] * m, [list(r) for r in A]
@@ -151,15 +154,11 @@ def _diagonalize(A, m, n, domain, transforms):
             D.append([LaurentPoly(ZZ, e.val, [next(nums) for _ in e.coeffs])
                       for e in r])
     if transforms:
-        diag = lambda dom, xs: [[LaurentPoly.constant(dom, x) if i == j
-                                 else LaurentPoly.zero(dom)
-                                 for j in range(len(xs))]
-                                for i, x in enumerate(xs)]
-        U, Uinv = diag(ring, lam), diag(domain, [Fraction(1, k) for k in lam])
-        V, Vinv = diag(ring, [1] * n), diag(domain, [1] * n)
+        U, V = _diag(ring, lam), _diag(ring, [1] * n)
+        Uinv = _Inverse(_diag(ring, [1] * m), lam)
+        Vinv = _Inverse(_diag(ring, [1] * n), [1] * n)
     else:
-        U, Uinv, V, Vinv = [[] for _ in range(m)], [], [], \
-            [[] for _ in range(n)]
+        U, Uinv, V, Vinv = [[] for _ in range(m)], None, [], None
     one = LaurentPoly.one(ring)
     # A cap on the passes turns a faulty elimination step, which would
     # alternate forever, into an error.  No count is proved for this pivot
@@ -181,12 +180,11 @@ def _diagonalize(A, m, n, domain, transforms):
             _echelon(D, U, Uinv, V, Vinv, domain)
         else:
             # the column pass is the row pass on the transposes, with the
-            # roles of U and V exchanged
-            T = [_transpose(M, k) for M, k in
-                 ((D, n), (V, n), (Vinv, n), (U, m), (Uinv, m))]
-            _echelon(*T, domain)
-            D, V, Vinv, U, Uinv = [_transpose(M, k) for M, k in
-                                   zip(T, (m, n, n, m, m))]
+            # roles of U and V exchanged; the inverses are indexed by the
+            # rows of their transform either way
+            T = [_transpose(M, k) for M, k in ((D, n), (V, n), (U, m))]
+            _echelon(T[0], T[1], Vinv, T[2], Uinv, domain)
+            D, V, U = [_transpose(M, k) for M, k in zip(T, (m, n, m))]
         by_rows = not by_rows
         if not _is_diagonal(D):
             continue
@@ -198,15 +196,25 @@ def _diagonalize(A, m, n, domain, transforms):
             return D, U, Uinv, V, Vinv
         # d_t does not divide d_(t+1): put d_(t+1) into row t, where the
         # column pass replaces d_t by their gcd
-        _row_addmul(D, U, Uinv, bad, bad + 1, one, domain)
+        _row_addmul(D, U, Uinv, bad, bad + 1, one)
         by_rows = False
     raise RuntimeError(f"{m}x{n} Smith form not diagonal after {limit} "
                        f"passes: an elimination step is at fault")
 
 
-def _over(domain, p):
-    """p with its coefficients read in ``domain`` (a Z row meets Q's Tinv)."""
-    return p if p.domain is domain else LaurentPoly(domain, p.val, p.coeffs)
+def _over(domain, p, den=1, shift=0):
+    """q^shift p / den read in ``domain``, for p over Z (over GF(p) its
+    coefficients and den are residues already)."""
+    if not p.coeffs:
+        return LaurentPoly.zero(domain)
+    return LaurentPoly(domain, p.val + shift, domain.from_ints(p.coeffs, den))
+
+
+def _diag(ring, xs):
+    """The diagonal matrix with the integers ``xs`` on its diagonal."""
+    zero = LaurentPoly.zero(ring)
+    return [[LaurentPoly.constant(ring, x) if i == j else zero
+             for j in range(len(xs))] for i, x in enumerate(xs)]
 
 
 def _transpose(mat, cols):
@@ -219,50 +227,131 @@ def _is_diagonal(D):
                for j, e in enumerate(row) if i != j)
 
 
+class _Inverse:
+    """The inverse of a transform T under row operations, on integers.
+
+    Vector i is the column of T^-1 that row i of T meets in T T^-1 = I:
+    Laurent polynomials over Z, to be read over its positive integer
+    denominator.  Over GF(p) the polynomials are over GF(p) and every
+    denominator stays 1.  Each row operation on T is the inverse column
+    operation here, brought to the lcm of the denominators it meets,
+    after which a vector and its denominator are divided by their
+    common factor.  So no rational is formed until ``over``.
+    """
+
+    def __init__(self, vecs, dens):
+        self.vecs, self.dens = vecs, list(dens)
+
+    def over(self, domain):
+        """The vectors read in ``domain``."""
+        return [[_over(domain, e, den) for e in vec]
+                for vec, den in zip(self.vecs, self.dens)]
+
+    def swap(self, i, j):
+        self.vecs[i], self.vecs[j] = self.vecs[j], self.vecs[i]
+        self.dens[i], self.dens[j] = self.dens[j], self.dens[i]
+
+    def addmul(self, i, j, c):
+        """For row i += c * row j of T: vector j -= c * vector i."""
+        (si, sj), den = self._lcm(i, j)
+        c = _times(c, si)
+        self.vecs[j] = [b if a.is_zero() else b - c * a for a, b in
+                        zip(self.vecs[i], _scaled(self.vecs[j], sj))]
+        self._settle(j, den)
+
+    def combine(self, i, j, M, det):
+        """For (row i, row j) := M (row i, row j) of T, M = (a, b, c, d)
+        of constant determinant ``det``: (vector i, vector j) :=
+        (vector i, vector j) (d, -b; -c, a) / det.  Over GF(p) det is 1
+        (``LaurentPoly.pseudo_xgcd``)."""
+        a, b, c, d = M
+        (si, sj), den = self._lcm(i, j)
+        sign = -1 if det < 0 else 1
+        a, c = _times(a, sign * sj), _times(c, sign * sj)
+        b, d = _times(b, sign * si), _times(d, sign * si)
+        x, y = self.vecs[i], self.vecs[j]
+        self.vecs[i] = [d * u - c * v for u, v in zip(x, y)]
+        self.vecs[j] = [a * v - b * u for u, v in zip(x, y)]
+        self._settle(i, den * abs(det))
+        self._settle(j, den * abs(det))
+
+    def rescale(self, i, k, g, shift=0):
+        """For row i *= k / (g q^shift) of T, k and g nonzero integers
+        (residues over GF(p)): vector i *= g q^shift / k."""
+        if k < 0:
+            k, g = -k, -g
+        h = math.gcd(g, self.dens[i])
+        vec = _scaled(self.vecs[i], g // h)
+        self.vecs[i] = [e.shift(shift) for e in vec] if shift else vec
+        self._settle(i, self.dens[i] // h * k)
+
+    def _lcm(self, i, j):
+        """((l / den_i, l / den_j), l) for l the lcm of the two."""
+        di, dj = self.dens[i], self.dens[j]
+        g = math.gcd(di, dj)
+        return (dj // g, di // g), di // g * dj
+
+    def _settle(self, i, den):
+        """Denominator ``den`` for vector i, both divided by their gcd."""
+        if den > 1:
+            g = math.gcd(den, *(c for e in self.vecs[i] for c in e.coeffs))
+            if g > 1:
+                self.vecs[i] = [_times(e, 1, g) for e in self.vecs[i]]
+                den //= g
+        self.dens[i] = den
+
+
+def _times(p, k, g=1):
+    """p * k / g, for integers k and g with g dividing it (residues over
+    GF(p), where g is 1)."""
+    if k == g:
+        return p
+    dom = p.domain
+    if dom.characteristic:
+        return p.scale(k)
+    return LaurentPoly(ZZ, p.val, [c * k // g for c in p.coeffs])
+
+
+def _scaled(vec, k):
+    return vec if k == 1 else [_times(e, k) for e in vec]
+
+
 # Row operations on D, mirrored on the rows of the transform T and,
-# inverted, on the columns of Tinv, so that T A (...) = D and T Tinv = I
-# stay true.  Tinv is over ``domain``; over Q, D and T are over Z.
+# inverted, on the vectors of Tinv (an ``_Inverse``, or None without
+# transforms), so that T A (...) = D and T Tinv = I stay true.
 
 def _row_swap(D, T, Tinv, i, j):
     D[i], D[j] = D[j], D[i]
     T[i], T[j] = T[j], T[i]
-    for r in Tinv:
-        r[i], r[j] = r[j], r[i]
+    if Tinv is not None:
+        Tinv.swap(i, j)
 
 
-def _row_addmul(D, T, Tinv, i, j, c, domain):
+def _row_addmul(D, T, Tinv, i, j, c):
     """Row i += c * row j."""
     D[i] = [a if b.is_zero() else a + c * b for a, b in zip(D[i], D[j])]
     T[i] = [a if b.is_zero() else a + c * b for a, b in zip(T[i], T[j])]
-    if Tinv:
-        c = _over(domain, c)
-    for r in Tinv:
-        if not r[i].is_zero():
-            r[j] = r[j] - c * r[i]
+    if Tinv is not None:
+        Tinv.addmul(i, j, c)
 
 
-def _row_combine(D, T, Tinv, i, j, M, det, domain):
+def _row_combine(D, T, Tinv, i, j, M, det):
     """(row i, row j) := M (row i, row j) for M = (a, b, c, d) of constant
     determinant ``det``, whose inverse is (d, -b; -c, a) / det."""
     a, b, c, d = M
     for X in (D, T):
         X[i], X[j] = ([a * x + b * y for x, y in zip(X[i], X[j])],
                       [c * x + d * y for x, y in zip(X[i], X[j])])
-    if Tinv:
-        a, b, c, d = (_over(domain, x).scale(Fraction(1, det)) for x in M)
-    for r in Tinv:
-        r[i], r[j] = r[i] * d - r[j] * c, r[j] * a - r[i] * b
+    if Tinv is not None:
+        Tinv.combine(i, j, M, det)
 
 
 def _row_rescale(D, T, Tinv, i, k, g):
     """Row i *= k / g over Z, for integers k and g with g dividing it."""
     for X in (D, T):
-        X[i] = [LaurentPoly(ZZ, e.val, [c * k // g for c in e.coeffs])
-                for e in X[i]]
-    if Tinv:
-        s = Fraction(g, k)
-    for r in Tinv:
-        r[i] = r[i].scale(s)
+        X[i] = [_times(e, k, g) for e in X[i]]
+    if Tinv is not None:
+        Tinv.rescale(i, k, g)
 
 
 def _echelon(D, T, Tinv, S, Sinv, domain):
@@ -277,14 +366,15 @@ def _echelon(D, T, Tinv, S, Sinv, domain):
     are the left kernel; they get pivots of their own in T, and the other
     rows are reduced modulo those.  A T with no columns skips that phase.
 
-    Over Q (``domain``, the field of Tinv) D and T hold integers, and
-    the same steps run on them, each equal to the step over Q times a
-    nonzero rational per row, a unit over Q: a division is a
-    pseudo-division, row i := k row i - quo row t, and a Bezout step has
-    determinant c (``LaurentPoly.pseudo_divrem`` and ``pseudo_xgcd``).
-    After each step a row of [D | T] is divided by its integer content.
-    Tinv takes each rational inverted on the matching column.  Spans and
-    zero patterns are those over Q, and so are the pivots.
+    Over Q (``domain``) D and T hold integers, and the same steps run
+    on them, each equal to the step over Q times a nonzero rational per
+    row, a unit over Q: a division is a pseudo-division, row i := k row
+    i - quo row t, and a Bezout step has determinant c
+    (``LaurentPoly.pseudo_divrem`` and ``pseudo_xgcd``).  After each
+    step a row of [D | T] is divided by its integer content.  Tinv and
+    Sinv are ``_Inverse`` objects (None without transforms); Tinv takes
+    each rational inverted on the matching vector.  Spans and zero
+    patterns are those over Q, and so are the pivots.
     """
     m = len(D)
     n = len(D[0]) if m else 0
@@ -313,7 +403,7 @@ def _echelon(D, T, Tinv, S, Sinv, domain):
             # one 2x2 Bezout step instead of a Euclidean chain of row ops
             g, s, u, c = a.pseudo_xgcd(b)
             _row_combine(D, T, Tinv, t, i, (s, u, -b.divexact(g),
-                                            a.divexact(g)), c, domain)
+                                            a.divexact(g)), c)
             shrink(t)
             shrink(i)
         for i in range(t):
@@ -326,7 +416,7 @@ def _echelon(D, T, Tinv, S, Sinv, domain):
             return
         if k != 1:
             _row_rescale(D, T, Tinv, i, k, 1)
-        _row_addmul(D, T, Tinv, i, t, -quo, domain)
+        _row_addmul(D, T, Tinv, i, t, -quo)
         shrink(i)
 
     def best(rows, cols, entry):
@@ -353,7 +443,8 @@ def _echelon(D, T, Tinv, S, Sinv, domain):
                 r[t], r[j] = r[j], r[t]
             for r in S:
                 r[t], r[j] = r[j], r[t]
-            Sinv[t], Sinv[j] = Sinv[j], Sinv[t]
+            if Sinv is not None:
+                Sinv.swap(t, j)
         clear(t, lambda i: D[i][t])
         t += 1
     if not any(T):

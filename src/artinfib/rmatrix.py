@@ -24,6 +24,13 @@ def mat_identity(n: int, domain: Domain):
 
 
 def mat_mul(a, b, domain: Domain):
+    """The exact product a b.
+
+    Each row of ``a`` and each column of ``b`` is written once as
+    integers over one denominator (``Domain.to_ints``), every entry is
+    summed from integer convolutions, and each of its coefficients is
+    read back once, over the product of the two denominators.
+    """
     if not a:
         # a row-free factor cannot carry its column count, so it fits any b
         return ()
@@ -31,23 +38,40 @@ def mat_mul(a, b, domain: Domain):
     rb, cb = mat_shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch {ra}x{ca} times {rb}x{cb}")
-    out = []
-    for i in range(ra):
-        row = []
-        for j in range(cb):
-            # sum the products' coefficients by exponent, so each entry
-            # is built as a LaurentPoly once
-            acc = {}
-            for t in range(ca):
-                e = a[i][t]
-                f = b[t][j]
-                if not (e.is_zero() or f.is_zero()):
-                    for k, c in enumerate(domain.poly_mul(e.coeffs, f.coeffs),
-                                          e.val + f.val):
-                        acc[k] = domain.add(acc[k], c) if k in acc else c
-            row.append(LaurentPoly.from_dict(domain, acc))
-        out.append(tuple(row))
-    return tuple(out)
+    rows = [_integer_vector(row, domain) for row in a]
+    cols = [_integer_vector(col, domain) for col in zip(*b)]
+    return tuple(tuple(_dot(row, col, domain) for col in cols)
+                 for row in rows)
+
+
+def _integer_vector(entries, domain):
+    """(den, terms): ``entries`` as integer polynomials over the common
+    denominator den, each a (valuation, coefficients) pair or None for
+    zero."""
+    den, nums = domain.to_ints([c for e in entries for c in e.coeffs])
+    terms, start = [], 0
+    for e in entries:
+        end = start + len(e.coeffs)
+        terms.append((e.val, nums[start:end]) if e.coeffs else None)
+        start = end
+    return den, terms
+
+
+def _dot(row, col, domain):
+    """The entry sum(row[t] col[t]) of two ``_integer_vector`` results."""
+    (dr, xs), (dc, ys) = row, col
+    pairs = [(x, y) for x, y in zip(xs, ys) if x and y]
+    if not pairs:
+        return LaurentPoly.zero(domain)
+    lo = min(x[0] + y[0] for x, y in pairs)
+    acc = [0] * (max(x[0] + len(x[1]) + y[0] + len(y[1])
+                     for x, y in pairs) - 1 - lo)
+    for (xv, xc), (yv, yc) in pairs:
+        for i, u in enumerate(xc, xv + yv - lo):
+            if u:
+                for k, w in enumerate(yc, i):
+                    acc[k] += u * w
+    return LaurentPoly(domain, lo, domain.from_ints(acc, dr * dc))
 
 
 def mat_is_zero(mat) -> bool:

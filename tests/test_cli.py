@@ -293,8 +293,25 @@ def test_family_with_too_many_generators_fails_fast(capsys, tmp_path):
                                           for i in range(1, 41)))
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "family", "--family", path)
-    assert code == 2 and "line 13: more than 12 generators" in err
+    assert code == 2 and "line 10: more than 9 generators" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_family_past_the_smith_cell_cap_fails_fast(capsys, tmp_path):
+    # the complex of a family over 10 or 12 generators has 2^10 or 2^12
+    # cells, past the 2^9 whose Smith forms are within reach; the file
+    # is refused at the line that brings the 10th generator, before the
+    # rest is parsed and the complex built
+    f = parse_poly("1 - q", QQ)
+    for n in (10, 12):
+        path = write_family(tmp_path, dump_family(
+            koszul_family(range(1, n + 1), [f] * n, QQ)))
+        for command in ("cohomology", "verify", "family"):
+            start = time.perf_counter()
+            code, _, err = run_cli(capsys, command, "--family", path)
+            assert code == 2, (n, command)
+            assert "line 10: more than 9 generators" in err, (n, command)
+            assert time.perf_counter() - start < 1.0, (n, command)
 
 
 def test_family_with_hostile_polynomial_fails_fast(capsys, tmp_path):

@@ -1,7 +1,10 @@
 """Polynomial families, filtered complexes, and the well filtered check."""
 
 import dataclasses
+import itertools
+import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -350,6 +353,39 @@ def test_mat_mul_row_free_factors():
     assert check_d_squared(C)
 
 
+def test_mat_mul_on_integers_matches_sum_of_products():
+    # over Q each row of a and each column of b is cleared to integers
+    # once; the result must be the plain sum of LaurentPoly products
+    rng = random.Random(8)
+    for trial in range(300):
+        dom = (QQ, GF(3), GF(7), ZZ)[trial % 4]
+        m, k, n = (rng.randint(0, 4) for _ in range(3))
+        dens = (1, 2, 3, 6) if dom is QQ else (1,)
+        a, b = (tuple(tuple(_random_entry(rng, dom, dens) for _ in range(c))
+                      for _ in range(r)) for r, c in ((m, k), (k, n)))
+        # a row-free b cannot carry its columns, so k = 0 gives no columns
+        cols = n if k else 0
+        want = tuple(tuple(sum((a[i][t] * b[t][j] for t in range(k)),
+                               LaurentPoly.zero(dom)) for j in range(cols))
+                     for i in range(m)) if m else ()
+        assert mat_mul(a, b, dom) == want, (trial, dom)
+    # zero matrices of every small shape
+    zero = LaurentPoly.zero(QQ)
+    Z = lambda r, c: tuple(tuple(zero for _ in range(c)) for _ in range(r))
+    for m, k, n in itertools.product(range(1, 3), repeat=3):
+        assert mat_mul(Z(m, k), Z(k, n), QQ) == Z(m, n)
+
+
+def _random_entry(rng, dom, dens):
+    if rng.random() < 0.3:
+        return LaurentPoly.zero(dom)
+    coeffs = [Fraction(rng.randint(-5, 5), rng.choice(dens))
+              for _ in range(rng.randint(1, 4))]
+    if dom is not QQ:
+        coeffs = [int(c) for c in coeffs]
+    return LaurentPoly(dom, rng.randint(-3, 3), coeffs)
+
+
 FAMILY_TEXT = """\
 # rank-2 family with a trivial tail
 - ; 1 ; 1 - q
@@ -405,6 +441,17 @@ def test_parse_family_errors():
     # totality is enforced after parsing
     with pytest.raises(MissingEntry):
         parse_family("- ; 1 ; 1\n- ; 2 ; 1\n1 ; 2 ; 1\n", QQ)
+    # too many generators are refused at the line that brings one more
+    # than the limit, MAX_TOTAL_RANK unless the caller sets one
+    text = "".join(f"- ; {i} ; 1\n" for i in range(1, 41))
+    for limit, line in ((None, 13), (9, 10), (1, 2)):
+        with pytest.raises(FamilyFormatError) as info:
+            if limit is None:
+                parse_family(text, QQ)
+            else:
+                parse_family(text, QQ, max_generators=limit)
+        assert info.value.line == line
+        assert f"more than {line - 1} generators" in str(info.value)
 
 
 def test_parse_family_cocycle_lines():

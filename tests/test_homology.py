@@ -116,6 +116,59 @@ def test_snf_random_property():
         assert _invariant_factors(A, m, n, QQ) == dec.invariant_factors
 
 
+def test_integer_inverses_take_every_row_operation(monkeypatch):
+    # Uinv and Vinv are kept as integer vectors over one denominator each
+    # (over GF(p) all 1); every kind of update must run on both of them,
+    # over Q and over GF(p), and still leave exact two-sided inverses
+    module = importlib.import_module("artinfib.homology")
+    Inverse = module._Inverse
+    made, seen = [], set()
+    init = Inverse.__init__
+
+    def spy_init(self, vecs, dens):
+        made.append(self)
+        init(self, vecs, dens)
+
+    monkeypatch.setattr(Inverse, "__init__", spy_init)
+
+    def spy(name, method):
+        def update(self, *args):
+            # each Smith form builds Uinv, then Vinv
+            role = "Uinv" if self is made[-2] else "Vinv"
+            seen.add((role, name))
+            if name == "combine":
+                seen.add((role, f"det {abs(args[3])}" if abs(args[3]) < 2
+                          else "det > 1"))
+            return method(self, *args)
+        return update
+
+    for name in ("swap", "addmul", "combine", "rescale"):
+        monkeypatch.setattr(Inverse, name, spy(name, getattr(Inverse, name)))
+    rng = random.Random(31)
+    for dom in (QQ, GF(3), GF(7)):
+        seen.clear()
+        inputs = []
+        for m, n in ((5, 3), (3, 5), (6, 2), (2, 6), (4, 4)):
+            for _ in range(6):
+                inputs.append(random_matrix(
+                    rng, dom, m, n, dens=(1, 2, 3, 6) if dom is QQ else None))
+        # a chain broken at every step: a repair per step, on both sides
+        for k in (3, 4):
+            d = [P(f"(q - 2)^{k - i} * (q - 3)^{i}", dom) for i in range(k)]
+            inputs.append(tuple(tuple(d[i] if i == j
+                                      else LaurentPoly.zero(dom)
+                                      for j in range(k)) for i in range(k)))
+        for A in inputs:
+            dec = smith_normal_form(A, dom, shape=(len(A), len(A[0])))
+            check_decomposition(A, dec, dom)
+        for role in ("Uinv", "Vinv"):
+            for name in ("swap", "addmul", "combine", "rescale"):
+                assert (role, name) in seen, (str(dom), role, name)
+            # a Bezout step over Z has determinant c, a unit only over Q
+            assert (role, "det > 1" if dom is QQ else "det 1") in seen
+            assert dom is QQ or (role, "det > 1") not in seen
+
+
 def test_transform_free_factors_match_random_smith_forms():
     # cohomology reads the diagonal of a Smith form run without
     # transforms; it must agree with the full decomposition
