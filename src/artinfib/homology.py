@@ -25,8 +25,8 @@ from .errors import (GroupTooLarge, NotStabilized, NotWellFiltered,
                      RankMismatch, UnsupportedDomain, WindowTooLarge)
 from .laurent import (LaurentPoly, factor_cyclotomic, format_poly)
 from .rmatrix import mat_shape
-from .series import (WINDOW_DOUBLINGS, default_window_radius,
-                     m_cohomology_dim_window)
+from .series import (WINDOW_DOUBLINGS, check_window_interior,
+                     default_window_radius, m_cohomology_dim_window)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -606,7 +606,9 @@ def verify_shift_theorem(C: CochainComplex, radius: Optional[int] = None,
     reach); on a non-stabilized answer the radius doubles, at most
     ``WINDOW_DOUBLINGS`` times, before giving up.  An initial radius
     beyond the last the default schedule tries, 2^WINDOW_DOUBLINGS
-    times the default, raises WindowTooLarge before any work is done.
+    times the default, raises WindowTooLarge before any work is done,
+    and one that leaves some degree no window interior raises
+    WindowTooSmall, also before any work.
 
     Raises NotWellFiltered (with the failing trace attached) when the
     complex does not satisfy the filtration conditions the shift
@@ -623,6 +625,7 @@ def verify_shift_theorem(C: CochainComplex, radius: Optional[int] = None,
         raise WindowTooLarge(
             f"window radius {radius} is beyond {cap}, the largest the "
             f"default schedule tries (2^{WINDOW_DOUBLINGS} x {default})")
+    check_window_interior(C, radius, range(C.top_degree + 1))
     wf = is_well_filtered(C)
     if not wf.ok:
         raise NotWellFiltered(

@@ -8,6 +8,16 @@ hold nonzero ints only.  Elimination proceeds by increasing column,
 always clearing the current minimum column, so banded inputs (the window
 rows in this package) stay banded and the cost is rows x band^2 rather
 than cubic.  Everything is exact; no floats.
+
+An elimination can run in stages: ``echelon``, ``sparse_rank`` and
+``projected_kernel_dim`` each take the pivot dict of an earlier stage
+and extend it, so the pivot count after each stage is the rank of every
+row added so far.  Pivot columns are where the rank of the leading
+columns grows, a property of the span alone, so how many pivots land in
+kept columns at the end does not depend on the order the rows came in.
+The series windows use this to read the image ranks of the next degree
+off a prefix of one kernel elimination: those image rows are a subset
+of the kernel rows (see ``series``).
 """
 
 from __future__ import annotations
@@ -38,11 +48,13 @@ def integer_row(values, domain) -> list:
     return values if g <= 1 else [x // g for x in values]
 
 
-def echelon(rows, domain):
+def echelon(rows, domain, pivots=None):
     """Reduce an iterable of sparse rows; returns {pivot column: row}.
 
-    Rows are consumed.  Over GF(p) a pivot row is scaled to pivot
-    coefficient 1 and a row with coefficient f in the pivot column
+    Rows are consumed.  With ``pivots``, the result of an earlier call
+    over the same domain, the rows are reduced against it and it is
+    extended in place and returned.  Over GF(p) a pivot row is scaled to
+    pivot coefficient 1 and a row with coefficient f in the pivot column
     becomes row - f*pivot, reduced mod p.  Over Q a pivot row only has
     its sign made positive: with pivot coefficient l, f as above and
     g = gcd(l, f), the row becomes (l/g)*row - (f/g)*pivot, divided by
@@ -70,24 +82,26 @@ def echelon(rows, domain):
         push({k: v for k, v in zip(row, integer_row(row.values(), domain))
               if v})
 
-    pivots: dict[int, dict] = {}
+    if pivots is None:
+        pivots = {}
     while heap:
         c = heapq.heappop(heap)
         group = buckets.pop(c)
-        group.sort(key=len)
-        piv = group[0]
+        piv = pivots.get(c)
+        if piv is None:
+            group.sort(key=len)
+            piv = group.pop(0)
+            lead = piv[c]
+            # a pivot coefficient of 1 saves scaling the rows it reduces
+            if p and lead != 1:
+                inv = pow(lead, -1, p)
+                piv = {k: v * inv % p for k, v in piv.items()}
+            elif lead < 0:
+                piv = {k: -v for k, v in piv.items()}
+            pivots[c] = piv
         lead = piv[c]
-        # a pivot coefficient of 1 saves scaling the rows it reduces
-        if p and lead != 1:
-            inv = pow(lead, -1, p)
-            piv = {k: v * inv % p for k, v in piv.items()}
-            lead = 1
-        elif lead < 0:
-            piv = {k: -v for k, v in piv.items()}
-            lead = -lead
-        pivots[c] = piv
         tail = [(k, v) for k, v in piv.items() if k != c]
-        for row in group[1:]:
+        for row in group:
             f = row.pop(c)
             g = gcd(lead, f)
             a, b = lead // g, f // g
@@ -110,32 +124,54 @@ def echelon(rows, domain):
     return pivots
 
 
-def sparse_rank(rows, domain) -> int:
-    """Rank of the span of the given sparse rows."""
-    return len(echelon(rows, domain))
+def sparse_rank(rows, domain, pivots=None) -> int:
+    """Rank of the span of the given sparse rows.
+
+    With ``pivots`` from an earlier stage, the rank of the span of its
+    rows and these together; ``pivots`` is extended in place.
+    """
+    return len(echelon(rows, domain, pivots))
 
 
-def projected_kernel_dim(row_maker, domain, keep_cols) -> int:
+def _kept(keep_cols):
+    return (keep_cols if isinstance(keep_cols, (range, set))
+            else set(keep_cols))
+
+
+def dropped_columns_first(rows, keep_cols):
+    """The rows with every column outside ``keep_cols`` renumbered below 0.
+
+    Column indices must be >= 0.  Kept columns keep their index.  A
+    dropped column below min(keep) becomes c - min(keep) and any other
+    ~c, so the map is one to one and, on a banded matrix with a
+    contiguous keep, each boundary is cleared from its outer edge inward,
+    which keeps the fill banded.  Rows added in stages to one elimination
+    must all pass through the same renumbering.
+    """
+    keep = _kept(keep_cols)
+    lo = min(keep, default=0)
+    return ({(k if k in keep else k - lo if k < lo else ~k): v
+             for k, v in row.items()} for row in rows)
+
+
+def projected_kernel_dim(row_maker, domain, keep_cols, pivots=None) -> int:
     """dim of the kernel of A projected onto the ``keep_cols`` coordinates.
 
-    ``row_maker()`` yields the sparse rows of A; it is called once.
-    Column indices must be >= 0: the dropped columns are renumbered
-    below 0, so one elimination clears every dropped column before any
-    kept one.  The pivots that land in dropped columns then number
-    rank(A with the kept columns deleted), and
+    ``row_maker()`` yields the sparse rows of A; it is called once.  The
+    rows go through ``dropped_columns_first``, so one elimination clears
+    every dropped column before any kept one.  The pivots that land in
+    dropped columns then number rank(A with the kept columns deleted),
+    and
 
         dim proj(ker A) = |keep| - rank(A) + rank(A with kept cols deleted)
                         = |keep| - (pivots in kept columns)
 
     because ker(A restricted to vanishing on keep) is the kernel of the
-    column-deleted matrix.  Dropped columns below min(keep) become
-    c - min(keep) and the others ~c, so on a banded A with a contiguous
-    keep each boundary is cleared from its outer edge inward, which
-    keeps the fill banded.
+    column-deleted matrix.  With ``pivots`` from earlier stages whose
+    rows went through the same renumbering, A is those rows and these
+    together.
     """
-    keep = keep_cols if isinstance(keep_cols, range) else set(keep_cols)
-    lo = min(keep, default=0)
-    rows = ({(k if k in keep else k - lo if k < lo else ~k): v
-             for k, v in row.items()} for row in row_maker())
-    pivots = echelon(rows, domain)
+    keep = _kept(keep_cols)
+    pivots = echelon(dropped_columns_first(row_maker(), keep), domain,
+                     pivots)
     return len(keep) - sum(1 for c in pivots if c >= 0)

@@ -14,11 +14,22 @@ multiplication of p by a window read as a polynomial.
 multiplies each half of its right-hand side by a one-sided inverse of p,
 the recurrence run from one unit seed.  ``m_cohomology_dim_window`` does
 the same for a full complex of series modules via banded linear algebra.
+
+The windowed complex costs one sparse elimination per differential and
+radius, plus one for the wider window of the stability check.  The
+image of d^(k-1) on degree k's interior is spanned by the transposes of
+d^(k-1)'s own equation rows, the ones whose output exponent lies in that
+interior; the interior sits 3x the degree's reach in from the window's
+edge, so those rows are fully determined and form a subset of the rows
+degree k-1 eliminates for its kernel.  Fed first, in two shells, they
+give the image ranks at both radii of the check on the way (see
+``m_cohomology_dim_window``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import operator
 
 from .domains import Domain
@@ -30,7 +41,8 @@ from .errors import (
     WindowTooSmall,
 )
 from .laurent import LaurentPoly, extremes_invertible
-from .linalg import integer_row, projected_kernel_dim, sparse_rank
+from .linalg import (dropped_columns_first, integer_row,
+                     projected_kernel_dim, sparse_rank)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -256,13 +268,12 @@ def _integer_stencil(cells, domain):
 
 
 # Window vectors are flattened by exponent, then by block: on the source
-# window [-N, N], block j at exponent v is column (v + N) * src_rank + j,
-# and on an image interior [lo, hi], block i at exponent u is column
-# (u - lo) * dst_rank + i.  Distinct (block, exponent) pairs therefore get
-# distinct columns, so a row never collects two terms in one column.
+# window [-N, N], block j at exponent v is column (v + N) * src_rank + j.
+# Distinct (block, exponent) pairs therefore get distinct columns, so a
+# row never collects two terms in one column.
 
 
-def equation_rows(entries, radius: int, domain: Domain):
+def equation_rows(entries, radius: int, domain: Domain, shell=None):
     """Sparse rows, one per fully determined output coefficient.
 
     Output (i, u) = sum over j and the terms c*q^exp of entry (i, j) of
@@ -270,10 +281,13 @@ def equation_rows(entries, radius: int, domain: Domain):
     lies inside [-N, N], which bounds u by the extreme exponents of row
     i's entries.  Row i's terms are laid out once, as a stencil of column
     offsets, and each valid u shifts it.  Rows come i-major, then by u.
-    Values are ints: over Q each stencil is scaled to primitive integer
-    form, which scales an equation and so keeps the kernel.
+    With ``shell`` = (a, b) only the rows with a < |u| <= b come (b None:
+    no upper bound).  Values are ints: over Q each stencil is scaled to
+    primitive integer form, which scales an equation and so keeps the
+    kernel.
     """
     N = radius
+    inner, outer = shell or (-1, None)
     src_rank = len(entries[0]) if entries else 0
     for row in entries:
         terms = [(j, e) for j, e in enumerate(row) if not e.is_zero()]
@@ -284,36 +298,12 @@ def equation_rows(entries, radius: int, domain: Domain):
              for exp, c in e.items() if not domain.is_zero(c)], domain)
         u_lo = -N + max(e.degree for _, e in terms)
         u_hi = N + min(e.val for _, e in terms)
+        if outer is not None:
+            u_lo, u_hi = max(u_lo, -outer), min(u_hi, outer)
         for u in range(u_lo, u_hi + 1):
-            base = (u + N) * src_rank
-            yield {base + off: c for off, c in stencil}
-
-
-def image_rows(entries, radius: int, domain: Domain, lo: int, hi: int):
-    """Images of the window unit vectors, restricted to the interior.
-
-    The unit vector of source block j at exponent v in [-N, N] maps to
-    c at (i, v + exp) for each term c*q^exp of entry (i, j).  Column j's
-    terms are laid out once, as a stencil, and each v shifts it; only the
-    targets with lo <= v + exp <= hi are kept, and unit vectors with no
-    target there are skipped.  Rows come v-major, then by j.  Values
-    are ints: over Q each column's stencil is scaled to primitive integer
-    form, which scales a source unit vector and so keeps the image.
-    """
-    dst_rank = len(entries)
-    src_rank = len(entries[0]) if entries else 0
-    stencils = [_integer_stencil([(exp, exp * dst_rank + i, c)
-                                  for i in range(dst_rank)
-                                  for exp, c in entries[i][j].items()
-                                  if not domain.is_zero(c)], domain)
-                for j in range(src_rank)]
-    for v in range(-radius, radius + 1):
-        base = (v - lo) * dst_rank
-        for stencil in stencils:
-            row = {base + off: c for exp, off, c in stencil
-                   if lo <= v + exp <= hi}
-            if row:
-                yield row
+            if abs(u) > inner:
+                base = (u + N) * src_rank
+                yield {base + off: c for off, c in stencil}
 
 
 # the shift check doubles a radius that has not stabilized at most this
@@ -330,17 +320,81 @@ def default_window_radius(complex_) -> int:
     return 4 * reach
 
 
+def degree_reach(complex_, k: int) -> int:
+    """Reach of degree k: 1 or the larger reach of d^k and d^(k-1).
+
+    Its windows discard 3x this many coefficients at each end.
+    """
+    return max(1, matrix_reach(complex_.diff(k) or ()),
+               matrix_reach(complex_.diff(k - 1) or ()))
+
+
+def check_window_interior(complex_, radius: int, degrees) -> None:
+    """Raise WindowTooSmall unless ``radius`` leaves an interior in each
+    of ``degrees`` that carries a module: 3x its reach, plus 1."""
+    for k in degrees:
+        discard = 3 * degree_reach(complex_, k)
+        if complex_.rank(k) and radius < discard + 1:
+            raise WindowTooSmall(
+                f"radius {radius} leaves no interior in degree {k} beyond "
+                f"the {discard} discarded boundary coefficients")
+
+
+def _interior(radius: int, discard: int, width: int) -> range:
+    """Window columns of the exponents radius - discard or less in size."""
+    return range(discard * width, (2 * radius - discard + 1) * width)
+
+
+@functools.lru_cache(maxsize=8)
+def _staged_pass(entries, radius, width, discard, cuts, domain):
+    """One elimination of the equation rows of ``entries`` at ``radius``.
+
+    The rows go in by shells of their output exponent u: first those with
+    |u| <= radius - cuts[0], then out to radius - cuts[1], and so on, then
+    the rest.  Returns the rank after each shell and, last, the dimension
+    of the kernel projected on the source interior, ``discard`` exponents
+    in from each end with ``width`` blocks per exponent.  Memoized, so the
+    next degree's window finds its image ranks here.
+    """
+    keep = _interior(radius, discard, width)
+    pivots = {}
+    ranks = []
+    inner = -1
+    for cut in cuts:
+        outer = radius - cut
+        ranks.append(sparse_rank(dropped_columns_first(
+            equation_rows(entries, radius, domain, (inner, outer)), keep),
+            domain, pivots))
+        inner = outer
+    kernel = projected_kernel_dim(
+        lambda: equation_rows(entries, radius, domain, (inner, None)),
+        domain, keep, pivots)
+    return (*ranks, kernel)
+
+
 def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     """A-dimension of H^k of the complex tensored with the series module.
 
     Truncates every series to [-N, N], takes the solutions of all fully
     visible kernel equations of d^k, subtracts the image of windowed
     vectors under d^(k-1), and measures both only on the stable interior
-    (3x the band reach discarded at each end).  The computation runs at N
-    and N + 2*reach; ``stabilized`` reports whether the two agree, and the
-    dimension at the larger radius is returned.  A radius beyond
+    (3x the degree's reach r discarded at each end).  The computation
+    runs at N and N + 2r; ``stabilized`` reports whether the two agree,
+    and the dimension at the larger radius is returned.  A radius beyond
     2^(2 * WINDOW_DOUBLINGS) times the default raises WindowTooLarge
     before any row is built.
+
+    The image needs no elimination of its own.  Its rank at radius M is
+    the rank of its transpose: the equation rows of d^(k-1) whose output
+    exponent u lies in the interior, |u| <= M - 3r.  Since r is at least
+    the reach of d^(k-1), those rows read source exponents within
+    |u| + r <= N, at M = N and at M = N + 2r alike (where |u| <= N - r),
+    so they are rows of d^(k-1)'s own kernel elimination at N.  That
+    elimination, run once with these two shells of rows first, gives
+    both image ranks and degree k-1's kernel; it is memoized, so the
+    windows of consecutive degrees at one radius share it.  Each nonzero
+    differential is thus eliminated twice per radius: in shells at N,
+    and plainly at N + 2r for its own degree's second kernel.
     """
     dom = complex_.domain
     if not dom.is_field:
@@ -351,11 +405,6 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     if top < 0 or k < 0 or k > top or ranks[k] == 0:
         return 0, True
 
-    # a missing differential is the 0-row map (): it yields no rows
-    d_out = complex_.diff(k) or ()
-    d_in = complex_.diff(k - 1) or ()
-    reach = max(1, matrix_reach(d_out), matrix_reach(d_in))
-    discard = 3 * reach
     default = default_window_radius(complex_)
     cap = default * 2 ** (2 * WINDOW_DOUBLINGS)
     if radius is None:
@@ -364,20 +413,22 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
         raise WindowTooLarge(
             f"window radius {radius} is beyond {cap}, the largest a window "
             f"computation accepts (2^{2 * WINDOW_DOUBLINGS} x {default})")
-    if radius < discard + 1:
-        raise WindowTooSmall(
-            f"radius {radius} leaves no interior beyond the {discard} "
-            f"discarded boundary coefficients")
+    check_window_interior(complex_, radius, (k,))
 
-    def dim_at(N: int) -> int:
-        r_k = ranks[k]
-        i_lo, i_hi = -N + discard, N - discard
-        keep = range((i_lo + N) * r_k, (i_hi + N + 1) * r_k)
-        dim_kernel = projected_kernel_dim(
-            lambda: equation_rows(d_out, N, dom), dom, keep)
-        dim_image = sparse_rank(image_rows(d_in, N, dom, i_lo, i_hi), dom)
-        return dim_kernel - dim_image
-
-    d1 = dim_at(radius)
-    d2 = dim_at(radius + 2 * reach)
+    # a missing differential is the 0-row map (): it yields no rows
+    d_out = complex_.diff(k) or ()
+    d_in = complex_.diff(k - 1) or ()
+    reach = degree_reach(complex_, k)
+    above = degree_reach(complex_, k + 1)
+    image = _staged_pass(d_in, radius, complex_.rank(k - 1),
+                         3 * degree_reach(complex_, k - 1),
+                         (3 * reach, reach), dom)
+    kernel = _staged_pass(d_out, radius, ranks[k], 3 * reach,
+                          (3 * above, above), dom)[-1]
+    wide = radius + 2 * reach
+    kernel_wide = projected_kernel_dim(
+        lambda: equation_rows(d_out, wide, dom), dom,
+        _interior(wide, 3 * reach, ranks[k]))
+    d1 = kernel - image[0]
+    d2 = kernel_wide - image[1]
     return d2, d1 == d2

@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, and error reporting."""
 
 import dataclasses
+import importlib
 import json
 import time
 
@@ -399,6 +400,25 @@ def test_bad_inputs_exit_two(capsys, tmp_path):
         code, _, err = run_cli(capsys, "cohomology", "--type", label)
         assert code == 2 and "error:" in err, label[:20]
         assert time.perf_counter() - start < 1.0, label[:20]
+
+
+def test_too_small_window_radius_fails_before_any_degree(capsys,
+                                                        monkeypatch):
+    # F4's degree 3 discards 60 coefficients at each end, the others
+    # fewer: radius 30 is refused before any Smith form or window runs
+    homology = importlib.import_module("artinfib.homology")
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the radius was checked")
+
+    monkeypatch.setattr(homology, "cohomology", never)
+    monkeypatch.setattr(homology, "m_cohomology_dim_window", never)
+    for fmt in ("pretty", "json"):
+        code, out, err = run_cli(capsys, "verify", "--type", "F4",
+                                 "--window-radius", "30", "--format", fmt)
+        assert code == 2, fmt
+        assert "radius 30 leaves no interior in degree 3" in err, fmt
+        assert "degree" not in out, fmt
 
 
 def test_smith_cell_cap_fails_fast(capsys):

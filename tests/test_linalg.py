@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import artinfib.linalg as linalg
 from artinfib.domains import GF, QQ
-from artinfib.linalg import (echelon, integer_row, projected_kernel_dim,
-                             sparse_rank)
+from artinfib.linalg import (dropped_columns_first, echelon, integer_row,
+                             projected_kernel_dim, sparse_rank)
 
 
 def dense_pivot_columns(rows, domain):
@@ -134,9 +134,9 @@ def test_projected_kernel_dim_one_elimination(monkeypatch):
     calls = []
     echelon = linalg.echelon
 
-    def counting(rows, domain):
+    def counting(rows, domain, pivots=None):
         calls.append(domain)
-        return echelon(rows, domain)
+        return echelon(rows, domain, pivots)
 
     monkeypatch.setattr(linalg, "echelon", counting)
     rng = random.Random("projected-kernel")
@@ -164,3 +164,28 @@ def test_projected_kernel_dim_one_elimination(monkeypatch):
                 assert len(calls) == before + 1 and len(made) == 1
                 checked += 1
     assert checked == 240
+
+
+def test_staged_elimination_extends_one_pivot_dict():
+    # rows fed in stages to one pivot dict: after each stage the pivot
+    # count is the rank of every row so far, and the projected kernel at
+    # the end is the one-pass answer, whatever the split
+    rng = random.Random("staged")
+    for domain in (QQ, GF(3), GF(7)):
+        for trial in range(40):
+            n_cols = rng.randint(6, 20)
+            rows = mixed_rows(rng, domain, rng.randint(2, 16), n_cols)
+            lo = rng.randint(0, n_cols - 1)
+            keep = range(lo, rng.randint(lo, n_cols))
+            cuts = sorted(rng.sample(range(len(rows) + 1), 2))
+            stages = [rows[:cuts[0]], rows[cuts[0]:cuts[1]]]
+            pivots = {}
+            for end, stage in zip(cuts, stages):
+                got = sparse_rank(dropped_columns_first(
+                    [dict(r) for r in stage], keep), domain, pivots)
+                assert got == len(dense_pivot_columns(rows[:end], domain))
+            got = projected_kernel_dim(
+                lambda: (dict(r) for r in rows[cuts[1]:]), domain, keep,
+                pivots)
+            assert got == reference_dim(rows, domain, set(keep)), \
+                (domain, trial)

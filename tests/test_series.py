@@ -15,17 +15,20 @@ from artinfib.errors import (NonInvertibleExtremes, SeedTooShort,
                              UnsupportedDomain, WindowTooLarge,
                              WindowTooSmall)
 from artinfib.laurent import LaurentPoly, parse_poly
+from artinfib.linalg import projected_kernel_dim, sparse_rank
 from artinfib.series import (WINDOW_DOUBLINGS, WindowSeries,
                              default_window_radius, equation_rows,
-                             image_rows, kernel_of_scalar_mul,
-                             m_cohomology_dim_window, matrix_reach,
-                             poly_window_product, recurrence_extend,
-                             solve_scalar_mul)
+                             kernel_of_scalar_mul, m_cohomology_dim_window,
+                             matrix_reach, poly_window_product,
+                             recurrence_extend, solve_scalar_mul)
 from artinfib.complexes import (CochainComplex, build_generic_complex,
                                 build_salvetti_complex, koszul_family,
-                                transpose_complex)
-from artinfib.coxeter import finite_type_system
+                                random_koszul_family, transpose_complex)
+from artinfib.coxeter import finite_type_system, system_from_string
 from artinfib.homology import verify_shift_theorem
+
+series = importlib.import_module("artinfib.series")
+linalg = importlib.import_module("artinfib.linalg")
 
 
 def test_window_series_basics():
@@ -209,40 +212,38 @@ def test_window_radius_cap():
 
 def test_window_stability_check_runs_two_windows(monkeypatch):
     # the stability verdict compares two full windows, at the default
-    # radius and at that radius plus 2 * reach: a speed-up that drops
-    # the second one must fail here
-    module = importlib.import_module("artinfib.series")
+    # radius N and at N + 2 * reach: a speed-up that drops the second one
+    # must fail here.  Degree 1 of A3 eliminates d^0 at N, in three
+    # shells of rows (its two image ranks, then degree 0's kernel), d^1
+    # likewise, and d^1 at N + 2 * reach for the wider kernel
     calls = collections.Counter()
-    radii = collections.defaultdict(list)
+    rows_at = collections.Counter()
 
     def counted(name):
-        original = getattr(module, name)
+        original = getattr(series, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
         return wrapper
 
-    def at_radius(name):
-        original = getattr(module, name)
+    C = build_salvetti_complex(finite_type_system("A3"))
+    original_rows = series.equation_rows
 
-        def wrapper(entries, radius, *args):
-            radii[name].append(radius)
-            return original(entries, radius, *args)
-        return wrapper
+    def at_radius(entries, radius, *args):
+        rows_at[C.diffs.index(entries), radius] += 1
+        return original_rows(entries, radius, *args)
 
     for name in ("projected_kernel_dim", "sparse_rank"):
-        monkeypatch.setattr(module, name, counted(name))
-    for name in ("equation_rows", "image_rows"):
-        monkeypatch.setattr(module, name, at_radius(name))
-    C = build_salvetti_complex(finite_type_system("A3"))
+        monkeypatch.setattr(series, name, counted(name))
+    monkeypatch.setattr(series, "equation_rows", at_radius)
+    series._staged_pass.cache_clear()
     k = 1
-    reach = max(1, matrix_reach(C.diff(k)), matrix_reach(C.diff(k - 1)))
+    reach = reach_of(C, k)
     N = default_window_radius(C)
     assert m_cohomology_dim_window(C, k) == (2, True)
-    assert calls == {"projected_kernel_dim": 2, "sparse_rank": 2}
-    assert radii == {"equation_rows": [N, N + 2 * reach],
-                     "image_rows": [N, N + 2 * reach]}
+    assert calls == {"projected_kernel_dim": 3, "sparse_rank": 4}
+    assert rows_at == {(0, N): 3, (1, N): 3, (1, N + 2 * reach): 1}
     monkeypatch.undo()
 
     # and the shift check reports that default, 4 * reach, in every degree
@@ -251,6 +252,41 @@ def test_window_stability_check_runs_two_windows(monkeypatch):
     report = verify_shift_theorem(A2)
     assert report.ok
     assert all(d.radius == 4 * reach for d in report.degrees)
+
+
+def test_verify_eliminates_each_differential_twice(monkeypatch):
+    # an elimination is one pivot dict, however many stages feed it; one
+    # verify of A3 eliminates each nonzero differential at the start
+    # radius N (in shells) and at N + 2 * reach of its own degree, and no
+    # other elimination sees a row
+    fed = []  # [pivot dict, rows fed to it over every stage]
+    echelon = linalg.echelon
+
+    def counting(rows, domain, pivots=None):
+        n = [0]
+
+        def stream():
+            for row in rows:
+                n[0] += 1
+                yield row
+        out = echelon(stream(), domain, pivots)
+        entry = next((e for e in fed if e[0] is out), None)
+        if entry is None:
+            entry = [out, 0]
+            fed.append(entry)
+        entry[1] += n[0]
+        return out
+
+    monkeypatch.setattr(linalg, "echelon", counting)
+    series._staged_pass.cache_clear()
+    C = build_salvetti_complex(finite_type_system("A3"))
+    report = verify_shift_theorem(C)
+    N = default_window_radius(C)
+    assert report.ok and all(d.radius == N for d in report.degrees)
+    nonzero = sum(1 for d in C.diffs
+                  if any(not e.is_zero() for row in d for e in row))
+    assert nonzero == 3
+    assert sum(1 for _, n in fed if n) == 2 * nonzero
 
 
 def test_window_dims_a2():
@@ -318,15 +354,19 @@ def scaled(row, s):
     return tuple(sorted((k, int(s * c)) for k, c in row.items()))
 
 
-def reference_equation_rows(entries, N, dom):
+def reference_equation_rows(entries, N, dom, shell=(-1, None)):
     """Output (i, u) = sum of c * x_(j, u - exp), kept when every input
-    exponent lies in [-N, N]; x_(j, v) is column (v + N) * n + j.  Over Q
-    each row is scaled to primitive integer form."""
+    exponent lies in [-N, N] and a < |u| <= b for ``shell`` = (a, b);
+    x_(j, v) is column (v + N) * n + j.  Over Q each row is scaled to
+    primitive integer form."""
     n = len(entries[0]) if entries else 0
+    a, b = shell
     rows = []
     for entry_row in entries:
         # wide enough for every exponent the test matrices use
         for u in range(-4 * N - 8, 4 * N + 9):
+            if abs(u) <= a or (b is not None and abs(u) > b):
+                continue
             row, inside = {}, True
             for j, e in enumerate(entry_row):
                 for exp in range(e.val, e.degree + 1):
@@ -342,16 +382,12 @@ def reference_equation_rows(entries, N, dom):
     return rows
 
 
-def reference_image_rows(entries, N, dom, lo, hi):
-    """Image of the unit vector at (j, v), cut to exponents [lo, hi];
-    y_(i, u) is column (u - lo) * m + i.  Over Q each image is scaled by
-    the factor that makes the uncut image of column j, all of its
-    coefficients, primitive integers."""
+def transposed_image_rows(entries, N, dom, lo, hi):
+    """Image of the unit vector at (j, v), v in [-N, N], cut to exponents
+    [lo, hi]: the rows of the image's transpose.  y_(i, u) is column
+    (u - lo) * m + i."""
     m = len(entries)
     n = len(entries[0]) if entries else 0
-    scales = [primitive_scale([c for i in range(m)
-                               for c in entries[i][j].coeffs], dom)
-              for j in range(n)]
     rows = []
     for v in range(-N, N + 1):
         for j in range(n):
@@ -363,7 +399,7 @@ def reference_image_rows(entries, N, dom, lo, hi):
                     if not dom.is_zero(c):
                         row[(u - lo) * m + i] = c
             if row:
-                rows.append(scaled(row, scales[j]))
+                rows.append(row)
     return rows
 
 
@@ -394,13 +430,117 @@ def test_window_rows_match_reference():
             m, n = rng.randint(0, 3), rng.randint(0, 3)
             cases.append((dom, random_poly_matrix(rng, dom, m, n)))
     for dom, mat in cases:
+        reach = max(1, matrix_reach(mat))
         for N in (4, 7):
-            for lo, hi in ((-N, N), (-N + 3, N - 3), (-1, 2)):
-                got = [tuple(sorted(r.items()))
-                       for r in image_rows(mat, N, dom, lo, hi)]
-                assert got == reference_image_rows(mat, N, dom, lo, hi)
-                assert all(type(c) is int for r in got for _, c in r)
             got = [tuple(sorted(r.items()))
                    for r in equation_rows(mat, N, dom)]
             assert got == reference_equation_rows(mat, N, dom)
             assert all(type(c) is int for r in got for _, c in r)
+            for shell in ((-1, 2), (2, N - 1), (N - 1, None), (N, N + 3)):
+                got = [tuple(sorted(r.items()))
+                       for r in equation_rows(mat, N, dom, shell)]
+                assert got == reference_equation_rows(mat, N, dom, shell)
+            # the rows with |u| <= N - 3 * reach span the transpose of
+            # the image of the window, cut to those exponents
+            lo, hi = -N + 3 * reach, N - 3 * reach
+            if lo <= hi:
+                rows = equation_rows(mat, N, dom, (-1, hi))
+                assert sparse_rank(rows, dom) == sparse_rank(
+                    transposed_image_rows(mat, N, dom, lo, hi), dom)
+
+
+def reach_of(C, k):
+    """1, or the larger reach of the differentials out of and into k."""
+    return max(1, matrix_reach(C.diff(k) or ()),
+               matrix_reach(C.diff(k - 1) or ()))
+
+
+def reference_window_dim(C, k, N):
+    """dim H^k of the window at radius N, from a projected kernel of its
+    own and the rank of the transposed image, rows built here."""
+    dom = C.domain
+    reach = reach_of(C, k)
+    lo, hi = -N + 3 * reach, N - 3 * reach
+    n = C.rank(k)
+    kernel = projected_kernel_dim(
+        lambda: (dict(r) for r in reference_equation_rows(
+            C.diff(k) or (), N, dom)),
+        dom, range((lo + N) * n, (hi + N + 1) * n))
+    image = sparse_rank(
+        transposed_image_rows(C.diff(k - 1) or (), N, dom, lo, hi), dom)
+    return kernel - image
+
+
+def staged_reference(C, k, N):
+    """What degree k's elimination at N gives, from the references: the
+    image ranks of degree k + 1 at N and N + 2 * its reach, then degree
+    k's own projected kernel dim."""
+    dom = C.domain
+    n = C.rank(k)
+    reach, above = reach_of(C, k), reach_of(C, k + 1)
+    kernel = projected_kernel_dim(
+        lambda: (dict(r) for r in reference_equation_rows(
+            C.diff(k) or (), N, dom)),
+        dom, range(3 * reach * n, (2 * N - 3 * reach + 1) * n))
+    images = tuple(
+        sparse_rank(transposed_image_rows(C.diff(k) or (), M, dom,
+                                          -M + 3 * above, M - 3 * above),
+                    dom)
+        for M in (N, N + 2 * above))
+    return (*images, kernel)
+
+
+def test_staged_elimination_matches_separate_windows():
+    # the image ranks read off a prefix of the previous degree's kernel
+    # elimination equal the ranks of the image's transpose, built here.
+    # The complexes' degrees have unequal reach; the radii are the
+    # smallest every degree admits (where some windows have not settled),
+    # the default, and one doubling of it, the shift check's fallback
+    complexes = [build_salvetti_complex(system_from_string(label), dom)
+                 for label, dom in (("I2(5)", QQ), ("I2(12)", QQ),
+                                    ("A1xB2", QQ), ("B3", GF(3)),
+                                    ("H3", QQ))]
+    for rank, seed, dom, span in ((3, 0, QQ, 2), (3, 1, QQ, 3),
+                                  (2, 0, GF(2), 2), (3, 18, GF(3), 1),
+                                  (2, 0, GF(5), 2)):
+        complexes.append(build_generic_complex(
+            random_koszul_family(rank, seed, dom, span_bound=span)))
+    reaches, verdicts, dims = set(), set(), set()
+    for C in complexes:
+        series._staged_pass.cache_clear()
+        degrees = [k for k in range(C.top_degree + 1) if C.rank(k)]
+        default = default_window_radius(C)
+        smallest = max(3 * reach_of(C, k) + 1 for k in degrees)
+        for N in (smallest, default, 2 * default):
+            for k in degrees:
+                reach, above = reach_of(C, k), reach_of(C, k + 1)
+                want = staged_reference(C, k, N)
+                got = series._staged_pass(
+                    C.diff(k) or (), N, C.rank(k), 3 * reach,
+                    (3 * above, above), C.domain)
+                assert got == want, (C.ranks, str(C.domain), N, k)
+                d1 = reference_window_dim(C, k, N)
+                d2 = reference_window_dim(C, k, N + 2 * reach)
+                assert m_cohomology_dim_window(C, k, N) == (d2, d1 == d2)
+                reaches.add((reach, above))
+                verdicts.add(d1 == d2)
+                dims.add(d2)
+    assert any(r != a for r, a in reaches)
+    assert verdicts == {True, False} and len(dims) > 2
+
+
+def test_window_cache_keeps_domains_apart():
+    # A3 over Q and then over Z/3 in one process: the second run gets
+    # its own answer from its own eliminations, none read from the
+    # first's, though the two fields give the same ranks here
+    series._staged_pass.cache_clear()
+    for dom in (QQ, GF(3)):
+        C = build_salvetti_complex(finite_type_system("A3"), dom)
+        N = default_window_radius(C)
+        misses = series._staged_pass.cache_info().misses
+        for k in range(4):
+            d1 = reference_window_dim(C, k, N)
+            d2 = reference_window_dim(C, k, N + 2 * reach_of(C, k))
+            assert m_cohomology_dim_window(C, k) == (d2, d1 == d2)
+        # d^-1 and d^3 are empty, so their passes are trivial
+        assert series._staged_pass.cache_info().misses - misses == 5
