@@ -14,10 +14,15 @@ An elimination can run in stages: ``echelon``, ``sparse_rank`` and
 and extend it, so the pivot count after each stage is the rank of every
 row added so far.  Pivot columns are where the rank of the leading
 columns grows, a property of the span alone, so how many pivots land in
-kept columns at the end does not depend on the order the rows came in.
-The series windows use this to read the image ranks of the next degree
-off a prefix of one kernel elimination: those image rows are a subset
-of the kernel rows (see ``series``).
+a trailing block of columns does not depend on the order the rows came
+in.  With nested keeps both keeps are trailing blocks of one column
+order, so one elimination gives a projected kernel for each, after any
+stage.  The series windows use this for one elimination per
+differential and radius: the image ranks of the next degree are read
+off a prefix of it (those image rows are a subset of the kernel rows),
+then the kernel on the narrower window's interior, then, after the rows
+only the wider window determines, the kernel on the wider one's (see
+``series``).
 """
 
 from __future__ import annotations
@@ -138,23 +143,42 @@ def _kept(keep_cols):
             else set(keep_cols))
 
 
-def dropped_columns_first(rows, keep_cols):
+def _ends(outer):
+    """The first and last column of the range ``outer``, and the least
+    key ``dropped_columns_first`` gives a column of it."""
+    a, z = (outer.start, outer.stop - 1) if outer else (0, -1)
+    return a, z, a - z - 1
+
+
+def dropped_columns_first(rows, keep_cols, outer=None):
     """The rows with every column outside ``keep_cols`` renumbered below 0.
 
     Column indices must be >= 0.  Kept columns keep their index.  A
     dropped column below min(keep) becomes c - min(keep) and any other
     ~c, so the map is one to one and, on a banded matrix with a
     contiguous keep, each boundary is cleared from its outer edge inward,
-    which keeps the fill banded.  Rows added in stages to one elimination
+    which keeps the fill banded.  With ``outer``, a contiguous range
+    holding the keep, the keeps are nested: the columns outside ``outer``
+    come first, still from the outer edges inward, then those of
+    ``outer`` outside the keep, then the keep, so both keeps are a
+    trailing block of the order.  Rows added in stages to one elimination
     must all pass through the same renumbering.
     """
     keep = _kept(keep_cols)
     lo = min(keep, default=0)
-    return ({(k if k in keep else k - lo if k < lo else ~k): v
+    if outer is None:
+        return ({(k if k in keep else k - lo if k < lo else ~k): v
+                 for k, v in row.items()} for row in rows)
+    a, z, base = _ends(outer)
+    # outside outer: below a from base - a, above z from base - a - 2 down
+    left, right, mid = base - a, base - a - 1 + z, a - 1
+    return ({(k if k in keep else (k - lo if k < lo else mid - k)
+              if k in outer else k + left if k < a else right - k): v
              for k, v in row.items()} for row in rows)
 
 
-def projected_kernel_dim(row_maker, domain, keep_cols, pivots=None) -> int:
+def projected_kernel_dim(row_maker, domain, keep_cols, pivots=None,
+                         outer=None):
     """dim of the kernel of A projected onto the ``keep_cols`` coordinates.
 
     ``row_maker()`` yields the sparse rows of A; it is called once.  The
@@ -169,9 +193,15 @@ def projected_kernel_dim(row_maker, domain, keep_cols, pivots=None) -> int:
     because ker(A restricted to vanishing on keep) is the kernel of the
     column-deleted matrix.  With ``pivots`` from earlier stages whose
     rows went through the same renumbering, A is those rows and these
-    together.
+    together.  With ``outer``, a range holding the keep, both keeps are
+    trailing blocks of one column order, and the answer is the pair of
+    dims, on ``keep_cols`` and on ``outer``.
     """
     keep = _kept(keep_cols)
-    pivots = echelon(dropped_columns_first(row_maker(), keep), domain,
-                     pivots)
-    return len(keep) - sum(1 for c in pivots if c >= 0)
+    pivots = echelon(dropped_columns_first(row_maker(), keep, outer),
+                     domain, pivots)
+    dim = len(keep) - sum(1 for c in pivots if c >= 0)
+    if outer is None:
+        return dim
+    base = _ends(outer)[2]
+    return dim, len(outer) - sum(1 for c in pivots if c >= base)

@@ -16,14 +16,17 @@ the recurrence run from one unit seed.  ``m_cohomology_dim_window`` does
 the same for a full complex of series modules via banded linear algebra.
 
 The windowed complex costs one sparse elimination per differential and
-radius, plus one for the wider window of the stability check.  The
-image of d^(k-1) on degree k's interior is spanned by the transposes of
+radius, which serves both windows of the stability check.  The image of
+d^(k-1) on degree k's interior is spanned by the transposes of
 d^(k-1)'s own equation rows, the ones whose output exponent lies in that
 interior; the interior sits 3x the degree's reach in from the window's
 edge, so those rows are fully determined and form a subset of the rows
 degree k-1 eliminates for its kernel.  Fed first, in two shells, they
-give the image ranks at both radii of the check on the way (see
-``m_cohomology_dim_window``).
+give the image ranks at both radii of the check on the way.  The wider
+window's kernel extends the same elimination: its columns are ordered
+so that both windows' dropped columns come before their kept ones, and
+only the rows the wider radius adds go in after the narrower window's
+(see ``m_cohomology_dim_window``).
 """
 
 from __future__ import annotations
@@ -273,7 +276,8 @@ def _integer_stencil(cells, domain):
 # row never collects two terms in one column.
 
 
-def equation_rows(entries, radius: int, domain: Domain, shell=None):
+def equation_rows(entries, radius: int, domain: Domain, shell=None,
+                  frame=None, skip=None):
     """Sparse rows, one per fully determined output coefficient.
 
     Output (i, u) = sum over j and the terms c*q^exp of entry (i, j) of
@@ -282,11 +286,14 @@ def equation_rows(entries, radius: int, domain: Domain, shell=None):
     i's entries.  Row i's terms are laid out once, as a stencil of column
     offsets, and each valid u shifts it.  Rows come i-major, then by u.
     With ``shell`` = (a, b) only the rows with a < |u| <= b come (b None:
-    no upper bound).  Values are ints: over Q each stencil is scaled to
-    primitive integer form, which scales an equation and so keeps the
-    kernel.
+    no upper bound).  ``frame`` numbers the columns as in the window of
+    that radius (default N), and ``skip`` leaves out the rows already
+    fully determined at that smaller radius.  Values are ints: over Q
+    each stencil is scaled to primitive integer form, which scales an
+    equation and so keeps the kernel.
     """
     N = radius
+    frame = N if frame is None else frame
     inner, outer = shell or (-1, None)
     src_rank = len(entries[0]) if entries else 0
     for row in entries:
@@ -296,13 +303,16 @@ def equation_rows(entries, radius: int, domain: Domain, shell=None):
         stencil = _integer_stencil(
             [(j - exp * src_rank, c) for j, e in terms
              for exp, c in e.items() if not domain.is_zero(c)], domain)
-        u_lo = -N + max(e.degree for _, e in terms)
-        u_hi = N + min(e.val for _, e in terms)
+        top = max(e.degree for _, e in terms)
+        bottom = min(e.val for _, e in terms)
+        u_lo, u_hi = -N + top, N + bottom
         if outer is not None:
             u_lo, u_hi = max(u_lo, -outer), min(u_hi, outer)
+        seen = (range(-skip + top, skip + bottom + 1) if skip is not None
+                else ())
         for u in range(u_lo, u_hi + 1):
-            if abs(u) > inner:
-                base = (u + N) * src_rank
+            if abs(u) > inner and u not in seen:
+                base = (u + frame) * src_rank
                 yield {base + off: c for off, c in stencil}
 
 
@@ -346,30 +356,42 @@ def _interior(radius: int, discard: int, width: int) -> range:
 
 
 @functools.lru_cache(maxsize=8)
-def _staged_pass(entries, radius, width, discard, cuts, domain):
-    """One elimination of the equation rows of ``entries`` at ``radius``.
+def _staged_pass(entries, radius, width, reach, cuts, domain):
+    """One elimination of the equation rows of ``entries`` at ``radius``
+    N and at N + 2 * ``reach``.
 
-    The rows go in by shells of their output exponent u: first those with
-    |u| <= radius - cuts[0], then out to radius - cuts[1], and so on, then
-    the rest.  Returns the rank after each shell and, last, the dimension
-    of the kernel projected on the source interior, ``discard`` exponents
-    in from each end with ``width`` blocks per exponent.  Memoized, so the
-    next degree's window finds its image ranks here.
+    Columns are numbered in the wider window and ordered for both
+    windows' kernels at once: first the exponents both drop,
+    |v| > N - reach, then those only the narrower one drops, then its
+    interior, |v| <= N - 3 * reach, each band cleared from its outer edge
+    inward (``dropped_columns_first`` with nested keeps).  The radius-N
+    rows go in by shells of their output exponent u: first those with
+    |u| <= N - cuts[0], then out to N - cuts[1], and so on, then the
+    rest; after them come the rows that only the wider window determines.
+    Returns the rank after each shell, then the kernel dimensions
+    projected on the interior at N and at N + 2 * reach, ``width`` blocks
+    per exponent.  Memoized, so the next degree's window finds its image
+    ranks here.
     """
-    keep = _interior(radius, discard, width)
+    wide = radius + 2 * reach
+    keep = _interior(wide, 5 * reach, width)
+    outer = _interior(wide, 3 * reach, width)
     pivots = {}
     ranks = []
     inner = -1
     for cut in cuts:
-        outer = radius - cut
+        shell = (inner, radius - cut)
         ranks.append(sparse_rank(dropped_columns_first(
-            equation_rows(entries, radius, domain, (inner, outer)), keep),
-            domain, pivots))
-        inner = outer
+            equation_rows(entries, radius, domain, shell, wide), keep,
+            outer), domain, pivots))
+        inner = shell[1]
     kernel = projected_kernel_dim(
-        lambda: equation_rows(entries, radius, domain, (inner, None)),
-        domain, keep, pivots)
-    return (*ranks, kernel)
+        lambda: equation_rows(entries, radius, domain, (inner, None), wide),
+        domain, keep, pivots, outer)[0]
+    kernel_wide = projected_kernel_dim(
+        lambda: equation_rows(entries, wide, domain, skip=radius),
+        domain, keep, pivots, outer)[1]
+    return (*ranks, kernel, kernel_wide)
 
 
 def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
@@ -391,10 +413,18 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     |u| + r <= N, at M = N and at M = N + 2r alike (where |u| <= N - r),
     so they are rows of d^(k-1)'s own kernel elimination at N.  That
     elimination, run once with these two shells of rows first, gives
-    both image ranks and degree k-1's kernel; it is memoized, so the
-    windows of consecutive degrees at one radius share it.  Each nonzero
-    differential is thus eliminated twice per radius: in shells at N,
-    and plainly at N + 2r for its own degree's second kernel.
+    both image ranks and degree k-1's kernels; it is memoized, so the
+    windows of consecutive degrees at one radius share it.
+
+    The two kernels share one elimination too.  Numbered in the wider
+    window, the exponents |v| > N - r are dropped by both windows,
+    N - 3r < |v| <= N - r by the narrower one only, and |v| <= N - 3r
+    kept by both; with the columns in that order, each window's kept
+    columns are a trailing block, and the pivots there count its
+    projected kernel whatever rows came before.  So the radius-N rows go
+    in first, the kernel at N is read, then only the rows that N + 2r
+    adds go in and the kernel there is read.  Each nonzero differential
+    is thus eliminated once per radius.
     """
     dom = complex_.domain
     if not dom.is_field:
@@ -421,14 +451,10 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     reach = degree_reach(complex_, k)
     above = degree_reach(complex_, k + 1)
     image = _staged_pass(d_in, radius, complex_.rank(k - 1),
-                         3 * degree_reach(complex_, k - 1),
-                         (3 * reach, reach), dom)
-    kernel = _staged_pass(d_out, radius, ranks[k], 3 * reach,
-                          (3 * above, above), dom)[-1]
-    wide = radius + 2 * reach
-    kernel_wide = projected_kernel_dim(
-        lambda: equation_rows(d_out, wide, dom), dom,
-        _interior(wide, 3 * reach, ranks[k]))
+                         degree_reach(complex_, k - 1), (3 * reach, reach),
+                         dom)
+    kernel, kernel_wide = _staged_pass(d_out, radius, ranks[k], reach,
+                                       (3 * above, above), dom)[-2:]
     d1 = kernel - image[0]
     d2 = kernel_wide - image[1]
     return d2, d1 == d2

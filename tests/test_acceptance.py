@@ -47,6 +47,10 @@ RANK_EIGHT_TYPES = ("A8", "E8")
 # window radius in criterion 13
 RANK_SIX_TYPES = ("A5", "B5", "D5", "A6", "B6", "D6", "E6")
 
+# rank 7, the largest type the shift check verifies within a tier-1
+# budget, over Z/3 in criterion 14
+RANK_SEVEN_TYPE = "E7"
+
 # every type with group order <= 1e5; the dihedral family is sampled
 POINCARE_TYPES = ("A1", "A2", "A3", "A4", "A5", "A6", "A7",
                   "B2", "B3", "B4", "B5", "B6", "D4", "D5", "D6",
@@ -362,4 +366,24 @@ def test_criterion_13_rank_six_shift_theorem():
                 # every degree stabilized at the first radius tried
                 assert all(d["radius"] == default for d in degrees), \
                     (name, coeff)
+    body()
+
+
+def test_criterion_14_rank_seven_shift_theorem():
+    @criterion(14, "degree shift matches in every degree for E7 over Z/3",
+               budget=60.0)
+    def body():
+        system = finite_type_system(RANK_SEVEN_TYPE)
+        default = default_window_radius(
+            build_salvetti_complex(system, GF(3)))
+        code, doc = cli_json("verify", "--type", RANK_SEVEN_TYPE, "--coeff",
+                             "Zp:3", "--format", "json")
+        assert code == 0
+        (entry,) = doc["results"].values()
+        degrees = entry["shift"]["degrees"]
+        assert entry["shift"]["ok"]
+        assert len(degrees) == system.n + 1
+        assert all(d["match"] for d in degrees)
+        # every degree stabilized at the first radius tried
+        assert all(d["radius"] == default for d in degrees)
     body()

@@ -224,6 +224,34 @@ def test_diagonalize_stops_when_a_pass_makes_no_progress(monkeypatch):
             smith_normal_form(A, QQ)
 
 
+def test_diagonalize_passes_stay_within_half_the_cap(monkeypatch):
+    # the cap on passes is measured, not proved: the two longest families
+    # found must end within half of it, so that a change of pivot rule
+    # that eats the margin fails here and not on some user's matrix.
+    # The diagonal q - 2, ..., q - 7 takes 15 passes; the chain
+    # (q - 2)^(8-i) (q - 3)^i, broken at every step, 64 = S
+    module = importlib.import_module("artinfib.homology")
+    echelon = module._echelon
+    passes = [0]
+
+    def counting(*args):
+        passes[0] += 1
+        return echelon(*args)
+
+    monkeypatch.setattr(module, "_echelon", counting)
+    for d in ([P(f"q - {i}") for i in range(2, 8)],
+              [P(f"(q - 2)^{8 - i} * (q - 3)^{i}") for i in range(8)]):
+        k = len(d)
+        A = tuple(tuple(d[i] if i == j else LaurentPoly.zero(QQ)
+                        for j in range(k)) for i in range(k))
+        cap = 2 * (k + 1) * (sum(e.span for e in d) + 1)
+        for run in (lambda: smith_normal_form(A, QQ),
+                    lambda: _invariant_factors(A, k, k, QQ)):
+            passes[0] = 0
+            run()
+            assert 0 < passes[0] <= cap // 2, (k, passes[0], cap)
+
+
 def assert_factors_match_full_decomposition(C, label):
     # both run on integer rows over Q, but with transforms a row of
     # [D | U] is kept primitive, not D's row alone, and the kernel rows

@@ -189,3 +189,46 @@ def test_staged_elimination_extends_one_pivot_dict():
                 pivots)
             assert got == reference_dim(rows, domain, set(keep)), \
                 (domain, trial)
+
+
+def test_nested_keeps_give_both_kernels_from_one_elimination():
+    # banded rows fed in two stages to one elimination whose columns run
+    # outside ``outer`` first, then outer outside keep, then keep: after
+    # the first stage the count on keep is the projected kernel of those
+    # rows alone, and after the second the count on outer is that of
+    # every row, each as a from-scratch elimination gives it
+    rng = random.Random("nested-keeps")
+    nonzero = set()
+    for domain in (QQ, GF(2), GF(3)):
+        for trial in range(50):
+            n_cols = rng.randint(8, 28)
+            rows = random_rows(rng, domain, rng.randint(2, n_cols + 4),
+                               n_cols, rng.choice((3, 5)))
+            a = rng.randint(0, n_cols)
+            b = rng.randint(a, n_cols)
+            lo = rng.randint(a, b)
+            outer, keep = range(a, b), range(lo, rng.randint(lo, b))
+            cut = rng.randint(0, len(rows))
+            # the renumbering is one to one and puts the zones in order
+            zone = {c: (c in outer) + (c in keep) for c in range(n_cols)}
+            (row,) = dropped_columns_first([dict.fromkeys(zone, 1)], keep,
+                                           outer)
+            assert len(row) == n_cols
+            order = [c for _, c in sorted(zip(row, zone))]
+            assert [zone[c] for c in order] == sorted(zone.values())
+            pivots = {}
+            inner_dim = projected_kernel_dim(
+                lambda: (dict(r) for r in rows[:cut]), domain, keep,
+                pivots, outer)[0]
+            outer_dim = projected_kernel_dim(
+                lambda: (dict(r) for r in rows[cut:]), domain, keep,
+                pivots, outer)[1]
+            assert inner_dim == projected_kernel_dim(
+                lambda: (dict(r) for r in rows[:cut]), domain, keep) == \
+                reference_dim(rows[:cut], domain, set(keep)), (domain, trial)
+            assert outer_dim == projected_kernel_dim(
+                lambda: (dict(r) for r in rows), domain, outer) == \
+                reference_dim(rows, domain, set(outer)), (domain, trial)
+            nonzero.add((bool(inner_dim), bool(outer_dim)))
+    assert nonzero == {(False, False), (False, True), (True, False),
+                       (True, True)}

@@ -213,9 +213,11 @@ def test_window_radius_cap():
 def test_window_stability_check_runs_two_windows(monkeypatch):
     # the stability verdict compares two full windows, at the default
     # radius N and at N + 2 * reach: a speed-up that drops the second one
-    # must fail here.  Degree 1 of A3 eliminates d^0 at N, in three
-    # shells of rows (its two image ranks, then degree 0's kernel), d^1
-    # likewise, and d^1 at N + 2 * reach for the wider kernel
+    # must fail here.  Degree 1 of A3 eliminates d^0 and d^1 once each,
+    # both numbered in the wider window of their degree: the radius-N
+    # rows in three shells (the next degree's two image ranks, then the
+    # rest for the kernel at N), then the rows only N + 2 * reach
+    # determines, for the kernel there
     calls = collections.Counter()
     rows_at = collections.Counter()
 
@@ -230,20 +232,21 @@ def test_window_stability_check_runs_two_windows(monkeypatch):
     C = build_salvetti_complex(finite_type_system("A3"))
     original_rows = series.equation_rows
 
-    def at_radius(entries, radius, *args):
-        rows_at[C.diffs.index(entries), radius] += 1
-        return original_rows(entries, radius, *args)
+    def at_radius(entries, radius, domain, shell=None, frame=None,
+                  skip=None):
+        rows_at[C.diffs.index(entries), radius, frame, skip] += 1
+        return original_rows(entries, radius, domain, shell, frame, skip)
 
     for name in ("projected_kernel_dim", "sparse_rank"):
         monkeypatch.setattr(series, name, counted(name))
     monkeypatch.setattr(series, "equation_rows", at_radius)
     series._staged_pass.cache_clear()
-    k = 1
-    reach = reach_of(C, k)
     N = default_window_radius(C)
-    assert m_cohomology_dim_window(C, k) == (2, True)
-    assert calls == {"projected_kernel_dim": 3, "sparse_rank": 4}
-    assert rows_at == {(0, N): 3, (1, N): 3, (1, N + 2 * reach): 1}
+    wide = [N + 2 * reach_of(C, k) for k in (0, 1)]
+    assert m_cohomology_dim_window(C, 1) == (2, True)
+    assert calls == {"projected_kernel_dim": 4, "sparse_rank": 4}
+    assert rows_at == {(0, N, wide[0], None): 3, (0, wide[0], None, N): 1,
+                       (1, N, wide[1], None): 3, (1, wide[1], None, N): 1}
     monkeypatch.undo()
 
     # and the shift check reports that default, 4 * reach, in every degree
@@ -254,10 +257,10 @@ def test_window_stability_check_runs_two_windows(monkeypatch):
     assert all(d.radius == 4 * reach for d in report.degrees)
 
 
-def test_verify_eliminates_each_differential_twice(monkeypatch):
+def test_verify_eliminates_each_differential_once(monkeypatch):
     # an elimination is one pivot dict, however many stages feed it; one
-    # verify of A3 eliminates each nonzero differential at the start
-    # radius N (in shells) and at N + 2 * reach of its own degree, and no
+    # verify of A3 eliminates each nonzero differential once at the start
+    # radius N, for both windows of its degree's stability check, and no
     # other elimination sees a row
     fed = []  # [pivot dict, rows fed to it over every stage]
     echelon = linalg.echelon
@@ -286,7 +289,7 @@ def test_verify_eliminates_each_differential_twice(monkeypatch):
     nonzero = sum(1 for d in C.diffs
                   if any(not e.is_zero() for row in d for e in row))
     assert nonzero == 3
-    assert sum(1 for _, n in fed if n) == 2 * nonzero
+    assert sum(1 for _, n in fed if n) == nonzero
 
 
 def test_window_dims_a2():
@@ -474,26 +477,30 @@ def reference_window_dim(C, k, N):
 def staged_reference(C, k, N):
     """What degree k's elimination at N gives, from the references: the
     image ranks of degree k + 1 at N and N + 2 * its reach, then degree
-    k's own projected kernel dim."""
+    k's own projected kernel dims at N and N + 2 * its reach."""
     dom = C.domain
     n = C.rank(k)
     reach, above = reach_of(C, k), reach_of(C, k + 1)
-    kernel = projected_kernel_dim(
-        lambda: (dict(r) for r in reference_equation_rows(
-            C.diff(k) or (), N, dom)),
-        dom, range(3 * reach * n, (2 * N - 3 * reach + 1) * n))
+    kernels = tuple(
+        projected_kernel_dim(
+            lambda: (dict(r) for r in reference_equation_rows(
+                C.diff(k) or (), M, dom)),
+            dom, range(3 * reach * n, (2 * M - 3 * reach + 1) * n))
+        for M in (N, N + 2 * reach))
     images = tuple(
         sparse_rank(transposed_image_rows(C.diff(k) or (), M, dom,
                                           -M + 3 * above, M - 3 * above),
                     dom)
         for M in (N, N + 2 * above))
-    return (*images, kernel)
+    return (*images, *kernels)
 
 
 def test_staged_elimination_matches_separate_windows():
-    # the image ranks read off a prefix of the previous degree's kernel
-    # elimination equal the ranks of the image's transpose, built here.
-    # The complexes' degrees have unequal reach; the radii are the
+    # one elimination per differential and radius gives what separate
+    # eliminations give: the image ranks read off its first shells equal
+    # the ranks of the image's transpose, and its kernels at N and at
+    # N + 2 * reach equal a projected kernel of their own, rows built
+    # here.  The complexes' degrees have unequal reach; the radii are the
     # smallest every degree admits (where some windows have not settled),
     # the default, and one doubling of it, the shift check's fallback
     complexes = [build_salvetti_complex(system_from_string(label), dom)
@@ -512,15 +519,19 @@ def test_staged_elimination_matches_separate_windows():
         default = default_window_radius(C)
         smallest = max(3 * reach_of(C, k) + 1 for k in degrees)
         for N in (smallest, default, 2 * default):
+            # degree -> its image ranks at N and N + 2 * its reach; a
+            # degree after one of rank 0 has none
+            images = {}
             for k in degrees:
                 reach, above = reach_of(C, k), reach_of(C, k + 1)
                 want = staged_reference(C, k, N)
                 got = series._staged_pass(
-                    C.diff(k) or (), N, C.rank(k), 3 * reach,
+                    C.diff(k) or (), N, C.rank(k), reach,
                     (3 * above, above), C.domain)
                 assert got == want, (C.ranks, str(C.domain), N, k)
-                d1 = reference_window_dim(C, k, N)
-                d2 = reference_window_dim(C, k, N + 2 * reach)
+                images[k + 1] = want[:2]
+                image = images.get(k, (0, 0))
+                d1, d2 = want[2] - image[0], want[3] - image[1]
                 assert m_cohomology_dim_window(C, k, N) == (d2, d1 == d2)
                 reaches.add((reach, above))
                 verdicts.add(d1 == d2)
