@@ -440,6 +440,12 @@ def run(config: RunConfig) -> int:
     em = _Emitter(live=live)
     try:
         code = _drive(config, em)
+        # an unwritable --out is reported like an unreadable --family
+        if config.out is not None:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(em.text())
+        elif not live:
+            sys.stdout.write(em.text())
     except NotStabilized as exc:
         tried = ", ".join(f"({r}, {d})" for r, d in exc.history) or "none"
         print(f"error: window dimensions did not stabilize "
@@ -452,12 +458,6 @@ def run(config: RunConfig) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = em.text()
-    if config.out is not None:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    elif not live:
-        sys.stdout.write(text)
     return code
 
 

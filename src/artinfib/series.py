@@ -23,10 +23,10 @@ interior; the interior sits 3x the degree's reach in from the window's
 edge, so those rows are fully determined and form a subset of the rows
 degree k-1 eliminates for its kernel.  Fed first, in two shells, they
 give the image ranks at both radii of the check on the way.  The wider
-window's kernel extends the same elimination: its columns are ordered
-so that both windows' dropped columns come before their kept ones, and
-only the rows the wider radius adds go in after the narrower window's
-(see ``m_cohomology_dim_window``).
+window's kernel extends the same elimination: ``equation_rows`` keys
+every column outermost exponent first, so both windows' interiors are
+trailing ranges of one order, and only the rows the wider radius adds
+go in after the narrower window's (see ``m_cohomology_dim_window``).
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .laurent import LaurentPoly, extremes_invertible
-from .linalg import (dropped_columns_first, integer_row,
-                     projected_kernel_dim, sparse_rank)
+from .linalg import integer_row, projected_kernel_dim, sparse_rank
 
 
 @dataclasses.dataclass(frozen=True)
@@ -270,10 +269,20 @@ def _integer_stencil(cells, domain):
     return [cell[:-1] + (c,) for cell, c in zip(cells, coeffs)]
 
 
-# Window vectors are flattened by exponent, then by block: on the source
-# window [-N, N], block j at exponent v is column (v + N) * src_rank + j.
-# Distinct (block, exponent) pairs therefore get distinct columns, so a
-# row never collects two terms in one column.
+# Window vectors are flattened block by block, outermost exponent first:
+# in the window [-W, W] of width w blocks, exponent v has position
+# 2 (W - |v|) + [v < 0], so W, -W, W - 1, ..., -1, 0 come at 0, 1, ...,
+# 2W, and block j at v is key position * w + j.  The keys fill
+# range((2W + 1) * w) one to one, and the exponents |v| <= M for any
+# M <= W are the trailing range from 2 (W - M) * w: elimination clears
+# every exponent a window drops before any it keeps, from both edges
+# inward, which also keeps banded rows banded.
+
+
+def window_keys(radius: int, width: int) -> list:
+    """Key of block 0 at exponent v, at index v + radius."""
+    W = radius
+    return [(2 * (W - abs(v)) + (v < 0)) * width for v in range(-W, W + 1)]
 
 
 def equation_rows(entries, radius: int, domain: Domain, shell=None,
@@ -283,25 +292,26 @@ def equation_rows(entries, radius: int, domain: Domain, shell=None,
     Output (i, u) = sum over j and the terms c*q^exp of entry (i, j) of
     c * x_(j, u - exp).  It is usable only when every such input exponent
     lies inside [-N, N], which bounds u by the extreme exponents of row
-    i's entries.  Row i's terms are laid out once, as a stencil of column
-    offsets, and each valid u shifts it.  Rows come i-major, then by u.
-    With ``shell`` = (a, b) only the rows with a < |u| <= b come (b None:
-    no upper bound).  ``frame`` numbers the columns as in the window of
-    that radius (default N), and ``skip`` leaves out the rows already
-    fully determined at that smaller radius.  Values are ints: over Q
-    each stencil is scaled to primitive integer form, which scales an
-    equation and so keeps the kernel.
+    i's entries.  Row i's terms are laid out once, as a stencil of
+    exponent offsets and blocks, and each valid u shifts it.  Rows come
+    i-major, then by u.  With ``shell`` = (a, b) only the rows with
+    a < |u| <= b come (b None: no upper bound).  The keys are those of
+    the window of radius ``frame`` (default N; see ``window_keys``), and
+    ``skip`` leaves out the rows already fully determined at that smaller
+    radius.  Values are nonzero ints: over Q each stencil is scaled to
+    primitive integer form, which scales an equation and so keeps the
+    kernel.
     """
     N = radius
     frame = N if frame is None else frame
     inner, outer = shell or (-1, None)
-    src_rank = len(entries[0]) if entries else 0
+    keys = window_keys(frame, len(entries[0]) if entries else 0)
     for row in entries:
         terms = [(j, e) for j, e in enumerate(row) if not e.is_zero()]
         if not terms:
             continue
         stencil = _integer_stencil(
-            [(j - exp * src_rank, c) for j, e in terms
+            [(frame - exp, j, c) for j, e in terms
              for exp, c in e.items() if not domain.is_zero(c)], domain)
         top = max(e.degree for _, e in terms)
         bottom = min(e.val for _, e in terms)
@@ -312,8 +322,7 @@ def equation_rows(entries, radius: int, domain: Domain, shell=None,
                 else ())
         for u in range(u_lo, u_hi + 1):
             if abs(u) > inner and u not in seen:
-                base = (u + frame) * src_rank
-                yield {base + off: c for off, c in stencil}
+                yield {keys[u + off] + j: c for off, j, c in stencil}
 
 
 # the shift check doubles a radius that has not stabilized at most this
@@ -350,47 +359,38 @@ def check_window_interior(complex_, radius: int, degrees) -> None:
                 f"the {discard} discarded boundary coefficients")
 
 
-def _interior(radius: int, discard: int, width: int) -> range:
-    """Window columns of the exponents radius - discard or less in size."""
-    return range(discard * width, (2 * radius - discard + 1) * width)
-
-
 @functools.lru_cache(maxsize=8)
 def _staged_pass(entries, radius, width, reach, cuts, domain):
     """One elimination of the equation rows of ``entries`` at ``radius``
     N and at N + 2 * ``reach``.
 
-    Columns are numbered in the wider window and ordered for both
-    windows' kernels at once: first the exponents both drop,
-    |v| > N - reach, then those only the narrower one drops, then its
-    interior, |v| <= N - 3 * reach, each band cleared from its outer edge
-    inward (``dropped_columns_first`` with nested keeps).  The radius-N
-    rows go in by shells of their output exponent u: first those with
-    |u| <= N - cuts[0], then out to N - cuts[1], and so on, then the
-    rest; after them come the rows that only the wider window determines.
-    Returns the rank after each shell, then the kernel dimensions
-    projected on the interior at N and at N + 2 * reach, ``width`` blocks
-    per exponent.  Memoized, so the next degree's window finds its image
-    ranks here.
+    Keys are those of the wider window, W = N + 2 * reach, ``width``
+    blocks per exponent, so each window's interior is a trailing range:
+    |v| <= N - 3 * reach from 10 * reach * width, |v| <= W - 3 * reach
+    from 6 * reach * width.  The radius-N rows go in by shells of their
+    output exponent u: first those with |u| <= N - cuts[0], then out to
+    N - cuts[1], and so on, then the rest; after them come the rows that
+    only the wider window determines.  Returns the rank after each shell,
+    then the kernel dimensions projected on the interior at N and at W.
+    Memoized, so the next degree's window finds its image ranks here.
     """
     wide = radius + 2 * reach
-    keep = _interior(wide, 5 * reach, width)
-    outer = _interior(wide, 3 * reach, width)
+    end = (2 * wide + 1) * width
     pivots = {}
     ranks = []
     inner = -1
     for cut in cuts:
         shell = (inner, radius - cut)
-        ranks.append(sparse_rank(dropped_columns_first(
-            equation_rows(entries, radius, domain, shell, wide), keep,
-            outer), domain, pivots))
+        ranks.append(sparse_rank(
+            equation_rows(entries, radius, domain, shell, wide), domain,
+            pivots))
         inner = shell[1]
     kernel = projected_kernel_dim(
         lambda: equation_rows(entries, radius, domain, (inner, None), wide),
-        domain, keep, pivots, outer)[0]
+        domain, range(10 * reach * width, end), pivots)
     kernel_wide = projected_kernel_dim(
         lambda: equation_rows(entries, wide, domain, skip=radius),
-        domain, keep, pivots, outer)[1]
+        domain, range(6 * reach * width, end), pivots)
     return (*ranks, kernel, kernel_wide)
 
 
@@ -416,15 +416,14 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     both image ranks and degree k-1's kernels; it is memoized, so the
     windows of consecutive degrees at one radius share it.
 
-    The two kernels share one elimination too.  Numbered in the wider
-    window, the exponents |v| > N - r are dropped by both windows,
-    N - 3r < |v| <= N - r by the narrower one only, and |v| <= N - 3r
-    kept by both; with the columns in that order, each window's kept
-    columns are a trailing block, and the pivots there count its
-    projected kernel whatever rows came before.  So the radius-N rows go
-    in first, the kernel at N is read, then only the rows that N + 2r
-    adds go in and the kernel there is read.  Each nonzero differential
-    is thus eliminated once per radius.
+    The two kernels share one elimination too.  Keyed in the wider
+    window, outermost exponent first (``window_keys``), the interior
+    |v| <= N - 3r of the narrower window and |v| <= N - r of the wider
+    one are both trailing ranges of keys, and the pivots in each count
+    its projected kernel whatever rows came before.  So the radius-N
+    rows go in first, the kernel at N is read, then only the rows that
+    N + 2r adds go in and the kernel there is read.  Each nonzero
+    differential is thus eliminated once per radius.
     """
     dom = complex_.domain
     if not dom.is_field:

@@ -3,7 +3,11 @@
 import dataclasses
 import importlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +105,21 @@ def test_out_file(capsys, tmp_path):
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert doc["results"]["Q"]["groups"][1]["torsion"] == ["q - 1"]
+
+
+def test_unwritable_out_exits_two(tmp_path):
+    # a directory, or a file in a missing directory: an error line and
+    # exit 2, the code of a bad input, not a traceback
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for target in (tmp_path, tmp_path / "missing" / "report.json"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "artinfib", "cohomology", "--type", "A2",
+             "--out", str(target)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2, target
+        assert proc.stderr.startswith("error:"), proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_verify_pretty_and_csv(capsys):

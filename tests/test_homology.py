@@ -20,7 +20,7 @@ from artinfib.homology import (MAX_SMITH_CELLS, _invariant_factors,
                                cohomology, homology, monodromy_char_poly,
                                smith_normal_form, verify_shift_theorem)
 from artinfib.laurent import LaurentPoly, format_poly, parse_poly
-from artinfib.linalg import sparse_rank
+from artinfib.linalg import integer_row, sparse_rank
 from artinfib.rmatrix import det_bareiss, mat_eq, mat_identity, mat_mul
 
 
@@ -455,7 +455,8 @@ def test_universal_coefficients_at_points():
             for a in points:
                 # rank[k] is the rank of d^(k-1) at q = a
                 rank = [0] + [sparse_rank(
-                    ({j: e.evaluate(a) for j, e in enumerate(row)}
+                    ({j: v for j, v in enumerate(integer_row(
+                        [e.evaluate(a) for e in row], dom)) if v}
                      for row in d), dom) for d in C.diffs] + [0]
                 for k in range(C.top_degree + 1):
                     dim = C.ranks[k] - rank[k] - rank[k + 1]

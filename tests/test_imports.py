@@ -1,9 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports, and every private name it
+defines at module level, is used in that module.
 
-No linter ships with the toolchain, so this is the unused-import check
-of one, written on ``ast``: an imported name counts as used when the
-module refers to it anywhere as a bare name, the root of an attribute
-chain included (``np`` in ``np.eye``).
+No linter ships with the toolchain, so these are the unused-name checks
+of one, written on ``ast``: a name counts as used when the module reads
+it anywhere as a bare name, the root of an attribute chain included
+(``np`` in ``np.eye``).  A private name (one leading underscore) read
+only inside its own definition is not used.
 """
 
 import ast
@@ -43,3 +45,44 @@ def test_checker_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_privates(source: str) -> list:
+    """(line, name) of each private module-level function, class or
+    assigned name that ``source`` reads nowhere outside its definition."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [n.id for t in node.targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node
+    return sorted(
+        (node.lineno, name) for name, node in defined.items()
+        if not any(isinstance(n, ast.Name) and n.id == name
+                   and isinstance(n.ctx, ast.Load)
+                   for top in tree.body if top is not node
+                   for n in ast.walk(top)))
+
+
+def test_checker_sees_unused_privates():
+    source = ("_USED = 1\n_DEAD: int = 2\nPUBLIC = 3\n__version__ = '0'\n"
+              "def _helper():\n    return _USED\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "class _Dead:\n    pass\n"
+              "def f():\n    return _helper()\n")
+    assert unused_privates(source) == [(2, "_DEAD"), (7, "_recursive"),
+                                       (9, "_Dead")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_privates(path):
+    assert unused_privates(path.read_text()) == []

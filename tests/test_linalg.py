@@ -1,13 +1,20 @@
 """Sparse elimination against a dense Gauss elimination written here, and
-the projected kernel against its two-rank identity."""
+the projected kernel against its two-rank identity.
+
+``echelon`` takes rows of nonzero ints and ``projected_kernel_dim`` a
+trailing range of keys, so the tests bring their random rows and keeps
+to that form here: ``int_rows`` maps each row through ``integer_row``,
+and ``relabeled`` renumbers the columns so that each keep is a trailing
+block, in a random order inside every block.  The oracles still see the
+rows and keeps as drawn."""
 
 import random
 from fractions import Fraction
 
 import artinfib.linalg as linalg
 from artinfib.domains import GF, QQ
-from artinfib.linalg import (dropped_columns_first, echelon, integer_row,
-                             projected_kernel_dim, sparse_rank)
+from artinfib.linalg import (echelon, integer_row, projected_kernel_dim,
+                             sparse_rank)
 
 
 def dense_pivot_columns(rows, domain):
@@ -92,6 +99,27 @@ def mixed_rows(rng, domain, n_rows, n_cols):
     return rows
 
 
+def int_rows(rows, domain):
+    """Each row as ``echelon`` takes it: ``integer_row`` of its values,
+    zeros dropped."""
+    return [{k: v for k, v in zip(row, integer_row(row.values(), domain))
+             if v} for row in rows]
+
+
+def relabeled(rng, rows, domain, n_cols, *keeps):
+    """The rows as nonzero ints, columns renumbered in blocks: first the
+    columns in no keep, then those in the last keep only, and so on, the
+    first keep's last; the order inside a block is random.  ``keeps``
+    are nested, each inside the next.  Returns the rows and each keep as
+    the trailing range of keys it became."""
+    depth = {c: sum(c in keep for keep in keeps) for c in range(n_cols)}
+    order = sorted(range(n_cols), key=lambda c: (depth[c], rng.random()))
+    key = {c: i for i, c in enumerate(order)}
+    out = [{key[c]: v for c, v in row.items()}
+           for row in int_rows(rows, domain)]
+    return out, [range(n_cols - len(keep), n_cols) for keep in keeps]
+
+
 def test_integer_row():
     assert integer_row([Fraction(1, 2), Fraction(-2, 3), Fraction(0)],
                        QQ) == [3, -4, 0]
@@ -120,11 +148,11 @@ def test_echelon_matches_dense_elimination():
             n_cols = rng.randint(1, 14)
             rows = mixed_rows(rng, domain, rng.randint(1, 12), n_cols)
             expected = dense_pivot_columns(rows, domain)
-            got = echelon([dict(r) for r in rows], domain)
+            got = echelon(int_rows(rows, domain), domain)
             assert sorted(got) == expected, (domain, trial)
             assert all(type(v) is int and v for row in got.values()
                        for v in row.values())
-            assert sparse_rank([dict(r) for r in rows], domain) == \
+            assert sparse_rank(int_rows(rows, domain), domain) == \
                 len(expected)
             deficient += len(expected) < min(len(rows), n_cols)
         assert deficient >= 10, domain
@@ -152,14 +180,16 @@ def test_projected_kernel_dim_one_elimination(monkeypatch):
                          set(rng.sample(range(n_cols),
                                         rng.randint(0, n_cols)))):
                 expected = reference_dim(rows, domain, set(keep))
+                keyed, (trailing,) = relabeled(rng, rows, domain, n_cols,
+                                               set(keep))
                 made = []
 
                 def row_maker():
                     made.append(1)
-                    return (dict(r) for r in rows)
+                    return iter(keyed)
 
                 before = len(calls)
-                got = projected_kernel_dim(row_maker, domain, keep)
+                got = projected_kernel_dim(row_maker, domain, trailing)
                 assert got == expected, (domain, trial, sorted(keep))
                 assert len(calls) == before + 1 and len(made) == 1
                 checked += 1
@@ -177,16 +207,15 @@ def test_staged_elimination_extends_one_pivot_dict():
             rows = mixed_rows(rng, domain, rng.randint(2, 16), n_cols)
             lo = rng.randint(0, n_cols - 1)
             keep = range(lo, rng.randint(lo, n_cols))
+            keyed, (trailing,) = relabeled(rng, rows, domain, n_cols, keep)
             cuts = sorted(rng.sample(range(len(rows) + 1), 2))
-            stages = [rows[:cuts[0]], rows[cuts[0]:cuts[1]]]
+            stages = [keyed[:cuts[0]], keyed[cuts[0]:cuts[1]]]
             pivots = {}
             for end, stage in zip(cuts, stages):
-                got = sparse_rank(dropped_columns_first(
-                    [dict(r) for r in stage], keep), domain, pivots)
+                got = sparse_rank(stage, domain, pivots)
                 assert got == len(dense_pivot_columns(rows[:end], domain))
-            got = projected_kernel_dim(
-                lambda: (dict(r) for r in rows[cuts[1]:]), domain, keep,
-                pivots)
+            got = projected_kernel_dim(lambda: keyed[cuts[1]:], domain,
+                                       trailing, pivots)
             assert got == reference_dim(rows, domain, set(keep)), \
                 (domain, trial)
 
@@ -194,9 +223,8 @@ def test_staged_elimination_extends_one_pivot_dict():
 def test_nested_keeps_give_both_kernels_from_one_elimination():
     # banded rows fed in two stages to one elimination whose columns run
     # outside ``outer`` first, then outer outside keep, then keep: after
-    # the first stage the count on keep is the projected kernel of those
-    # rows alone, and after the second the count on outer is that of
-    # every row, each as a from-scratch elimination gives it
+    # each stage the pivots in each keep give the projected kernel of the
+    # rows so far on that keep, as the dense two-rank identity gives it
     rng = random.Random("nested-keeps")
     nonzero = set()
     for domain in (QQ, GF(2), GF(3)):
@@ -208,27 +236,18 @@ def test_nested_keeps_give_both_kernels_from_one_elimination():
             b = rng.randint(a, n_cols)
             lo = rng.randint(a, b)
             outer, keep = range(a, b), range(lo, rng.randint(lo, b))
+            keyed, keeps = relabeled(rng, rows, domain, n_cols, keep, outer)
             cut = rng.randint(0, len(rows))
-            # the renumbering is one to one and puts the zones in order
-            zone = {c: (c in outer) + (c in keep) for c in range(n_cols)}
-            (row,) = dropped_columns_first([dict.fromkeys(zone, 1)], keep,
-                                           outer)
-            assert len(row) == n_cols
-            order = [c for _, c in sorted(zip(row, zone))]
-            assert [zone[c] for c in order] == sorted(zone.values())
             pivots = {}
-            inner_dim = projected_kernel_dim(
-                lambda: (dict(r) for r in rows[:cut]), domain, keep,
-                pivots, outer)[0]
-            outer_dim = projected_kernel_dim(
-                lambda: (dict(r) for r in rows[cut:]), domain, keep,
-                pivots, outer)[1]
-            assert inner_dim == projected_kernel_dim(
-                lambda: (dict(r) for r in rows[:cut]), domain, keep) == \
-                reference_dim(rows[:cut], domain, set(keep)), (domain, trial)
-            assert outer_dim == projected_kernel_dim(
-                lambda: (dict(r) for r in rows), domain, outer) == \
-                reference_dim(rows, domain, set(outer)), (domain, trial)
-            nonzero.add((bool(inner_dim), bool(outer_dim)))
+            seen = []  # dims on keep, then on outer, after each stage
+            for stage, end in ((keyed[:cut], cut), (keyed[cut:], len(rows))):
+                seen.append(projected_kernel_dim(lambda: iter(stage), domain,
+                                                 keeps[0], pivots))
+                seen.append(projected_kernel_dim(lambda: (), domain,
+                                                 keeps[1], pivots))
+                assert seen[-2:] == [reference_dim(rows[:end], domain, set(z))
+                                     for z in (keep, outer)], (domain, trial)
+            # the narrower keep after the first stage, the wider after both
+            nonzero.add((bool(seen[0]), bool(seen[3])))
     assert nonzero == {(False, False), (False, True), (True, False),
                        (True, True)}

@@ -15,12 +15,13 @@ from artinfib.errors import (NonInvertibleExtremes, SeedTooShort,
                              UnsupportedDomain, WindowTooLarge,
                              WindowTooSmall)
 from artinfib.laurent import LaurentPoly, parse_poly
-from artinfib.linalg import projected_kernel_dim, sparse_rank
+from artinfib.linalg import integer_row, projected_kernel_dim, sparse_rank
 from artinfib.series import (WINDOW_DOUBLINGS, WindowSeries,
                              default_window_radius, equation_rows,
                              kernel_of_scalar_mul, m_cohomology_dim_window,
                              matrix_reach, poly_window_product,
-                             recurrence_extend, solve_scalar_mul)
+                             recurrence_extend, solve_scalar_mul,
+                             window_keys)
 from artinfib.complexes import (CochainComplex, build_generic_complex,
                                 build_salvetti_complex, koszul_family,
                                 random_koszul_family, transpose_complex)
@@ -357,11 +358,34 @@ def scaled(row, s):
     return tuple(sorted((k, int(s * c)) for k, c in row.items()))
 
 
+def fold_key(v, W, n, j):
+    """Key of block j at exponent v in the window [-W, W] of n blocks:
+    exponents numbered outermost first, W, -W, W - 1, ..., -1, 0."""
+    return (2 * (W - abs(v)) + (v < 0)) * n + j
+
+
+def test_window_keys_put_every_interior_last():
+    # the table numbers the window one to one onto range((2W + 1) * w),
+    # and the exponents |v| <= M of every M <= W are a trailing range
+    for W in (0, 1, 2, 7):
+        for w in (1, 2, 3):
+            table = window_keys(W, w)
+            assert len(table) == 2 * W + 1
+            key = {(v, j): table[v + W] + j
+                   for v in range(-W, W + 1) for j in range(w)}
+            assert sorted(key.values()) == list(range((2 * W + 1) * w))
+            for M in range(W + 1):
+                inside = sorted(k for (v, _), k in key.items() if abs(v) <= M)
+                assert inside == list(range(2 * (W - M) * w, (2 * W + 1) * w))
+            # and it is the numbering the reference rows below use
+            assert all(k == fold_key(v, W, w, j) for (v, j), k in key.items())
+
+
 def reference_equation_rows(entries, N, dom, shell=(-1, None)):
     """Output (i, u) = sum of c * x_(j, u - exp), kept when every input
     exponent lies in [-N, N] and a < |u| <= b for ``shell`` = (a, b);
-    x_(j, v) is column (v + N) * n + j.  Over Q each row is scaled to
-    primitive integer form."""
+    x_(j, v) is column ``fold_key(v, N, n, j)``.  Over Q each row is
+    scaled to primitive integer form."""
     n = len(entries[0]) if entries else 0
     a, b = shell
     rows = []
@@ -377,7 +401,7 @@ def reference_equation_rows(entries, N, dom, shell=(-1, None)):
                     if dom.is_zero(c):
                         continue
                     inside = inside and -N <= u - exp <= N
-                    col = (u - exp + N) * n + j
+                    col = fold_key(u - exp, N, n, j)
                     row[col] = dom.add(row.get(col, dom.zero), c)
             row = {k: c for k, c in row.items() if not dom.is_zero(c)}
             if row and inside:
@@ -387,8 +411,8 @@ def reference_equation_rows(entries, N, dom, shell=(-1, None)):
 
 def transposed_image_rows(entries, N, dom, lo, hi):
     """Image of the unit vector at (j, v), v in [-N, N], cut to exponents
-    [lo, hi]: the rows of the image's transpose.  y_(i, u) is column
-    (u - lo) * m + i."""
+    [lo, hi]: the rows of the image's transpose, as ``integer_row`` gives
+    them.  y_(i, u) is column (u - lo) * m + i."""
     m = len(entries)
     n = len(entries[0]) if entries else 0
     rows = []
@@ -402,7 +426,7 @@ def transposed_image_rows(entries, N, dom, lo, hi):
                     if not dom.is_zero(c):
                         row[(u - lo) * m + i] = c
             if row:
-                rows.append(row)
+                rows.append(dict(zip(row, integer_row(row.values(), dom))))
     return rows
 
 
@@ -438,7 +462,7 @@ def test_window_rows_match_reference():
             got = [tuple(sorted(r.items()))
                    for r in equation_rows(mat, N, dom)]
             assert got == reference_equation_rows(mat, N, dom)
-            assert all(type(c) is int for r in got for _, c in r)
+            assert all(type(c) is int and c for r in got for _, c in r)
             for shell in ((-1, 2), (2, N - 1), (N - 1, None), (N, N + 3)):
                 got = [tuple(sorted(r.items()))
                        for r in equation_rows(mat, N, dom, shell)]
@@ -468,7 +492,7 @@ def reference_window_dim(C, k, N):
     kernel = projected_kernel_dim(
         lambda: (dict(r) for r in reference_equation_rows(
             C.diff(k) or (), N, dom)),
-        dom, range((lo + N) * n, (hi + N + 1) * n))
+        dom, range(6 * reach * n, (2 * N + 1) * n))
     image = sparse_rank(
         transposed_image_rows(C.diff(k - 1) or (), N, dom, lo, hi), dom)
     return kernel - image
@@ -485,7 +509,7 @@ def staged_reference(C, k, N):
         projected_kernel_dim(
             lambda: (dict(r) for r in reference_equation_rows(
                 C.diff(k) or (), M, dom)),
-            dom, range(3 * reach * n, (2 * M - 3 * reach + 1) * n))
+            dom, range(6 * reach * n, (2 * M + 1) * n))
         for M in (N, N + 2 * reach))
     images = tuple(
         sparse_rank(transposed_image_rows(C.diff(k) or (), M, dom,
