@@ -10,9 +10,8 @@ here is over Z.  ``poincare_poly`` uses the degree tables,
 ``poincare_poly_bruteforce`` enumerates the group through an exact
 reflection representation and is the independent cross-check.
 
-Diagram numbering conventions, which belong to ``finite_type_system``
-alone (``parabolic_components`` names each component by its type and
-lists its generators in ascending order):
+Each Dynkin diagram is written once, in ``finite_type_system``, with
+these numbering conventions:
 
     A_n   chain 1-2-...-n
     B_n   chain with the double edge last: m(n-1, n) = 4
@@ -22,6 +21,12 @@ lists its generators in ascending order):
     F_4   chain 1-2-3-4 with m(2, 3) = 4
     H_n   chain with the 5-edge first: m(1, 2) = 5
     I2(m) two generators, m(1, 2) = m
+
+``parabolic_components`` lists each component's generators in ascending
+order and names it by matching: the first of A, B, D, E, F, H (then
+I2(m) in rank 2) whose diagram of that rank is the component's labelled
+tree up to renumbering.  The brute-force side reads every edge's Cartan
+values from one table, ``_CARTAN``.
 """
 
 from __future__ import annotations
@@ -131,7 +136,8 @@ def parse_label(text: str) -> FiniteTypeLabel:
 
 @dataclasses.dataclass(frozen=True)
 class CoxeterSystem:
-    """Coxeter matrix with generators 1..n; m(i,i) = 1, m(i,j) >= 2."""
+    """Coxeter matrix with generators 1..n; m(i,i) = 1, m(i,j) >= 2, and
+    an entry above ``MAX_DIHEDRAL_ORDER`` raises InvalidRank."""
 
     matrix: tuple
 
@@ -148,6 +154,10 @@ class CoxeterSystem:
                 if i != j and (mat[i][j] < 2 or mat[i][j] != mat[j][i]):
                     raise ValueError(
                         f"invalid Coxeter matrix entry at ({i+1},{j+1})")
+                if mat[i][j] > MAX_DIHEDRAL_ORDER:
+                    raise InvalidRank(
+                        f"Coxeter matrix entry m({i+1},{j+1}) = {mat[i][j]} "
+                        f"is above {MAX_DIHEDRAL_ORDER}")
 
     @property
     def n(self) -> int:
@@ -191,7 +201,7 @@ def _connected_components(system: CoxeterSystem, verts: set):
                 if system.m(v, w) >= 3:
                     comp.add(w)
                     frontier.append(w)
-        comps.append(sorted(comp))
+        comps.append(tuple(sorted(comp)))
         left -= comp
     return comps
 
@@ -243,7 +253,8 @@ def system_from_string(text: str) -> CoxeterSystem:
     """Build a system from a label, allowing products like ``A1xA1``.
 
     Raises InvalidRank, before any matrix is built, when the total rank
-    exceeds ``MAX_TOTAL_RANK`` or an I2(m) has m > ``MAX_DIHEDRAL_ORDER``.
+    exceeds ``MAX_TOTAL_RANK``; an I2(m) with m > ``MAX_DIHEDRAL_ORDER``
+    is refused by ``CoxeterSystem``.
     """
     parts = [p for p in text.replace(" ", "").split("x") if p]
     if not parts:
@@ -256,8 +267,6 @@ def system_from_string(text: str) -> CoxeterSystem:
         if total > MAX_TOTAL_RANK:
             raise InvalidRank(f"type {text[:40]!r} has total rank above "
                               f"{MAX_TOTAL_RANK}")
-        if label.order is not None and label.order > MAX_DIHEDRAL_ORDER:
-            raise InvalidRank(f"{label}: m above {MAX_DIHEDRAL_ORDER}")
         labels.append(label)
     systems = [finite_type_system(label) for label in labels]
     mat = [[1 if i == j else 2 for j in range(total)] for i in range(total)]
@@ -274,71 +283,75 @@ def system_from_string(text: str) -> CoxeterSystem:
 # -- component classification -------------------------------------------
 
 
-def _classify_component(system: CoxeterSystem, verts) -> FiniteTypeLabel:
+def _shape(system: CoxeterSystem, verts) -> tuple:
+    """The least rooted encoding of the labelled tree on ``verts``: equal
+    for two trees exactly when they are isomorphic with their labels."""
+    nbrs = {v: [] for v in verts}
+    for (a, b), m in _edges(system, verts).items():
+        nbrs[a].append((b, m))
+        nbrs[b].append((a, m))
+
+    def rooted(v, parent):
+        return tuple(sorted((m, rooted(w, v)) for w, m in nbrs[v]
+                            if w != parent))
+
+    return min(rooted(v, None) for v in verts)
+
+
+@functools.lru_cache(maxsize=None)
+def _names_of_rank(k: int) -> dict:
+    """{shape: label} of the ``finite_type_system`` diagrams of rank k;
+    of A, B, D, E, F and H the first keeps a shape they share (A3, not
+    D3)."""
+    names = {}
+    for family in "ABDEFH":
+        try:
+            label = FiniteTypeLabel(family, k)
+        except InvalidRank:
+            continue
+        system = finite_type_system(label)
+        names.setdefault(_shape(system, system.generators), label)
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def _classify_component(system: CoxeterSystem, verts: tuple
+                        ) -> FiniteTypeLabel:
     """The finite type of the connected diagram on ``verts``.
 
-    A, D and E are told apart by the arm lengths at the branch node, B, F
-    and H by where the one edge labeled above 3 sits.  NotFiniteType if
-    the diagram is not of finite type.
+    A circuit raises NotFiniteType.  Otherwise the component's shape
+    (``_shape``) is looked up among the ``finite_type_system`` diagrams
+    of its rank (``_names_of_rank``); a rank-2 component that is not A2
+    or B2 is I2(m) for its edge label m.  NotFiniteType if none matches.
     """
     k = len(verts)
     edges = _edges(system, verts)
     if len(edges) != k - 1:
         raise NotFiniteType(
-            f"component {verts} contains a circuit; not finite type")
-    degs = {v: 0 for v in verts}
-    for a, b in edges:
-        degs[a] += 1
-        degs[b] += 1
-    branch = [v for v in verts if degs[v] >= 3]
-    heavy = [(m, e) for e, m in edges.items() if m > 3]
-
-    if not heavy:
-        if not branch:
-            return FiniteTypeLabel("A", k)
-        if len(branch) > 1 or degs[branch[0]] > 3:
-            raise NotFiniteType(
-                f"component {verts} has more than one branch point")
-        arms = sorted(len(c) for c in
-                      _connected_components(system, set(verts) - {branch[0]}))
-        if arms[:2] == [1, 1]:
-            return FiniteTypeLabel("D", k)
-        if arms[:2] == [1, 2] and arms[2] <= 4:
-            return FiniteTypeLabel("E", k)
+            f"component {list(verts)} contains a circuit; not finite type")
+    label = _names_of_rank(k).get(_shape(system, verts))
+    if label is None and k == 2:
+        label = FiniteTypeLabel("I", 2, *edges.values())
+    if label is None:
         raise NotFiniteType(
-            f"component {verts} branches with arm lengths {tuple(arms)}")
-
-    if len(heavy) > 1:
-        raise NotFiniteType(
-            f"component {verts} has several edges labeled above 3")
-    if branch:
-        raise NotFiniteType(
-            f"component {verts} mixes a branch point with a labeled edge")
-    m, (a, b) = heavy[0]
-    if k == 2:
-        return FiniteTypeLabel("B", 2) if m == 4 else FiniteTypeLabel("I", 2, m)
-    at_leaf = 1 in (degs[a], degs[b])
-    if m == 4 and at_leaf:
-        return FiniteTypeLabel("B", k)
-    if m == 4 and k == 4:  # the middle edge of a path of four
-        return FiniteTypeLabel("F", 4)
-    if m == 5 and k in (3, 4) and at_leaf:
-        return FiniteTypeLabel("H", k)
-    raise NotFiniteType(
-        f"component {verts}: edge label {m} in rank {k} is not finite type")
+            f"component {list(verts)} with edge labels "
+            f"{sorted(edges.values())} in rank {k} is not finite type")
+    return label
 
 
 def parabolic_components(system: CoxeterSystem, delta) -> list:
-    """Split Delta into connected components and classify each.
+    """Split Delta into connected components and name each.
 
-    Returns a list of (FiniteTypeLabel, ascending generator tuple);
-    raises NotFiniteType if any component is not of finite type.
+    Returns a list of (FiniteTypeLabel, ascending generator tuple), each
+    label found by matching the component against the
+    ``finite_type_system`` diagrams (``_classify_component``); raises
+    NotFiniteType if any component is not of finite type.
     """
     delta = set(delta)
     for v in delta:
         if not 1 <= v <= system.n:
             raise InvalidRank(f"generator {v} outside 1..{system.n}")
-    return [(_classify_component(system, comp), tuple(comp))
+    return [(_classify_component(system, comp), comp)
             for comp in _connected_components(system, delta)]
 
 
@@ -420,50 +433,25 @@ def _golden_mul(batch, g):
     return np.stack([ra, rb], axis=-1)
 
 
-_CRYSTAL_OFF = {2: (0, 0), 3: (-1, -1), 4: (-1, -2), 6: (-1, -3)}
+# Cartan pairing (c_ab, c_ba) of an edge a < b labelled m, over Z[phi]
+# as (integer part, phi part): c_ab * c_ba = 4 cos^2(pi / m)
+_CARTAN = {3: ((-1, 0), (-1, 0)), 4: ((-1, 0), (-2, 0)),
+           5: ((0, -1), (0, -1)), 6: ((-1, 0), (-3, 0))}
 
 
-def _reflection_gens_crystal(system, verts):
-    """Integer reflection matrices from a Cartan-style pairing."""
+def _reflection_gens(system, verts):
+    """Reflection matrices s_i = I - e_i c_i of the ``_CARTAN`` pairing c
+    on ``verts``, as a (k, k, k, 2) array over Z[phi]."""
     k = len(verts)
     pos = {v: i for i, v in enumerate(verts)}
-    c = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        c[i][i] = 2
+    c = np.zeros((k, k, 2), dtype=np.int64)
+    c[range(k), range(k), 0] = 2
     for (a, b), m in _edges(system, verts).items():
-        ca, cb = _CRYSTAL_OFF[m]
-        c[pos[a]][pos[b]] = ca
-        c[pos[b]][pos[a]] = cb
-    gens = []
-    for i in range(k):
-        g = np.eye(k, dtype=np.int64)
-        g[i, :] -= c[i, :]
-        gens.append(g)
-    return np.stack(gens)
-
-
-def _reflection_gens_golden(system, verts):
-    """Reflection matrices over Z[phi] for diagrams with edges in {3, 5}."""
-    k = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    ca = np.zeros((k, k), dtype=np.int64)
-    cb = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        ca[i][i] = 2
-    for (a, b), m in _edges(system, verts).items():
-        i, j = pos[a], pos[b]
-        if m == 3:
-            ca[i][j] = ca[j][i] = -1
-        else:  # m == 5: pairing value -phi on both sides
-            cb[i][j] = cb[j][i] = -1
-    gens = []
-    for i in range(k):
-        ga = np.eye(k, dtype=np.int64)
-        gb = np.zeros((k, k), dtype=np.int64)
-        ga[i, :] -= ca[i, :]
-        gb[i, :] -= cb[i, :]
-        gens.append(np.stack([ga, gb], axis=-1))
-    return np.stack(gens)
+        c[pos[a], pos[b]], c[pos[b], pos[a]] = _CARTAN[m]
+    gens = np.zeros((k, k, k, 2), dtype=np.int64)
+    gens[:, range(k), range(k), 0] = 1
+    gens[range(k), range(k)] -= c
+    return gens
 
 
 def _dihedral_level_counts(m, bound):
@@ -491,12 +479,12 @@ def _dihedral_level_counts(m, bound):
 
 
 def _component_length_counts(system, verts, bound):
-    labels = {m for m in _edges(system, verts).values()}
-    if labels <= {3, 4, 6}:
-        gens = _reflection_gens_crystal(system, sorted(verts))
+    labels = set(_edges(system, verts).values())
+    if labels <= {3, 4, 6}:  # phi-free: enumerate over the integers
+        gens = _reflection_gens(system, verts)[..., 0]
         return _bfs_level_counts(gens, _int_mul, bound)
     if labels <= {3, 5}:
-        gens = _reflection_gens_golden(system, sorted(verts))
+        gens = _reflection_gens(system, verts)
         return _bfs_level_counts(gens, _golden_mul, bound)
     if len(verts) == 2:
         return _dihedral_level_counts(max(labels), bound)

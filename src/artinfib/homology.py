@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from typing import Optional
 
 from .complexes import CochainComplex, is_well_filtered
@@ -608,7 +609,8 @@ def verify_shift_theorem(C: CochainComplex, radius: Optional[int] = None,
     beyond the last the default schedule tries, 2^WINDOW_DOUBLINGS
     times the default, raises WindowTooLarge before any work is done,
     and one that leaves some degree no window interior raises
-    WindowTooSmall, also before any work.
+    WindowTooSmall, also before any work; one that is not an integer
+    raises TypeError first.
 
     Raises NotWellFiltered (with the failing trace attached) when the
     complex does not satisfy the filtration conditions the shift
@@ -619,9 +621,8 @@ def verify_shift_theorem(C: CochainComplex, radius: Optional[int] = None,
     """
     default = default_window_radius(C)
     cap = default * 2 ** WINDOW_DOUBLINGS
-    if radius is None:
-        radius = default
-    elif radius > cap:
+    radius = default if radius is None else operator.index(radius)
+    if radius > cap:
         raise WindowTooLarge(
             f"window radius {radius} is beyond {cap}, the largest the "
             f"default schedule tries (2^{WINDOW_DOUBLINGS} x {default})")

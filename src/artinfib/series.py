@@ -402,9 +402,10 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     vectors under d^(k-1), and measures both only on the stable interior
     (3x the degree's reach r discarded at each end).  The computation
     runs at N and N + 2r; ``stabilized`` reports whether the two agree,
-    and the dimension at the larger radius is returned.  A radius beyond
-    2^(2 * WINDOW_DOUBLINGS) times the default raises WindowTooLarge
-    before any row is built.
+    and the dimension at the larger radius is returned.  A radius that is
+    not an integer raises TypeError, and one beyond 2^(2 *
+    WINDOW_DOUBLINGS) times the default WindowTooLarge, before any row
+    is built.
 
     The image needs no elimination of its own.  Its rank at radius M is
     the rank of its transpose: the equation rows of d^(k-1) whose output
@@ -429,19 +430,18 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     if not dom.is_field:
         raise UnsupportedDomain(
             f"series window computations need a field, not {dom}")
+    default = default_window_radius(complex_)
+    cap = default * 2 ** (2 * WINDOW_DOUBLINGS)
+    radius = default if radius is None else operator.index(radius)
+    if radius > cap:
+        raise WindowTooLarge(
+            f"window radius {radius} is beyond {cap}, the largest a window "
+            f"computation accepts (2^{2 * WINDOW_DOUBLINGS} x {default})")
+
     ranks = complex_.ranks
     top = len(ranks) - 1
     if top < 0 or k < 0 or k > top or ranks[k] == 0:
         return 0, True
-
-    default = default_window_radius(complex_)
-    cap = default * 2 ** (2 * WINDOW_DOUBLINGS)
-    if radius is None:
-        radius = default
-    elif radius > cap:
-        raise WindowTooLarge(
-            f"window radius {radius} is beyond {cap}, the largest a window "
-            f"computation accepts (2^{2 * WINDOW_DOUBLINGS} x {default})")
     check_window_interior(complex_, radius, (k,))
 
     # a missing differential is the 0-row map (): it yields no rows

@@ -1,12 +1,15 @@
 """Finite type labels, Coxeter systems, and Poincare polynomials."""
 
+import importlib
 import itertools
+import math
 import random
 
 import pytest
 
-from artinfib.coxeter import (CoxeterSystem, FiniteTypeLabel,
-                              finite_type_system, parabolic_components,
+from artinfib.coxeter import (_CARTAN, MAX_DIHEDRAL_ORDER, CoxeterSystem,
+                              FiniteTypeLabel, finite_type_system,
+                              parabolic_components,
                               parse_label, poincare_poly,
                               poincare_poly_bruteforce, poincare_quotient,
                               system_from_string)
@@ -14,6 +17,8 @@ from artinfib.domains import QQ, ZZ
 from artinfib.errors import (GroupTooLarge, InfiniteGroup, InvalidRank,
                              NotFiniteType)
 from artinfib.laurent import parse_poly
+
+coxeter = importlib.import_module("artinfib.coxeter")
 
 
 def test_label_parse_and_validation():
@@ -75,6 +80,24 @@ def test_system_validation():
         CoxeterSystem(((1, 1), (1, 1)))
 
 
+def test_entry_above_dihedral_cap_fails_at_construction(monkeypatch):
+    # q_bracket(m) stores m coefficients, so an entry past the cap is
+    # refused with the system, before any polynomial is built
+    def never(*args, **kwargs):
+        raise AssertionError("built a polynomial for a refused system")
+
+    monkeypatch.setattr(coxeter, "q_bracket", never)
+    big = MAX_DIHEDRAL_ORDER + 1
+    with pytest.raises(InvalidRank):
+        poincare_poly(CoxeterSystem(((1, big), (big, 1))))
+    with pytest.raises(InvalidRank):
+        CoxeterSystem(((1, 3, 2), (3, 1, big), (2, big, 1)))
+    with pytest.raises(InvalidRank):
+        system_from_string(f"A2xI2({big})")
+    at_cap = MAX_DIHEDRAL_ORDER
+    assert CoxeterSystem(((1, at_cap), (at_cap, 1))).m(1, 2) == at_cap
+
+
 def test_products_and_irreducibility():
     s = system_from_string("A1xA1")
     assert s.n == 2 and s.m(1, 2) == 2
@@ -88,7 +111,10 @@ def test_products_and_irreducibility():
 
 def test_classification_of_relabeled_systems():
     rng = random.Random(23)
-    for name in ("A4", "B4", "D4", "D5", "F4", "H3", "E6", "I2(11)"):
+    names = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+             + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4"]
+             + ["H3", "H4", "I2(5)", "I2(11)", "I2(12)"])
+    for name in names:
         base = finite_type_system(name)
         n = base.n
         for _ in range(4):
@@ -136,6 +162,18 @@ def test_not_finite_type():
     with pytest.raises(NotFiniteType):
         parabolic_components(CoxeterSystem(((1, 4, 2), (4, 1, 4),
                                             (2, 4, 1))), {1, 2, 3})
+
+
+def test_cartan_table():
+    # c_ab * c_ba over Z[phi] (pairs (a, b) = a + b phi, phi^2 = phi + 1)
+    # is 4 cos^2(pi / m), the value a faithful reflection pairing needs
+    phi = (1 + math.sqrt(5)) / 2
+    products = {}
+    for m, ((a1, b1), (a2, b2)) in _CARTAN.items():
+        products[m] = (a1 * a2 + b1 * b2, a1 * b2 + b1 * a2 + b1 * b2)
+        value = products[m][0] + products[m][1] * phi
+        assert math.isclose(value, 4 * math.cos(math.pi / m) ** 2), m
+    assert products == {3: (1, 0), 4: (2, 0), 5: (1, 1), 6: (3, 0)}
 
 
 def test_bruteforce_guards():

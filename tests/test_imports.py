@@ -1,11 +1,13 @@
-"""Every name a package module imports, and every private name it
-defines at module level, is used in that module.
+"""Every name a package module imports, every private name it defines
+at module level, and every private method of its classes, is used in
+that module.
 
 No linter ships with the toolchain, so these are the unused-name checks
 of one, written on ``ast``: a name counts as used when the module reads
 it anywhere as a bare name, the root of an attribute chain included
-(``np`` in ``np.eye``).  A private name (one leading underscore) read
-only inside its own definition is not used.
+(``np`` in ``np.eye``), and a method when the module reads it anywhere
+as an attribute (``self._settle``).  A private name (one leading
+underscore) read only inside its own definition is not used.
 """
 
 import ast
@@ -86,3 +88,42 @@ def test_checker_sees_unused_privates():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_privates(path):
     assert unused_privates(path.read_text()) == []
+
+
+def unused_private_methods(source: str) -> list:
+    """(line, "Class._name") of each private method of a module-level
+    class that ``source`` reads as an attribute nowhere outside the
+    method itself."""
+    tree = ast.parse(source)
+    out = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if (not isinstance(node, ast.FunctionDef)
+                    or not node.name.startswith("_")
+                    or node.name.startswith("__")):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(isinstance(n, ast.Attribute) and n.attr == node.name
+                       and isinstance(n.ctx, ast.Load) and id(n) not in inside
+                       for n in ast.walk(tree)):
+                out.append((node.lineno, f"{cls.name}.{node.name}"))
+    return sorted(out)
+
+
+def test_checker_sees_unused_private_methods():
+    source = ("class Poly:\n"
+              "    def _used(self):\n        return 1\n"
+              "    def _dead(self):\n        return self._used()\n"
+              "    def _recursive(self):\n        return self._recursive()\n"
+              "    def __len__(self):\n        return 0\n"
+              "    def public(self):\n        return self._used()\n"
+              "def _helper(p):\n    return p._used\n")
+    assert unused_private_methods(source) == [(4, "Poly._dead"),
+                                              (6, "Poly._recursive")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_methods(path):
+    assert unused_private_methods(path.read_text()) == []

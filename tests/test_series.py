@@ -211,6 +211,26 @@ def test_window_radius_cap():
     assert time.perf_counter() - start < 1.0
 
 
+def test_non_integer_window_radius_fails_before_any_work(monkeypatch):
+    # a float or string radius is refused when it is read, before any
+    # Smith form, window or equation row is built
+    homology = importlib.import_module("artinfib.homology")
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the radius was read")
+
+    C = build_salvetti_complex(finite_type_system("A2"))
+    monkeypatch.setattr(homology, "cohomology", never)
+    monkeypatch.setattr(homology, "m_cohomology_dim_window", never)
+    monkeypatch.setattr(series, "equation_rows", never)
+    for radius in (10.5, 12.0, "30"):
+        with pytest.raises(TypeError):
+            verify_shift_theorem(C, radius)
+        for k in (1, 5):  # degree 5 carries no module
+            with pytest.raises(TypeError):
+                m_cohomology_dim_window(C, k, radius)
+
+
 def test_window_stability_check_runs_two_windows(monkeypatch):
     # the stability verdict compares two full windows, at the default
     # radius N and at N + 2 * reach: a speed-up that drops the second one
