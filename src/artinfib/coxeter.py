@@ -7,8 +7,10 @@ parabolic W_Delta is the length generating function
 
 with d_i the degrees of the component types, so every Poincare polynomial
 here is over Z.  ``poincare_poly`` uses the degree tables,
-``poincare_poly_bruteforce`` enumerates the group through an exact
-reflection representation and is the independent cross-check.
+``poincare_poly_bruteforce`` is the independent cross-check: it walks
+the orbit of one point on which the group acts simply transitively (a
+point of the open chamber of an exact reflection representation, or
+one of the 2m chambers of I2(m)'s mirrors).
 
 Each Dynkin diagram is written once, in ``finite_type_system``, with
 these numbering conventions:
@@ -50,9 +52,8 @@ DEFAULT_GROUP_BOUND = 10**6
 
 # caps on what ``system_from_string`` accepts: A12 already has a
 # 4096-cell complex, and I2(m) work grows with m.  Labels of rank 10-12
-# pass the cap, but their cohomology does not finish in minutes (A10
-# ran for more than 200 s over Z/3 and 240 s over Q); see ROADMAP.md,
-# item 1
+# pass the cap, but the CLI refuses them (exit 2) before their complex
+# is built, at ``homology.MAX_SMITH_CELLS``
 MAX_TOTAL_RANK = 12
 MAX_DIHEDRAL_ORDER = 10**5
 
@@ -387,21 +388,19 @@ def poincare_quotient(system: CoxeterSystem, delta, j: int) -> LaurentPoly:
 # -- brute force enumeration ---------------------------------------------
 
 
-def _bfs_level_counts(gen_mats, mul, bound):
-    """Level sizes of the Cayley-graph BFS from the identity.
+def _bfs_level_counts(start, gens, mul, bound):
+    """Level sizes of the BFS over the orbit of the point ``start``.
 
-    ``gen_mats`` is an (g, n, n[, 2]) integer array; ``mul`` multiplies a
-    batch (f, ...) by one generator.  Exceeding ``bound`` distinct
-    elements raises GroupTooLarge.
+    ``mul`` moves a batch (f, ...) of points by one of ``gens``.  The
+    group acts simply transitively on the orbit, so its BFS levels are
+    the Cayley graph's.  Exceeding ``bound`` distinct points raises
+    GroupTooLarge.
     """
-    ident = np.eye(gen_mats.shape[1], dtype=np.int64)
-    if gen_mats.ndim == 4:
-        ident = np.stack([ident, np.zeros_like(ident)], axis=-1)
-    frontier = ident[None]
-    visited = {ident.tobytes()}
+    frontier = np.asarray(start, dtype=np.int64)[None]
+    visited = {frontier[0].tobytes()}
     counts = [1]
     while len(frontier):
-        cands = np.concatenate([mul(frontier, g) for g in gen_mats])
+        cands = np.concatenate([mul(frontier, g) for g in gens])
         if np.abs(cands).max() > 2**40:
             raise GroupTooLarge("entry growth exceeds exact integer range")
         fresh = []
@@ -454,40 +453,27 @@ def _reflection_gens(system, verts):
     return gens
 
 
-def _dihedral_level_counts(m, bound):
-    """BFS of I2(m) acting exactly on the m vertices of a regular polygon."""
-    if 2 * m > bound:
-        raise GroupTooLarge(f"dihedral group of order {2*m} exceeds {bound}")
-    s = tuple((-x) % m for x in range(m))
-    t = tuple((1 - x) % m for x in range(m))
-    ident = tuple(range(m))
-    visited = {ident}
-    frontier = [ident]
-    counts = [1]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in (s, t):
-                x = tuple(w[g[v]] for v in range(m))
-                if x not in visited:
-                    visited.add(x)
-                    nxt.append(x)
-        if nxt:
-            counts.append(len(nxt))
-        frontier = nxt
-    return counts
-
-
 def _component_length_counts(system, verts, bound):
+    # the all-ones row vector lies in the open chamber of the dual action
+    # v -> v s_i, so its orbit is the group
     labels = set(_edges(system, verts).values())
+    ones = np.ones(len(verts), dtype=np.int64)
     if labels <= {3, 4, 6}:  # phi-free: enumerate over the integers
         gens = _reflection_gens(system, verts)[..., 0]
-        return _bfs_level_counts(gens, _int_mul, bound)
+        return _bfs_level_counts(ones, gens, _int_mul, bound)
     if labels <= {3, 5}:
         gens = _reflection_gens(system, verts)
-        return _bfs_level_counts(gens, _golden_mul, bound)
+        start = np.stack([ones, np.zeros_like(ones)], axis=-1)
+        return _bfs_level_counts(start, gens, _golden_mul, bound)
     if len(verts) == 2:
-        return _dihedral_level_counts(max(labels), bound)
+        # the 2m chambers of I2(m)'s m mirrors, numbered around the
+        # circle: s and t cross the two walls of chamber 0
+        m = max(labels)
+        if 2 * m > bound:
+            raise GroupTooLarge(
+                f"dihedral group of order {2*m} exceeds {bound}")
+        return _bfs_level_counts(
+            [0], [-1, 1], lambda batch, c: (c - batch) % (2 * m), bound)
     # finite irreducible groups of rank >= 3 only carry edge labels
     # 3, 4, 5; anything else cannot close up
     raise InfiniteGroup(
@@ -499,10 +485,12 @@ def poincare_poly_bruteforce(system: CoxeterSystem, delta=None,
                              bound: int = DEFAULT_GROUP_BOUND) -> LaurentPoly:
     """Length generating polynomial by exact group enumeration.
 
-    Each connected component of Delta is enumerated through a faithful
-    exact reflection representation (integers, golden integers, or a
-    polygon-vertex action for the remaining dihedral groups); lengths are
-    Cayley graph distances.  Components multiply since they commute.
+    Each connected component of Delta is enumerated as the orbit of one
+    point it acts on simply transitively: the all-ones vector under the
+    dual of an exact reflection representation (over the integers or the
+    golden integers), or one of the 2m chambers of the other I2(m).
+    Lengths are BFS distances in the orbit.  Components multiply since
+    they commute.
     """
     if delta is None:
         delta = system.generators

@@ -560,6 +560,11 @@ MAX_PARSE_SIZE = 2**20
 # dense power square in quadratic time.
 MAX_PARSE_WORK = 2**22
 
+# longest digit run that polynomial text may hold, CPython's default
+# int_max_str_digits: a longer one is refused before int() converts it,
+# which is quadratic in its length where the interpreter sets no limit
+MAX_NUMERAL_DIGITS = 4300
+
 # 2^61 - 1, a prime: a division in polynomial text over Q or Z is first
 # tried modulo it, where an inexact one shows without coefficient growth
 _CHECK_PRIME = (1 << 61) - 1
@@ -576,6 +581,9 @@ def _tokenize(text: str):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            if j - i > MAX_NUMERAL_DIGITS:
+                raise ParseError(f"numeral of {j - i} digits is longer "
+                                 f"than {MAX_NUMERAL_DIGITS}")
             tokens.append(("num", int(text[i:j])))
             i = j
         elif ch in _TOKEN_CHARS:
@@ -777,7 +785,8 @@ def parse_poly(text: str, domain: Domain = QQ) -> LaurentPoly:
     """Parse textual syntax like ``1 - q + q^2`` or ``1/2*q^-3 + q``.
 
     An exponent above ``MAX_EXPONENT`` in absolute value raises
-    ParseError, as does a product or power whose predicted result has
+    ParseError, as does a numeral of more than ``MAX_NUMERAL_DIGITS``
+    digits, a product or power whose predicted result has
     (span + 1) x coefficient bits above ``MAX_PARSE_SIZE``, a product
     whose convolution work is above ``MAX_PARSE_WORK`` (so
     ``(1 + q + q^2)^20000`` over Z/3), and a ``/`` that is not exact

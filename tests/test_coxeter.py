@@ -4,6 +4,7 @@ import importlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -131,14 +132,27 @@ def test_classification_of_relabeled_systems():
 
 
 def test_poincare_matches_bruteforce():
-    for name in ("A1", "A3", "B3", "D4", "H3", "H4", "F4", "E6",
-                 "I2(5)", "I2(7)", "I2(12)"):
+    # every finite_type_system label through rank 6, and dihedral
+    # groups on each enumeration path
+    names = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
+             + ["D4", "D5", "D6", "E6", "F4", "H3", "H4"]
+             + [f"I2({m})" for m in (3, 4, 5, 6, 7, 12, 1000)])
+    for name in names:
         system = finite_type_system(name)
         table = poincare_poly(system)
         brute = poincare_poly_bruteforce(system)
         assert table == brute, name
         assert table.evaluate(1) == QQ.normalize(
             parse_label(name).group_order())
+
+
+def test_dihedral_bruteforce_linear_in_m():
+    # I2(m) walks its 2m chambers, so the largest accepted m is in reach
+    system = finite_type_system(f"I2({MAX_DIHEDRAL_ORDER})")
+    start = time.perf_counter()
+    brute = poincare_poly_bruteforce(system)
+    assert time.perf_counter() - start < 10.0
+    assert brute == poincare_poly(system)
 
 
 def test_poincare_of_parabolic():

@@ -12,7 +12,8 @@ from artinfib.coxeter import MAX_DIHEDRAL_ORDER
 from artinfib.domains import GF, QQ, ZZ, domain_from_spec
 from artinfib.errors import (DivisionByZero, NotDivisible, NotUnit,
                              ParseError, UnsupportedDomain)
-from artinfib.laurent import (MAX_EXPONENT, MAX_PARSE_SIZE, LaurentPoly,
+from artinfib.laurent import (MAX_EXPONENT, MAX_NUMERAL_DIGITS,
+                              MAX_PARSE_SIZE, LaurentPoly,
                               _pseudo_divide, cyclotomic_poly,
                               factor_cyclotomic, format_poly, parse_poly,
                               q_bracket, extremes_invertible)
@@ -343,6 +344,15 @@ def test_parse_exponent_bound():
         with pytest.raises(ParseError, match="exponent"):
             parse_poly(text, QQ)
     assert time.perf_counter() - start < 0.5
+
+
+def test_parse_numeral_length_bound():
+    # a digit run longer than CPython's default int_max_str_digits is
+    # refused before int() sees it, as a coefficient and as an exponent
+    assert parse_poly("1" * MAX_NUMERAL_DIGITS, QQ).degree == 0
+    for text in ("1" * 5000, "q^" + "1" * 5000):
+        with pytest.raises(ParseError, match="numeral of 5000 digits"):
+            parse_poly(text)
 
 
 def test_parse_size_bound():
