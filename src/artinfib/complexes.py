@@ -17,18 +17,26 @@ a complex that carries a family must have exactly the family's matrices.
 The module also gives the quotients F_i / F_{i+1} as complexes of their
 own, and the recursive well-filteredness check that the shift machinery
 in homology.py relies on.
+
+The Salvetti family of a Coxeter matrix has integer entries: it is
+computed once per matrix over Z and mapped into each coefficient
+domain.  The relation is checked once per complex, over Q on integers:
+on L p, with L the lcm of the family's denominators.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+import math
 from typing import Optional
 
 from .coxeter import MAX_TOTAL_RANK, CoxeterSystem, poincare_quotient
-from .domains import QQ, Domain
+from .domains import QQ, ZZ, Domain
 from .errors import (CocycleViolation, FamilyFormatError, IndexOutOfRange,
-                     MissingEntry, NotSubsetIndexed, ParseError, RankMismatch)
+                     MissingEntry, NotSubsetIndexed, ParseError, RankMismatch,
+                     UnsupportedDomain)
 from .laurent import LaurentPoly, extremes_invertible, format_poly, parse_poly
 from .rmatrix import mat_mul, mat_is_zero
 
@@ -67,7 +75,8 @@ def _alternating(p: LaurentPoly, delta, w: int) -> LaurentPoly:
 class PolynomialFamily:
     """Total map (Delta, w) -> p[Delta, w] for Delta subset Gamma, w outside.
 
-    ``entries`` must contain every such pair; ``lines`` optionally maps
+    ``entries`` must contain every such pair, each a polynomial over
+    ``domain`` (else UnsupportedDomain); ``lines`` optionally maps
     entry keys to source line numbers when the family was read from a
     file, so violations can point at the offending lines.
     """
@@ -83,9 +92,13 @@ class PolynomialFamily:
         gset = set(gamma)
         if len(gset) != len(gamma):
             raise ValueError("duplicate generators")
-        for delta, w in self.entries:
+        for (delta, w), p in self.entries.items():
             if not delta <= gset or w in delta or w not in gset:
                 raise ValueError(f"bad family key ({set(delta)}, {w})")
+            if p.domain != self.domain:
+                raise UnsupportedDomain(
+                    f"entry ({set(delta) or '{}'}, {w}) is over {p.domain},"
+                    f" not {self.domain}")
         n = len(gamma)
         expected = n * 2 ** (n - 1) if n else 0
         if len(self.entries) != expected:
@@ -114,18 +127,31 @@ class PolynomialFamily:
 
 
 def check_cocycle_family(family: PolynomialFamily) -> None:
-    """Raise CocycleViolation unless the quadratic d^2 relation holds."""
+    """Raise CocycleViolation unless the quadratic d^2 relation holds.
+
+    In characteristic 0 the relation is checked over Z on L p, with L
+    the lcm of every denominator in the family: that is the relation
+    times L^2, so it holds exactly when the relation over Q does.  Over
+    Z/p it is checked on the residues.
+    """
+    entries = family.entries
+    if family.domain.characteristic == 0:
+        den = math.lcm(*(c.denominator for p in entries.values()
+                         for c in p.coeffs))
+        entries = {key: LaurentPoly(ZZ, p.val, [
+            c.numerator * (den // c.denominator) for c in p.coeffs])
+            for key, p in entries.items()}
     gamma = family.gamma
     for delta in itertools.chain.from_iterable(subsets_by_degree(gamma)):
-        outside = [w for w in gamma if w not in delta]
-        for w, w2 in itertools.combinations(outside, 2):
-            lhs = (family.get(delta, w) * family.get(delta | {w}, w2)
-                   + family.get(delta, w2) * family.get(delta | {w2}, w))
+        grown = {w: delta | {w} for w in gamma if w not in delta}
+        for w, w2 in itertools.combinations(grown, 2):
+            lhs = (entries[delta, w] * entries[grown[w], w2]
+                   + entries[delta, w2] * entries[grown[w2], w])
             if not lhs.is_zero():
                 lines = [ln for ln in (family.line_of(delta, w),
-                                       family.line_of(delta | {w}, w2),
+                                       family.line_of(grown[w], w2),
                                        family.line_of(delta, w2),
-                                       family.line_of(delta | {w2}, w))
+                                       family.line_of(grown[w2], w))
                          if ln is not None]
                 where = f" (lines {sorted(set(lines))})" if lines else ""
                 raise CocycleViolation(
@@ -245,18 +271,27 @@ def salvetti_family(system: CoxeterSystem, domain: Domain = QQ
 
     p[Delta, w] = (-1)^{#{i in Delta : i < w}} (W_{Delta+w} / W_Delta)(-q),
     where W_X is the Poincare polynomial of the parabolic subgroup on X.
-    The quotients are integer polynomials, mapped into ``domain``.  The
-    family needs W_Gamma itself to be finite: a system whose full
-    generating set is not of finite type, an affine one included, raises
+    The quotients are integer polynomials, computed once per Coxeter
+    matrix over Z (``_salvetti_integers``) and mapped into ``domain``;
+    reduction mod p commutes with q -> -q and the sign.  The family
+    needs W_Gamma itself to be finite: a system whose full generating
+    set is not of finite type, an affine one included, raises
     NotFiniteType.
     """
-    gamma = tuple(range(1, system.n + 1))
-    entries = {}
-    for delta, w in _pairs(gamma):
-        quot = poincare_quotient(system, delta, w)
-        quot = LaurentPoly(domain, quot.val, quot.coeffs)
-        entries[(delta, w)] = _alternating(quot.subs_neg_q(), delta, w)
-    return PolynomialFamily(domain=domain, gamma=gamma, entries=entries)
+    entries = {key: LaurentPoly(domain, p.val, p.coeffs)
+               for key, p in _salvetti_integers(system.matrix)}
+    return PolynomialFamily(domain=domain, gamma=system.generators,
+                            entries=entries)
+
+
+@functools.lru_cache(maxsize=None)
+def _salvetti_integers(matrix) -> tuple:
+    """((Delta, w), p[Delta, w]) over Z for every entry of the Salvetti
+    family of the Coxeter matrix ``matrix``."""
+    system = CoxeterSystem(matrix)
+    return tuple(((delta, w), _alternating(
+        poincare_quotient(system, delta, w).subs_neg_q(), delta, w))
+        for delta, w in _pairs(system.generators))
 
 
 def build_salvetti_complex(system: CoxeterSystem,

@@ -128,6 +128,10 @@ class RationalField(Domain):
             raise NotUnit("0 is not invertible")
         return 1 / Fraction(a)
 
+    def __reduce__(self):
+        # unpickle to the module's one instance, which equality relies on
+        return "QQ"
+
     def poly_mul(self, a, b):
         # one integer convolution over common denominators: a rational
         # product per term would cost a gcd per term
@@ -169,6 +173,9 @@ class IntegerRing(Domain):
         if a in (1, -1):
             return a
         raise NotUnit(f"{a} is not a unit in Z")
+
+    def __reduce__(self):
+        return "ZZ"
 
 
 # Miller-Rabin to the thirteen prime bases up to 41 decides primality
@@ -243,6 +250,9 @@ class PrimeField(Domain):
 
     def __hash__(self):
         return hash(("PrimeField", self.p))
+
+    def __reduce__(self):
+        return GF, (self.p,)
 
 
 QQ = RationalField()

@@ -31,7 +31,7 @@ from .errors import (
 )
 
 
-@dataclasses.dataclass(init=False, frozen=True)
+@dataclasses.dataclass(init=False, frozen=True, slots=True)
 class LaurentPoly:
     """Element of A[q, q^-1]: ``sum(coeffs[i] * q**(val+i))``."""
 
@@ -173,9 +173,12 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
+        # the domains are equal, so a zero operand is the product itself
+        if self.is_zero():
+            return self
+        if other.is_zero():
+            return other
         dom = self.domain
-        if self.is_zero() or other.is_zero():
-            return LaurentPoly.zero(dom)
         return _canonical(dom, self.val + other.val,
                           dom.poly_mul(self.coeffs, other.coeffs))
 
@@ -543,6 +546,10 @@ def factor_cyclotomic(p: LaurentPoly):
 
 _TOKEN_CHARS = set("+-*/^()q")
 
+# ASCII only: str.isdigit() is also true of Unicode digits, which int()
+# refuses (superscripts) or reads (other scripts)
+_DIGITS = frozenset("0123456789")
+
 # largest |e| that parse_poly accepts in q^e and (...)^e: a dense
 # polynomial stores one coefficient per exponent in its span.  Equal to
 # coxeter.MAX_DIHEDRAL_ORDER, so the family of every accepted I2(m)
@@ -577,9 +584,9 @@ def _tokenize(text: str):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             if j - i > MAX_NUMERAL_DIGITS:
                 raise ParseError(f"numeral of {j - i} digits is longer "

@@ -180,7 +180,7 @@ def test_milnor_reducible_warning(capsys):
 
 def write_family(tmp_path, text, name="fam.txt"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -336,14 +336,15 @@ def test_family_past_the_smith_cell_cap_fails_fast(capsys, tmp_path):
 
 def test_family_with_hostile_polynomial_fails_fast(capsys, tmp_path):
     # a product or power too large or too slow to compute is refused
-    # before it is, an inexact division before it runs over Q, and an
-    # over-long numeral before it is converted
+    # before it is, an inexact division before it runs over Q, an
+    # over-long numeral before it is converted, and a non-ASCII digit
     for poly, coeff, message in (
             ("(1 - q)^2000", "Q", "product or power"),
             ("(1 + q^100000)^100000", "Q", "product or power"),
             ("(1 + q + q^2)^20000", "Zp:3", "product or power"),
             ("(1 - q^100000)/(3 - q)", "Q", "(-q + 3) does not divide"),
-            ("1" * 5000, "Q", "numeral of 5000 digits")):
+            ("1" * 5000, "Q", "numeral of 5000 digits"),
+            ("q\u00b2", "Q", "unexpected character '\u00b2'")):
         path = write_family(tmp_path, f"- ; 1 ; {poly}\n")
         start = time.perf_counter()
         code, _, err = run_cli(capsys, "family", "--family", path,

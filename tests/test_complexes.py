@@ -18,11 +18,12 @@ from artinfib.complexes import (CochainComplex, PolynomialFamily,
                                 salvetti_family,
                                 subsets_by_degree, top_subset,
                                 transpose_complex)
-from artinfib.coxeter import finite_type_system, system_from_string
+from artinfib.coxeter import (finite_type_system, poincare_quotient,
+                              system_from_string)
 from artinfib.domains import GF, QQ, ZZ
 from artinfib.errors import (CocycleViolation, FamilyFormatError,
                              IndexOutOfRange, MissingEntry, NotSubsetIndexed,
-                             RankMismatch)
+                             RankMismatch, UnsupportedDomain)
 from artinfib.cli import main
 from artinfib.homology import cohomology, homology, verify_shift_theorem
 from artinfib.laurent import LaurentPoly, format_poly, parse_poly
@@ -54,6 +55,8 @@ def test_family_totality_and_keys():
     assert fam.rank == 1 and fam.get((), 1) == one
     with pytest.raises(MissingEntry):
         fam.get((1,), 2)
+    with pytest.raises(UnsupportedDomain, match="over Z/3, not Q"):
+        PolynomialFamily(QQ, (1,), {(frozenset(), 1): LaurentPoly.one(GF(3))})
 
 
 def test_cocycle_violation_attributes():
@@ -67,6 +70,25 @@ def test_cocycle_violation_attributes():
     assert info.value.delta == set() and {info.value.w, info.value.w2} == {1, 2}
     with pytest.raises(CocycleViolation):
         build_generic_complex(bad)
+
+
+def test_cocycle_check_over_q_with_fractions():
+    # the check over Q runs on the family times the lcm of its
+    # denominators; a violation keeps its place and its file lines
+    polys = [parse_poly(t, QQ) for t in ("1/2 - q", "-2/3 + q^2", "q^-1")]
+    text = dump_family(koszul_family((1, 2, 3), polys, QQ))
+    for dom in (QQ, GF(5)):
+        fam = parse_family(text, dom)
+        check_cocycle_family(fam)
+        key = (frozenset({1}), 3)
+        bad = dataclasses.replace(fam, entries={
+            **fam.entries, key: fam.entries[key] + parse_poly("q/3", dom)})
+        with pytest.raises(CocycleViolation) as info:
+            check_cocycle_family(bad)
+        assert (info.value.delta, info.value.w, info.value.w2,
+                info.value.lines) == (set(), 1, 3, [1, 5, 3, 8]), dom
+        assert str(info.value) == ("cocycle relation fails at Delta = {}, "
+                                   "pair (1, 3) (lines [1, 3, 5, 8])"), dom
 
 
 def test_complex_shape_validation():
@@ -148,6 +170,55 @@ def test_family_file_checked_on_entry_and_on_build(d_squared_checks,
     path.write_text(FAMILY_TEXT)
     assert main(["family", "--family", str(path), "--format", "json"]) == 0
     assert d_squared_checks == ["check_cocycle_family"] * 2
+
+
+def reference_salvetti_family(system, dom):
+    """Salvetti entries built one by one: the quotient, into ``dom``,
+    q -> -q, then the sign."""
+    entries = {}
+    for level in subsets_by_degree(system.generators):
+        for delta in level:
+            for w in system.generators:
+                if w in delta:
+                    continue
+                quot = poincare_quotient(system, delta, w)
+                quot = LaurentPoly(dom, quot.val, quot.coeffs).subs_neg_q()
+                if sum(1 for i in delta if i < w) % 2:
+                    quot = -quot
+                entries[(delta, w)] = quot
+    return entries
+
+
+def test_salvetti_family_matches_quotients_per_domain():
+    names = [f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)] \
+        + ["D4", "D5", "D6", "E6", "F4", "H3", "H4", "I2(5)", "I2(12)",
+           "A1xB2"]
+    for name in names:
+        system = system_from_string(name)
+        for dom in (QQ, ZZ, GF(2), GF(3), GF(5), GF(7)):
+            fam = salvetti_family(system, dom)
+            ref = reference_salvetti_family(system, dom)
+            assert fam.domain is dom and fam.gamma == system.generators
+            assert fam.entries == ref, (name, dom)
+            assert all(list(map(type, p.coeffs))
+                       == list(map(type, ref[key].coeffs))
+                       for key, p in fam.entries.items()), (name, dom)
+
+
+def test_salvetti_quotients_divided_once_per_matrix(monkeypatch, capsys):
+    # --coeff Z builds the complex over Q and over four prime fields
+    import artinfib.complexes as complexes
+    calls = []
+
+    def counted(system, delta, w):
+        calls.append((frozenset(delta), w))
+        return poincare_quotient(system, delta, w)
+
+    monkeypatch.setattr(complexes, "poincare_quotient", counted)
+    complexes._salvetti_integers.cache_clear()
+    assert main(["cohomology", "--type", "B4", "--coeff", "Z",
+                 "--format", "json"]) == 0
+    assert len(calls) == len(set(calls)) == 4 * 2 ** 3
 
 
 def test_salvetti_a2_matrices():

@@ -330,6 +330,11 @@ def test_parse_syntax():
         parse_poly("(1 + q", QQ)
     with pytest.raises(ParseError):
         parse_poly("x + 1", QQ)
+    # digits are ASCII only: str.isdigit() holds for these too, and int()
+    # refuses a superscript and reads an Arabic-Indic or fullwidth digit
+    for text in ("q\u00b2", "\u0663q", "q^\u0663", "\uff11"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_poly(text, QQ)
 
 
 def test_parse_exponent_bound():
