@@ -19,9 +19,9 @@ own, and the recursive well-filteredness check that the shift machinery
 in homology.py relies on.
 
 The Salvetti family of a Coxeter matrix has integer entries: it is
-computed once per matrix over Z and mapped into each coefficient
-domain.  The relation is checked once per complex, over Q on integers:
-on L p, with L the lcm of the family's denominators.
+computed once per matrix over Z and read into each coefficient domain.
+The relation is checked once per complex, over Q on integers: on L p,
+with L the lcm of the family's denominators (``laurent.integer_lift``).
 """
 
 from __future__ import annotations
@@ -29,15 +29,15 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import math
 from typing import Optional
 
 from .coxeter import MAX_TOTAL_RANK, CoxeterSystem, poincare_quotient
-from .domains import QQ, ZZ, Domain
+from .domains import QQ, Domain
 from .errors import (CocycleViolation, FamilyFormatError, IndexOutOfRange,
                      MissingEntry, NotSubsetIndexed, ParseError, RankMismatch,
                      UnsupportedDomain)
-from .laurent import LaurentPoly, extremes_invertible, format_poly, parse_poly
+from .laurent import (LaurentPoly, extremes_invertible, format_poly,
+                      from_integers, integer_lift, parse_poly)
 from .rmatrix import mat_mul, mat_is_zero
 
 
@@ -129,18 +129,14 @@ class PolynomialFamily:
 def check_cocycle_family(family: PolynomialFamily) -> None:
     """Raise CocycleViolation unless the quadratic d^2 relation holds.
 
-    In characteristic 0 the relation is checked over Z on L p, with L
-    the lcm of every denominator in the family: that is the relation
-    times L^2, so it holds exactly when the relation over Q does.  Over
-    Z/p it is checked on the residues.
+    The family is lifted once (``integer_lift``).  Over Q the relation
+    is checked over Z on L p, with L the lcm of every denominator in the
+    family: that is the relation times L^2, so it holds exactly when
+    the relation over Q does.  Over Z and Z/p L is 1 and the lifts are
+    the entries themselves.
     """
-    entries = family.entries
-    if family.domain.characteristic == 0:
-        den = math.lcm(*(c.denominator for p in entries.values()
-                         for c in p.coeffs))
-        entries = {key: LaurentPoly(ZZ, p.val, [
-            c.numerator * (den // c.denominator) for c in p.coeffs])
-            for key, p in entries.items()}
+    lifts = integer_lift(family.entries.values(), family.domain)[1]
+    entries = dict(zip(family.entries, lifts))
     gamma = family.gamma
     for delta in itertools.chain.from_iterable(subsets_by_degree(gamma)):
         grown = {w: delta | {w} for w in gamma if w not in delta}
@@ -272,13 +268,13 @@ def salvetti_family(system: CoxeterSystem, domain: Domain = QQ
     p[Delta, w] = (-1)^{#{i in Delta : i < w}} (W_{Delta+w} / W_Delta)(-q),
     where W_X is the Poincare polynomial of the parabolic subgroup on X.
     The quotients are integer polynomials, computed once per Coxeter
-    matrix over Z (``_salvetti_integers``) and mapped into ``domain``;
+    matrix over Z (``_salvetti_integers``) and read into ``domain``;
     reduction mod p commutes with q -> -q and the sign.  The family
     needs W_Gamma itself to be finite: a system whose full generating
     set is not of finite type, an affine one included, raises
     NotFiniteType.
     """
-    entries = {key: LaurentPoly(domain, p.val, p.coeffs)
+    entries = {key: from_integers(domain, p)
                for key, p in _salvetti_integers(system.matrix)}
     return PolynomialFamily(domain=domain, gamma=system.generators,
                             entries=entries)

@@ -7,11 +7,13 @@ that the same polynomial code runs unchanged over each ring.
 
 Rationals are ``fractions.Fraction``.  The hot loops over Q (the
 product and long division of Laurent polynomials, every Smith form over
-Q with its transforms and their inverses, the exact matrix product of
-``rmatrix``, and the series-window elimination in ``linalg``) run on
-plain ints instead: ``to_ints`` writes the elements over one common
-denominator and ``from_ints`` reads them back.  Over Z and GF(p) the
-elements are ints already, so the same code runs with denominator 1.
+Q with its transforms and their inverses, the d^2 check of a family,
+and the series-window elimination in ``linalg``) run on plain ints
+instead: ``to_ints`` writes the elements over one common denominator
+and ``from_ints`` reads them back, through ``laurent.integer_lift`` and
+``laurent.from_integers`` for rows of Laurent polynomials.  Over Z and
+GF(p) the elements are ints already, so the same code runs with
+denominator 1.  ``poly_mul`` is the one integer convolution.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ from .complexes import CochainComplex, is_well_filtered
 from .domains import ZZ, Domain
 from .errors import (GroupTooLarge, NotStabilized, NotWellFiltered,
                      RankMismatch, UnsupportedDomain, WindowTooLarge)
-from .laurent import (LaurentPoly, factor_cyclotomic, format_poly)
+from .laurent import (LaurentPoly, factor_cyclotomic, format_poly,
+                      from_integers, integer_lift)
 from .rmatrix import mat_shape
 from .series import (WINDOW_DOUBLINGS, check_window_interior,
                      default_window_radius, m_cohomology_dim_window)
@@ -114,7 +115,8 @@ def smith_normal_form(A, domain: Domain,
             units[t] = (d.coeffs[-1], -d.val)
             (Uinv if m >= n else Vinv).rescale(t, 1, d.coeffs[-1], d.val)
     # every entry is read over the field once, here
-    over = lambda e, t=None: _over(domain, e, *units.get(t, (1, 0)))
+    over = lambda e, t=None: from_integers(domain, e,
+                                           *units.get(t, (1, 0)))
     D = [[over(e, i) for e in r] for i, r in enumerate(D)]
     U = [[over(e, i if m >= n else None) for e in r]
          for i, r in enumerate(U)]
@@ -134,26 +136,21 @@ def _diagonalize(A, m, n, domain, transforms):
     Vinv have no columns and Uinv and V no rows: every row operation
     then touches D alone, and ``_echelon`` has no kernel rows to keep
     small.  Over Q, D, U and V are returned over Z: row i of [A | I]
-    enters times the lcm l_i of its denominators, so U starts as
-    diag(l), and every step, the divisibility check and the merge run
-    on ints.  Each is the step over Q times a nonzero rational per row
-    (per column in the column pass), which Uinv (Vinv) takes inverted
-    on the matching vector.  So the pivots are those over Q, and the
+    enters times the lcm l_i of its denominators (``integer_lift``), so
+    U starts as diag(l), and every step, the divisibility check and the
+    merge run on ints.  Each is the step over Q times a nonzero rational
+    per row (per column in the column pass), which Uinv (Vinv) takes
+    inverted on the matching vector.  So the pivots are those over Q, and the
     diagonal entries are the invariant factors up to units of
     Q[q, q^-1].  Uinv and Vinv are ``_Inverse`` objects, which hold
     the columns of Uinv and the rows of Vinv (None without
     ``transforms``), starting at diag(1/l) and I.
     """
-    if domain.characteristic:
-        ring, lam, D = domain, [1] * m, [list(r) for r in A]
-    else:
-        ring, lam, D = ZZ, [], []
-        for r in A:
-            k, nums = domain.to_ints([c for e in r for c in e.coeffs])
-            lam.append(k)
-            nums = iter(nums)
-            D.append([LaurentPoly(ZZ, e.val, [next(nums) for _ in e.coeffs])
-                      for e in r])
+    ring, lam, D = domain if domain.characteristic else ZZ, [], []
+    for r in A:
+        k, row = integer_lift(r, domain)
+        lam.append(k)
+        D.append(row)
     if transforms:
         U, V = _diag(ring, lam), _diag(ring, [1] * n)
         Uinv = _Inverse(_diag(ring, [1] * m), lam)
@@ -203,14 +200,6 @@ def _diagonalize(A, m, n, domain, transforms):
                        f"passes: an elimination step is at fault")
 
 
-def _over(domain, p, den=1, shift=0):
-    """q^shift p / den read in ``domain``, for p over Z (over GF(p) its
-    coefficients and den are residues already)."""
-    if not p.coeffs:
-        return LaurentPoly.zero(domain)
-    return LaurentPoly(domain, p.val + shift, domain.from_ints(p.coeffs, den))
-
-
 def _diag(ring, xs):
     """The diagonal matrix with the integers ``xs`` on its diagonal."""
     zero = LaurentPoly.zero(ring)
@@ -245,7 +234,7 @@ class _Inverse:
 
     def over(self, domain):
         """The vectors read in ``domain``."""
-        return [[_over(domain, e, den) for e in vec]
+        return [[from_integers(domain, e, den) for e in vec]
                 for vec, den in zip(self.vecs, self.dens)]
 
     def swap(self, i, j):
@@ -546,7 +535,7 @@ def _invariant_factors(A, m, n, domain) -> tuple:
     """Nonzero diagonal of a transform-free Smith form, monic, valuation 0."""
     D = _diagonalize(A, m, n, domain, transforms=False)[0]
     # over Q the diagonal comes back over Z
-    return tuple(_over(domain, D[t][t]).normalized()[1]
+    return tuple(from_integers(domain, D[t][t]).normalized()[1]
                  for t in range(min(m, n)) if not D[t][t].is_zero())
 
 

@@ -21,7 +21,7 @@ import dataclasses
 import math
 import operator
 
-from .domains import GF, QQ, Domain
+from .domains import GF, QQ, ZZ, Domain
 from .errors import (
     DivisionByZero,
     NotDivisible,
@@ -354,6 +354,42 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"<{format_poly(self)} over {self.domain}>"
+
+
+def _refuse(self, name, *value):
+    raise dataclasses.FrozenInstanceError(
+        f"cannot set or delete {name!r}: a LaurentPoly is immutable")
+
+
+# the frozen __setattr__ and __delattr__ that dataclass generates call
+# super() on the class from before slots were added, which raises
+# TypeError for a name that is not a field
+LaurentPoly.__setattr__ = LaurentPoly.__delattr__ = _refuse
+
+
+def integer_lift(polys, domain):
+    """(den, lifts): the sequence ``polys`` over ``domain`` as ``lifts``
+    over one positive common denominator den.
+
+    Over Q the lifts are over Z, through ``QQ.to_ints``, and den is the
+    lcm of every coefficient's denominator.  Over Z and Z/p the lifts
+    are the polynomials themselves and den is 1.  ``from_integers``
+    reads a lift back.
+    """
+    if domain.characteristic or not domain.is_field:
+        return 1, list(polys)
+    den, nums = domain.to_ints([c for p in polys for c in p.coeffs])
+    nums = iter(nums)
+    return den, [_canonical(ZZ, p.val, [next(nums) for _ in p.coeffs])
+                 for p in polys]
+
+
+def from_integers(domain, p, den=1, shift=0):
+    """q^shift p / den read in ``domain``, for p over Z (over GF(p) its
+    coefficients and den are residues already)."""
+    if not p.coeffs:
+        return LaurentPoly.zero(domain)
+    return LaurentPoly(domain, p.val + shift, domain.from_ints(p.coeffs, den))
 
 
 def _canonical(domain, val, coeffs):

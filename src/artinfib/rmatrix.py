@@ -6,8 +6,11 @@ legal (a 0 x m matrix is ``()``, an m x 0 matrix has m empty rows).
 
 from __future__ import annotations
 
+import functools
+import operator
+
 from .domains import Domain
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, from_integers, integer_lift
 
 
 def mat_shape(mat):
@@ -26,10 +29,10 @@ def mat_identity(n: int, domain: Domain):
 def mat_mul(a, b, domain: Domain):
     """The exact product a b.
 
-    Each row of ``a`` and each column of ``b`` is written once as
-    integers over one denominator (``Domain.to_ints``), every entry is
-    summed from integer convolutions, and each of its coefficients is
-    read back once, over the product of the two denominators.
+    Each row of ``a`` and each column of ``b`` is lifted once
+    (``integer_lift``: over Q to Z, over one denominator), every entry
+    is summed from products of the lifts, and it is read back once,
+    over the product of the two denominators.
     """
     if not a:
         # a row-free factor cannot carry its column count, so it fits any b
@@ -38,49 +41,16 @@ def mat_mul(a, b, domain: Domain):
     rb, cb = mat_shape(b)
     if ca != rb:
         raise ValueError(f"shape mismatch {ra}x{ca} times {rb}x{cb}")
-    rows = [_integer_vector(row, domain) for row in a]
-    cols = [_integer_vector(col, domain) for col in zip(*b)]
-    return tuple(tuple(_dot(row, col, domain) for col in cols)
-                 for row in rows)
-
-
-def _integer_vector(entries, domain):
-    """(den, terms): ``entries`` as integer polynomials over the common
-    denominator den, each a (valuation, coefficients) pair or None for
-    zero."""
-    den, nums = domain.to_ints([c for e in entries for c in e.coeffs])
-    terms, start = [], 0
-    for e in entries:
-        end = start + len(e.coeffs)
-        terms.append((e.val, nums[start:end]) if e.coeffs else None)
-        start = end
-    return den, terms
-
-
-def _dot(row, col, domain):
-    """The entry sum(row[t] col[t]) of two ``_integer_vector`` results."""
-    (dr, xs), (dc, ys) = row, col
-    pairs = [(x, y) for x, y in zip(xs, ys) if x and y]
-    if not pairs:
-        return LaurentPoly.zero(domain)
-    lo = min(x[0] + y[0] for x, y in pairs)
-    acc = [0] * (max(x[0] + len(x[1]) + y[0] + len(y[1])
-                     for x, y in pairs) - 1 - lo)
-    for (xv, xc), (yv, yc) in pairs:
-        for i, u in enumerate(xc, xv + yv - lo):
-            if u:
-                for k, w in enumerate(yc, i):
-                    acc[k] += u * w
-    return LaurentPoly(domain, lo, domain.from_ints(acc, dr * dc))
+    rows = [integer_lift(row, domain) for row in a]
+    # b has a column only if it has rows, so no sum below is empty
+    cols = [integer_lift(col, domain) for col in zip(*b)]
+    return tuple(tuple(from_integers(domain, functools.reduce(
+        operator.add, map(operator.mul, xs, ys)), dr * dc)
+        for dc, ys in cols) for dr, xs in rows)
 
 
 def mat_is_zero(mat) -> bool:
     return all(e.is_zero() for row in mat for e in row)
-
-
-def mat_eq(a, b) -> bool:
-    return mat_shape(a) == mat_shape(b) and all(
-        x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def det_bareiss(mat, domain: Domain) -> LaurentPoly:

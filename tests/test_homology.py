@@ -21,7 +21,7 @@ from artinfib.homology import (MAX_SMITH_CELLS, _invariant_factors,
                                smith_normal_form, verify_shift_theorem)
 from artinfib.laurent import LaurentPoly, format_poly, parse_poly
 from artinfib.linalg import integer_row, sparse_rank
-from artinfib.rmatrix import det_bareiss, mat_eq, mat_identity, mat_mul
+from artinfib.rmatrix import det_bareiss, mat_identity, mat_mul
 
 
 def P(text, dom=QQ):
@@ -31,11 +31,11 @@ def P(text, dom=QQ):
 def check_decomposition(A, dec, dom):
     m, n = dec.shape
     if m and n:
-        assert mat_eq(mat_mul(dec.U, mat_mul(A, dec.V, dom), dom), dec.D)
+        assert mat_mul(dec.U, mat_mul(A, dec.V, dom), dom) == dec.D
     if m:
-        assert mat_eq(mat_mul(dec.U, dec.Uinv, dom), mat_identity(m, dom))
+        assert mat_mul(dec.U, dec.Uinv, dom) == mat_identity(m, dom)
     if n:
-        assert mat_eq(mat_mul(dec.V, dec.Vinv, dom), mat_identity(n, dom))
+        assert mat_mul(dec.V, dec.Vinv, dom) == mat_identity(n, dom)
     diag = dec.diagonal
     for a, b in zip(diag, diag[1:]):
         if not b.is_zero():

@@ -5,9 +5,11 @@ that module.
 No linter ships with the toolchain, so these are the unused-name checks
 of one, written on ``ast``: a name counts as used when the module reads
 it anywhere as a bare name, the root of an attribute chain included
-(``np`` in ``np.eye``), and a method when the module reads it anywhere
-as an attribute (``self._settle``).  A private name (one leading
-underscore) read only inside its own definition is not used.
+(``np`` in ``np.eye``), or lists it in its ``__all__`` (so the
+package's ``__init__`` is checked too), and a method when the module
+reads it anywhere as an attribute (``self._settle``).  A private name
+(one leading underscore) read only inside its own definition is not
+used.
 """
 
 import ast
@@ -17,6 +19,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "artinfib"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -32,6 +35,10 @@ def unused_imports(source: str) -> list:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(n.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)
+                for n in ast.walk(node.value) if isinstance(n, ast.Constant))
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
 
@@ -44,7 +51,15 @@ def test_checker_sees_unused_names():
     assert unused_imports(source) == [(3, "os"), (4, "QQ")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_checker_counts_names_in_all_as_used():
+    source = ("from .domains import QQ, ZZ, Domain\n"
+              "from .laurent import LaurentPoly\n"
+              "__all__ = ['QQ', 'LaurentPoly']\n"
+              "def f(d: Domain):\n    return d\n")
+    assert unused_imports(source) == [(1, "ZZ")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

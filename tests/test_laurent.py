@@ -15,8 +15,9 @@ from artinfib.errors import (DivisionByZero, NotDivisible, NotUnit,
 from artinfib.laurent import (MAX_EXPONENT, MAX_NUMERAL_DIGITS,
                               MAX_PARSE_SIZE, LaurentPoly,
                               _pseudo_divide, cyclotomic_poly,
-                              factor_cyclotomic, format_poly, parse_poly,
-                              q_bracket, extremes_invertible)
+                              factor_cyclotomic, format_poly, from_integers,
+                              integer_lift, parse_poly, q_bracket,
+                              extremes_invertible)
 
 
 def test_domains_normalize_and_invert():
@@ -262,6 +263,33 @@ def test_poly_mul_matches_generic():
                                             rng.randint(1, den)))
                      for _ in range(rng.randint(1, 6))] for _ in "ab")
             assert dom.poly_mul(a, b) == termwise_product(dom, a, b)
+
+
+def test_integer_lift_round_trip():
+    # over Q a row is lifted to Z over the lcm of its denominators; over
+    # Z and GF(p) it is its own lift, over 1.  Rows may be empty, and
+    # entries zero.
+    rng = random.Random(53)
+    for dom in (QQ, ZZ, GF(3), GF(7)):
+        dens = (1, 2, 3, 6) if dom is QQ else (1,)
+        for _ in range(60):
+            row = [LaurentPoly.zero(dom) if rng.random() < 0.2 else
+                   LaurentPoly(dom, rng.randint(-3, 3), [
+                       Fraction(rng.randint(-9, 9), rng.choice(dens))
+                       for _ in range(rng.randint(1, 5))])
+                   for _ in range(rng.randint(0, 5))]
+            den, lifts = integer_lift(row, dom)
+            assert [from_integers(dom, p, den) for p in lifts] == row, dom
+            if dom is QQ:
+                assert den == math.lcm(*(c.denominator for p in row
+                                         for c in p.coeffs))
+                assert all(p.domain is ZZ and all(type(c) is int
+                                                  for c in p.coeffs)
+                           for p in lifts)
+            else:
+                assert den == 1 and len(lifts) == len(row), dom
+                assert all(p is e for p, e in zip(lifts, row)), dom
+        assert integer_lift([], dom) == (1, [])
 
 
 def test_divexact():
