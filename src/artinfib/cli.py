@@ -134,13 +134,11 @@ def _compute_milnor(config, domain, system, pretty):
     except NotWellFiltered as exc:
         # would contradict the theory: flag loudly
         return _Result(domain, failure=str(exc))
-    # a report built by hand carries no groups
-    co = shift.cohomology or cohomology(C)
-    failure = _monodromy_order_failure(system, co, domain)
+    failure = _monodromy_order_failure(system, shift.cohomology, domain)
     if failure is not None:
         return _Result(domain, failure=failure)
     return _Result(domain, shift=shift,
-                   milnor=monodromy_char_poly(co, domain),
+                   milnor=monodromy_char_poly(shift.cohomology, domain),
                    irreducible=system.is_irreducible())
 
 

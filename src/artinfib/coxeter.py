@@ -7,10 +7,11 @@ parabolic W_Delta is the length generating function
 
 with d_i the degrees of the component types, so every Poincare polynomial
 here is over Z.  ``poincare_poly`` uses the degree tables,
-``poincare_poly_bruteforce`` is the independent cross-check: it walks
-the orbit of one point on which the group acts simply transitively (a
-point of the open chamber of an exact reflection representation, or
-one of the 2m chambers of I2(m)'s mirrors).
+``poincare_poly_bruteforce`` is the independent cross-check: it walks,
+on plain Python integers, the orbit of one point on which the group
+acts simply transitively (a point of the open chamber of an exact
+reflection representation over Z[phi], or one of the 2m chambers of
+I2(m)'s mirrors).
 
 Each Dynkin diagram is written once, in ``finite_type_system``, with
 these numbering conventions:
@@ -35,9 +36,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 import re
-
-import numpy as np
 
 from .domains import ZZ
 from .errors import (
@@ -71,6 +71,10 @@ class FiniteTypeLabel:
     order: int | None = None
 
     def __post_init__(self):
+        # a float or a string raises TypeError, as in ``LaurentPoly``
+        object.__setattr__(self, "rank", operator.index(self.rank))
+        if self.order is not None:
+            object.__setattr__(self, "order", operator.index(self.order))
         fam, n = self.family, self.rank
         ok = (
             (fam == "A" and n >= 1)
@@ -138,12 +142,14 @@ def parse_label(text: str) -> FiniteTypeLabel:
 @dataclasses.dataclass(frozen=True)
 class CoxeterSystem:
     """Coxeter matrix with generators 1..n; m(i,i) = 1, m(i,j) >= 2, and
-    an entry above ``MAX_DIHEDRAL_ORDER`` raises InvalidRank."""
+    an entry above ``MAX_DIHEDRAL_ORDER`` raises InvalidRank, and one
+    that is not an integer (a float, a string) TypeError."""
 
     matrix: tuple
 
     def __post_init__(self):
-        mat = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        mat = tuple(tuple(operator.index(x) for x in row)
+                    for row in self.matrix)
         object.__setattr__(self, "matrix", mat)
         n = len(mat)
         for i in range(n):
@@ -388,94 +394,79 @@ def poincare_quotient(system: CoxeterSystem, delta, j: int) -> LaurentPoly:
 # -- brute force enumeration ---------------------------------------------
 
 
-def _bfs_level_counts(start, gens, mul, bound):
-    """Level sizes of the BFS over the orbit of the point ``start``.
+def _bfs_level_counts(start, moves, bound):
+    """Level sizes of the BFS over the orbit of the hashable ``start``.
 
-    ``mul`` moves a batch (f, ...) of points by one of ``gens``.  The
+    ``moves`` takes a point to its image under each generator.  The
     group acts simply transitively on the orbit, so its BFS levels are
     the Cayley graph's.  Exceeding ``bound`` distinct points raises
     GroupTooLarge.
     """
-    frontier = np.asarray(start, dtype=np.int64)[None]
-    visited = {frontier[0].tobytes()}
+    visited = {start}
+    frontier = [start]
     counts = [1]
-    while len(frontier):
-        cands = np.concatenate([mul(frontier, g) for g in gens])
-        if np.abs(cands).max() > 2**40:
-            raise GroupTooLarge("entry growth exceeds exact integer range")
+    while True:
         fresh = []
-        for idx in range(len(cands)):
-            key = cands[idx].tobytes()
-            if key not in visited:
-                visited.add(key)
-                fresh.append(idx)
-                if len(visited) > bound:
-                    raise GroupTooLarge(
-                        f"more than {bound} elements enumerated")
+        for point in frontier:
+            for move in moves:
+                image = move(point)
+                if image not in visited:
+                    visited.add(image)
+                    fresh.append(image)
+                    if len(visited) > bound:
+                        raise GroupTooLarge(
+                            f"more than {bound} elements enumerated")
         if not fresh:
-            break
-        frontier = np.ascontiguousarray(cands[fresh])
+            return counts
         counts.append(len(fresh))
-    return counts
-
-
-def _int_mul(batch, g):
-    return batch @ g
-
-
-def _golden_mul(batch, g):
-    """Multiply matrices over Z[phi], phi^2 = phi + 1, stored as (..., 2)."""
-    a1, b1 = batch[..., 0], batch[..., 1]
-    a2, b2 = g[..., 0], g[..., 1]
-    ra = a1 @ a2 + b1 @ b2
-    rb = a1 @ b2 + b1 @ a2 + b1 @ b2
-    return np.stack([ra, rb], axis=-1)
+        frontier = fresh
 
 
 # Cartan pairing (c_ab, c_ba) of an edge a < b labelled m, over Z[phi]
 # as (integer part, phi part): c_ab * c_ba = 4 cos^2(pi / m)
 _CARTAN = {3: ((-1, 0), (-1, 0)), 4: ((-1, 0), (-2, 0)),
-           5: ((0, -1), (0, -1)), 6: ((-1, 0), (-3, 0))}
+           5: ((0, -1), (0, -1))}
 
 
-def _reflection_gens(system, verts):
-    """Reflection matrices s_i = I - e_i c_i of the ``_CARTAN`` pairing c
-    on ``verts``, as a (k, k, k, 2) array over Z[phi]."""
-    k = len(verts)
+def _reflection_moves(system, verts):
+    """The dual reflections v -> v - v_i c_i of the ``_CARTAN`` pairing c
+    on ``verts``.  A point is the flat tuple (a_1, b_1, ..., a_k, b_k) of
+    its coordinates v_i = a_i + b_i phi, with phi^2 = phi + 1."""
     pos = {v: i for i, v in enumerate(verts)}
-    c = np.zeros((k, k, 2), dtype=np.int64)
-    c[range(k), range(k), 0] = 2
+    row = [[] for _ in verts]  # off-diagonal entries of c_i; c_ii = 2
     for (a, b), m in _edges(system, verts).items():
-        c[pos[a], pos[b]], c[pos[b], pos[a]] = _CARTAN[m]
-    gens = np.zeros((k, k, k, 2), dtype=np.int64)
-    gens[:, range(k), range(k), 0] = 1
-    gens[range(k), range(k)] -= c
-    return gens
+        row[pos[a]].append((pos[b], _CARTAN[m][0]))
+        row[pos[b]].append((pos[a], _CARTAN[m][1]))
+
+    def reflection(i):
+        def move(v):
+            out = list(v)
+            x = out[2 * i] = -v[2 * i]
+            y = out[2 * i + 1] = -v[2 * i + 1]
+            for j, (c, d) in row[i]:
+                out[2 * j] += x * c + y * d
+                out[2 * j + 1] += x * d + y * c + y * d
+            return tuple(out)
+        return move
+
+    return [reflection(i) for i in range(len(verts))]
 
 
 def _component_length_counts(system, verts, bound):
-    # the all-ones row vector lies in the open chamber of the dual action
-    # v -> v s_i, so its orbit is the group
     labels = set(_edges(system, verts).values())
-    ones = np.ones(len(verts), dtype=np.int64)
-    if labels <= {3, 4, 6}:  # phi-free: enumerate over the integers
-        gens = _reflection_gens(system, verts)[..., 0]
-        return _bfs_level_counts(ones, gens, _int_mul, bound)
-    if labels <= {3, 5}:
-        gens = _reflection_gens(system, verts)
-        start = np.stack([ones, np.zeros_like(ones)], axis=-1)
-        return _bfs_level_counts(start, gens, _golden_mul, bound)
     if len(verts) == 2:
         # the 2m chambers of I2(m)'s m mirrors, numbered around the
         # circle: s and t cross the two walls of chamber 0
-        m = max(labels)
-        if 2 * m > bound:
-            raise GroupTooLarge(
-                f"dihedral group of order {2*m} exceeds {bound}")
-        return _bfs_level_counts(
-            [0], [-1, 1], lambda batch, c: (c - batch) % (2 * m), bound)
-    # finite irreducible groups of rank >= 3 only carry edge labels
-    # 3, 4, 5; anything else cannot close up
+        two_m = 2 * max(labels)
+        return _bfs_level_counts(0, [lambda x: (-1 - x) % two_m,
+                                     lambda x: (1 - x) % two_m], bound)
+    if labels <= {3, 4} or labels <= {3, 5}:
+        # the all-ones vector lies in the open chamber of the dual
+        # action, so its orbit is the group
+        return _bfs_level_counts((1, 0) * len(verts),
+                                 _reflection_moves(system, verts), bound)
+    # a finite irreducible group of rank >= 3 carries edge labels from
+    # {3, 4} or from {3, 5}; anything else cannot close up
     raise InfiniteGroup(
         f"component {sorted(verts)} with edge labels {sorted(labels)} "
         f"in rank {len(verts)} generates an infinite group")
@@ -486,11 +477,12 @@ def poincare_poly_bruteforce(system: CoxeterSystem, delta=None,
     """Length generating polynomial by exact group enumeration.
 
     Each connected component of Delta is enumerated as the orbit of one
-    point it acts on simply transitively: the all-ones vector under the
-    dual of an exact reflection representation (over the integers or the
-    golden integers), or one of the 2m chambers of the other I2(m).
-    Lengths are BFS distances in the orbit.  Components multiply since
-    they commute.
+    point it acts on simply transitively: in rank 2, one of the 2m
+    chambers of I2(m); otherwise the all-ones vector under the dual of
+    an exact reflection representation over the golden integers Z[phi].
+    A component of rank >= 3 whose edge labels lie neither in {3, 4}
+    nor in {3, 5} raises InfiniteGroup before enumerating.  Lengths are
+    BFS distances in the orbit.  Components multiply since they commute.
     """
     if delta is None:
         delta = system.generators

@@ -581,7 +581,7 @@ class ShiftReport:
     """The per-degree comparison, with the Laurent cohomology it used."""
 
     degrees: tuple
-    cohomology: tuple = ()
+    cohomology: tuple
 
     @property
     def ok(self) -> bool:

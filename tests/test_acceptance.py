@@ -244,7 +244,8 @@ def test_criterion_07_rational_acyclicity(monkeypatch, capsys):
                           match=False)
         monkeypatch.setattr(
             cli, "verify_shift_theorem",
-            lambda C, policy, progress=None: ShiftReport(degrees=(bad,)))
+            lambda C, policy, progress=None: ShiftReport(
+                degrees=(bad,), cohomology=cohomology(C)))
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["verify", "--type", "A2"]) == 1
         monkeypatch.undo()

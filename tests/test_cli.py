@@ -16,7 +16,7 @@ from artinfib.cli import RunConfig, _parse_degrees, main
 from artinfib.complexes import WellFilteredResult, dump_family, koszul_family
 from artinfib.domains import QQ
 from artinfib.errors import NotStabilized, NotWellFiltered
-from artinfib.homology import DegreeShift, ShiftReport
+from artinfib.homology import DegreeShift, ShiftReport, cohomology
 from artinfib.laurent import parse_poly
 
 
@@ -462,7 +462,7 @@ def test_shift_mismatch_exits_one(capsys, monkeypatch):
                           match=False)
         if progress is not None:
             progress(bad)
-        return ShiftReport(degrees=(bad,))
+        return ShiftReport(degrees=(bad,), cohomology=cohomology(C))
 
     monkeypatch.setattr(cli, "verify_shift_theorem", doctored)
     code, out, _ = run_cli(capsys, "verify", "--type", "A2")

@@ -31,6 +31,10 @@ def test_label_parse_and_validation():
             parse_label(bad)
     with pytest.raises(InvalidRank):
         FiniteTypeLabel("A", 3, 5)
+    # a non-integer rank or order is refused, not truncated to a type
+    for bad in (("I", 2, 3.5), ("I", 2, "5"), ("A", 2.0)):
+        with pytest.raises(TypeError):
+            FiniteTypeLabel(*bad)
 
 
 GROUP_ORDERS = {
@@ -79,6 +83,11 @@ def test_system_validation():
         CoxeterSystem(((1, 3), (4, 1)))
     with pytest.raises(ValueError):
         CoxeterSystem(((1, 1), (1, 1)))
+    # entries are integers: 3.7 is not read as 3, nor "4" as 4
+    for bad in (((1, 3.7), (3.7, 1)), ((1, "4"), ("4", 1)),
+                ((1.0, 3), (3, 1))):
+        with pytest.raises(TypeError):
+            CoxeterSystem(bad)
 
 
 def test_entry_above_dihedral_cap_fails_at_construction(monkeypatch):
@@ -187,7 +196,7 @@ def test_cartan_table():
         products[m] = (a1 * a2 + b1 * b2, a1 * b2 + b1 * a2 + b1 * b2)
         value = products[m][0] + products[m][1] * phi
         assert math.isclose(value, 4 * math.cos(math.pi / m) ** 2), m
-    assert products == {3: (1, 0), 4: (2, 0), 5: (1, 1), 6: (3, 0)}
+    assert products == {3: (1, 0), 4: (2, 0), 5: (1, 1)}
 
 
 def test_bruteforce_guards():
@@ -198,6 +207,14 @@ def test_bruteforce_guards():
     seven = CoxeterSystem(((1, 7, 2), (7, 1, 3), (2, 3, 1)))
     with pytest.raises(InfiniteGroup):
         poincare_poly_bruteforce(seven)
+
+
+def test_rank_three_label_six_refused_before_enumeration():
+    # G2's label 6 closes up only in rank 2: a rank-3 tree carrying it
+    # is infinite, and is refused before a single point is walked
+    tree = CoxeterSystem(((1, 4, 2), (4, 1, 6), (2, 6, 1)))
+    with pytest.raises(InfiniteGroup):
+        poincare_poly_bruteforce(tree, bound=10)
 
 
 # every tree on 3, 4 and 5 nodes, up to isomorphism, with the edge

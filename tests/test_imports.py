@@ -10,10 +10,17 @@ package's ``__init__`` is checked too), and a method when the module
 reads it anywhere as an attribute (``self._settle``).  A private name
 (one leading underscore) read only inside its own definition is not
 used.
+
+The package needs no third-party module at run time: a fresh
+interpreter's ``import artinfib`` loads no numpy, so a numpy kernel
+imports it inside the function that uses it.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -142,3 +149,15 @@ def test_checker_sees_unused_private_methods():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_private_methods(path):
     assert unused_private_methods(path.read_text()) == []
+
+
+def test_import_loads_no_numpy():
+    # every submodule, the CLI included, comes in with the package
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, artinfib; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'numpy'))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

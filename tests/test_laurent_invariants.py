@@ -1,6 +1,5 @@
 """LaurentPoly as a value: immutable, hashable and picklable, and a
-product with a zero operand.  Imports no module that needs numpy, so it
-also runs on an interpreter without it."""
+product with a zero operand."""
 
 import pickle
 from fractions import Fraction
