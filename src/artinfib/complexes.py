@@ -15,8 +15,9 @@ its basis and its standard filtration (F_i spanned by the e_Delta with
 Delta containing the i largest generators) are read off the family, and
 a complex that carries a family must have exactly the family's matrices.
 The module also gives the quotients F_i / F_{i+1} as complexes of their
-own, and the recursive well-filteredness check that the shift machinery
-in homology.py relies on.
+own, and the well-filteredness check that the shift machinery in
+homology.py relies on: one pass over the family's entries p[Delta, g],
+g the least generator.
 
 The Salvetti family of a Coxeter matrix has integer entries: it is
 computed once per matrix over Z and read into each coefficient domain.
@@ -344,25 +345,6 @@ def top_subset(gamma, i: int) -> frozenset:
     return frozenset(gamma[len(gamma) - i:])
 
 
-def _quotient_family(family: PolynomialFamily, i: int) -> PolynomialFamily:
-    """Family of F_i / F_{i+1}: entries p[Delta' + top_i, w] on the low
-    generators, with the (i+1)-st largest generator left out."""
-    gamma = family.gamma
-    fixed = top_subset(gamma, i)
-    small_gamma = gamma[:max(0, len(gamma) - i - 1)]
-    entries = {(delta, w): family.get(delta | fixed, w)
-               for delta, w in _pairs(small_gamma)}
-    return PolynomialFamily(domain=family.domain, gamma=small_gamma,
-                            entries=entries)
-
-
-def _connecting_scalar(family: PolynomialFamily) -> LaurentPoly:
-    """p[top n-1 generators, lowest generator], the scalar from the layer
-    F_{n-1} / F_n to F_n."""
-    gamma = family.gamma
-    return family.get(top_subset(gamma, len(gamma) - 1), gamma[0])
-
-
 def quotient_complex(C: CochainComplex, i: int) -> CochainComplex:
     """F_i / F_{i+1} of the standard filtration, re-expressed as a generic
     complex on the low generators.
@@ -378,7 +360,13 @@ def quotient_complex(C: CochainComplex, i: int) -> CochainComplex:
     n = C.family.rank
     if not 0 <= i <= n:
         raise IndexOutOfRange(f"quotient level {i} out of range 0..{n}")
-    return build_generic_complex(_quotient_family(C.family, i))
+    gamma = C.family.gamma
+    fixed = top_subset(gamma, i)
+    small_gamma = gamma[:max(0, n - i - 1)]
+    entries = {(delta, w): C.family.get(delta | fixed, w)
+               for delta, w in _pairs(small_gamma)}
+    return build_generic_complex(PolynomialFamily(
+        domain=C.family.domain, gamma=small_gamma, entries=entries))
 
 
 def induced_differential(C: CochainComplex) -> LaurentPoly:
@@ -393,15 +381,16 @@ def induced_differential(C: CochainComplex) -> LaurentPoly:
         raise NotSubsetIndexed("induced differential needs the family")
     if C.family.rank < 1:
         raise RankMismatch("rank-zero complex has no induced differential")
-    return _connecting_scalar(C.family)
+    gamma = C.family.gamma
+    return C.family.get(gamma[1:], gamma[0])
 
 
 @dataclasses.dataclass(frozen=True)
 class WellFilteredResult:
-    """Outcome of the recursive filtration check.
+    """Outcome of the filtration check.
 
-    ``path`` traces which nested quotient failed (empty for the top
-    complex), ``condition`` is 'structure' or 'c'.
+    ``path`` names the nested quotient whose connecting scalar failed
+    (empty for the top complex), ``condition`` is 'structure' or 'c'.
     """
 
     ok: bool
@@ -425,38 +414,47 @@ def is_well_filtered(C: CochainComplex) -> WellFilteredResult:
     (a) the levels form a decreasing d-stable chain from everything to
     zero, (b) the two deepest layers are one-dimensional in the top two
     degrees, (c) the scalar connecting them is nonzero with invertible
-    extreme coefficients, (d) every deeper quotient is recursively well
-    filtered.  On the standard filtration (a) and (b) hold by
-    construction (adding w to a subset keeps the top i generators in
-    it; level n is {Gamma}, level n-1 adds only the top n-1), so (c) is
-    checked on the family and, recursively, on the family of each
-    quotient F_i / F_{i+1}, i < n-1.  A complex with no family fails
-    with condition 'structure'.  Rank <= 1 complexes pass by
-    convention.  Returns a value rather than raising, so callers can
-    report the failing path.
+    extreme coefficients, (d) every deeper quotient F_i / F_{i+1}, i <
+    n-1, is recursively well filtered.  On the standard filtration (a)
+    and (b) hold by construction (adding w to a subset keeps the top i
+    generators in it; level n is {Gamma}, level n-1 adds only the top
+    n-1).  With g the least generator, the quotient reached by leaving
+    out the generators E, a subset of Gamma - g, top down has connecting
+    scalar p[Gamma - g - E, g], and each E is reached exactly once.  So
+    (c) and (d) hold exactly when every entry p[Delta, g] with g not in
+    Delta is nonzero with invertible extreme coefficients, and those
+    entries are what is checked.
+
+    They are checked in the recursion's order, so the failure reported
+    is the recursion's first.  Write E top down, e_1 > e_2 > ..., with
+    e_0 above every generator: its quotient path is (i_1, i_2, ...),
+    i_t the number of generators strictly between e_t and e_(t-1), and
+    paths go in sorted order, each prefix before its extensions.  A
+    complex with no family fails with condition 'structure'; one of at
+    most one cell passes.  Returns a value rather than raising, so
+    callers can report the failing path.
     """
     if sum(C.ranks) <= 1:
         return WellFilteredResult(ok=True)
     if C.family is None:
         return _fail((), "structure", "complex has no defining family")
-    return _check_connecting_scalars(C.family, ())
-
-
-def _check_connecting_scalars(family: PolynomialFamily,
-                              path: tuple) -> WellFilteredResult:
-    p = _connecting_scalar(family)
-    if p.is_zero():
-        return _fail(path, "c", "connecting scalar is zero")
-    if not extremes_invertible(p):
-        return _fail(path, "c",
-                     f"connecting scalar {format_poly(p)} has non-invertible "
-                     f"extreme coefficients")
-    for i in range(family.rank - 1):
-        sub = _check_connecting_scalars(_quotient_family(family, i),
-                                        path + (i,))
-        if not sub.ok:
-            return sub
-    return WellFilteredResult(ok=True, path=path)
+    gamma = C.family.gamma
+    n = len(gamma)
+    scalars = {}
+    for k in range(n):
+        for out in itertools.combinations(range(n - 1, 0, -1), k):
+            path = tuple(a - b - 1 for a, b in zip((n,) + out, out))
+            delta = frozenset(gamma[1:]) - {gamma[j] for j in out}
+            scalars[path] = C.family.entries[delta, gamma[0]]
+    for path in sorted(scalars):
+        p = scalars[path]
+        if p.is_zero():
+            return _fail(path, "c", "connecting scalar is zero")
+        if not extremes_invertible(p):
+            return _fail(path, "c",
+                         f"connecting scalar {format_poly(p)} has "
+                         f"non-invertible extreme coefficients")
+    return WellFilteredResult(ok=True)
 
 
 def transpose_complex(C: CochainComplex) -> CochainComplex:

@@ -17,18 +17,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from typing import Optional
 
 from .complexes import CochainComplex, is_well_filtered
 from .domains import ZZ, Domain
 from .errors import (GroupTooLarge, NotStabilized, NotWellFiltered,
-                     RankMismatch, UnsupportedDomain, WindowTooLarge)
+                     RankMismatch, UnsupportedDomain)
 from .laurent import (LaurentPoly, factor_cyclotomic, format_poly,
                       from_integers, integer_lift)
 from .rmatrix import mat_shape
-from .series import (WINDOW_DOUBLINGS, check_window_interior,
-                     default_window_radius, m_cohomology_dim_window)
+from .series import (WINDOW_DOUBLINGS, m_cohomology_dim_window,
+                     window_radius)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -594,12 +593,13 @@ def verify_shift_theorem(C: CochainComplex, radius: Optional[int] = None,
 
     Each degree starts at window ``radius`` (None: 4x the largest entry
     reach); on a non-stabilized answer the radius doubles, at most
-    ``WINDOW_DOUBLINGS`` times, before giving up.  An initial radius
+    ``WINDOW_DOUBLINGS`` times, before giving up.  Before any work is
+    done, the initial radius is read by ``series.window_radius`` for
+    every degree: one that is not an integer raises TypeError; one
     beyond the last the default schedule tries, 2^WINDOW_DOUBLINGS
-    times the default, raises WindowTooLarge before any work is done,
-    and one that leaves some degree no window interior raises
-    WindowTooSmall, also before any work; one that is not an integer
-    raises TypeError first.
+    times the default, or at which some degree's window would hold too
+    many entries raises WindowTooLarge; one that leaves some degree no
+    window interior raises WindowTooSmall.
 
     Raises NotWellFiltered (with the failing trace attached) when the
     complex does not satisfy the filtration conditions the shift
@@ -608,14 +608,8 @@ def verify_shift_theorem(C: CochainComplex, radius: Optional[int] = None,
     doublings.  ``progress``, if given, is called with each DegreeShift
     as soon as it is known, so long runs can stream results.
     """
-    default = default_window_radius(C)
-    cap = default * 2 ** WINDOW_DOUBLINGS
-    radius = default if radius is None else operator.index(radius)
-    if radius > cap:
-        raise WindowTooLarge(
-            f"window radius {radius} is beyond {cap}, the largest the "
-            f"default schedule tries (2^{WINDOW_DOUBLINGS} x {default})")
-    check_window_interior(C, radius, range(C.top_degree + 1))
+    radius = window_radius(C, radius, range(C.top_degree + 1),
+                           WINDOW_DOUBLINGS)
     wf = is_well_filtered(C)
     if not wf.ok:
         raise NotWellFiltered(

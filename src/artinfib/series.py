@@ -330,6 +330,11 @@ def equation_rows(entries, radius: int, domain: Domain, shell=None,
 # largest it can reach, and the largest a window computation accepts
 WINDOW_DOUBLINGS = 3
 
+# the most equation-row entries one window elimination may hold: they
+# stay on as its pivot rows, at about 75 bytes each, so this is about
+# 1.3 GB (I2(800) at its default radius holds 1.5e7, E8 1.1e6)
+MAX_WINDOW_NONZEROS = 2 ** 24
+
 
 def default_window_radius(complex_) -> int:
     """Default truncation radius: 4x the largest entry reach."""
@@ -348,15 +353,48 @@ def degree_reach(complex_, k: int) -> int:
                matrix_reach(complex_.diff(k - 1) or ()))
 
 
-def check_window_interior(complex_, radius: int, degrees) -> None:
-    """Raise WindowTooSmall unless ``radius`` leaves an interior in each
-    of ``degrees`` that carries a module: 3x its reach, plus 1."""
+def elimination_nonzeros(complex_, radius: int, k: int) -> int:
+    """Entries of the equation rows that the elimination of d^k at
+    ``radius`` N holds (see ``_staged_pass``): rows run out to N + 2
+    reach, so at most 2 (N + 2 reach) + 1 shifts of every nonzero
+    coefficient of d^k.  A window of degree k eliminates d^(k-1) and
+    d^k, one after the other."""
+    nonzeros = sum(1 for row in complex_.diff(k) or () for e in row
+                   for c in e.coeffs if not complex_.domain.is_zero(c))
+    return (2 * (radius + 2 * degree_reach(complex_, k)) + 1) * nonzeros
+
+
+def window_radius(complex_, radius, degrees, doublings: int) -> int:
+    """The radius the windows of ``degrees`` start at: ``radius``, or the
+    default when it is None.
+
+    Refused before any row is built: a radius that is not an integer
+    (TypeError), one beyond 2^``doublings`` times the default
+    (WindowTooLarge), one that leaves a degree carrying a module no
+    interior, 3x its reach plus 1 (WindowTooSmall), and one at which a
+    degree's window would hold more than MAX_WINDOW_NONZEROS entries in
+    one elimination (WindowTooLarge, see ``elimination_nonzeros``).
+    """
+    default = default_window_radius(complex_)
+    cap = default * 2 ** doublings
+    radius = default if radius is None else operator.index(radius)
+    if radius > cap:
+        raise WindowTooLarge(
+            f"window radius {radius} is beyond {cap}, 2^{doublings} times "
+            f"the default {default}")
     for k in degrees:
         discard = 3 * degree_reach(complex_, k)
         if complex_.rank(k) and radius < discard + 1:
             raise WindowTooSmall(
                 f"radius {radius} leaves no interior in degree {k} beyond "
                 f"the {discard} discarded boundary coefficients")
+    for j in sorted({j for k in degrees for j in (k - 1, k)}):
+        held = elimination_nonzeros(complex_, radius, j)
+        if held > MAX_WINDOW_NONZEROS:
+            raise WindowTooLarge(
+                f"at radius {radius} the window elimination of d^{j} would "
+                f"hold {held} entries, beyond {MAX_WINDOW_NONZEROS}")
+    return radius
 
 
 @functools.lru_cache(maxsize=8)
@@ -402,10 +440,10 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     vectors under d^(k-1), and measures both only on the stable interior
     (3x the degree's reach r discarded at each end).  The computation
     runs at N and N + 2r; ``stabilized`` reports whether the two agree,
-    and the dimension at the larger radius is returned.  A radius that is
-    not an integer raises TypeError, and one beyond 2^(2 *
-    WINDOW_DOUBLINGS) times the default WindowTooLarge, before any row
-    is built.
+    and the dimension at the larger radius is returned.  The radius is
+    read by ``window_radius``, which accepts up to 2^(2 *
+    WINDOW_DOUBLINGS) times the default and refuses a window too large
+    or too small before any row is built.
 
     The image needs no elimination of its own.  Its rank at radius M is
     the rank of its transpose: the equation rows of d^(k-1) whose output
@@ -430,19 +468,11 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     if not dom.is_field:
         raise UnsupportedDomain(
             f"series window computations need a field, not {dom}")
-    default = default_window_radius(complex_)
-    cap = default * 2 ** (2 * WINDOW_DOUBLINGS)
-    radius = default if radius is None else operator.index(radius)
-    if radius > cap:
-        raise WindowTooLarge(
-            f"window radius {radius} is beyond {cap}, the largest a window "
-            f"computation accepts (2^{2 * WINDOW_DOUBLINGS} x {default})")
-
+    radius = window_radius(complex_, radius, (k,), 2 * WINDOW_DOUBLINGS)
     ranks = complex_.ranks
     top = len(ranks) - 1
     if top < 0 or k < 0 or k > top or ranks[k] == 0:
         return 0, True
-    check_window_interior(complex_, radius, (k,))
 
     # a missing differential is the 0-row map (): it yields no rows
     d_out = complex_.diff(k) or ()

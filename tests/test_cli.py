@@ -424,6 +424,18 @@ def test_bad_inputs_exit_two(capsys, tmp_path):
         assert time.perf_counter() - start < 1.0, label[:20]
 
 
+def test_window_too_large_for_memory_exits_2_at_once(capsys):
+    # these dihedral windows would hold far beyond 2^24 equation-row
+    # entries; they are refused before any row is built
+    for args in (("verify", "--type", "I2(3200)"),
+                 ("milnor", "--type", "I2(100000)", "--coeff", "Z")):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, *args, "--format", "json")
+        assert code == 2 and err.startswith("error:"), args
+        assert "window elimination" in err, args
+        assert time.perf_counter() - start < 2.0, args
+
+
 def test_too_small_window_radius_fails_before_any_degree(capsys,
                                                         monkeypatch):
     # F4's degree 3 discards 60 coefficients at each end, the others

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from artinfib.complexes import (CochainComplex, PolynomialFamily,
+                                WellFilteredResult,
                                 build_generic_complex,
                                 build_salvetti_complex, check_cocycle_family,
                                 check_d_squared, dump_family,
@@ -26,7 +27,8 @@ from artinfib.errors import (CocycleViolation, FamilyFormatError,
                              RankMismatch, UnsupportedDomain)
 from artinfib.cli import main
 from artinfib.homology import cohomology, homology, verify_shift_theorem
-from artinfib.laurent import LaurentPoly, format_poly, parse_poly
+from artinfib.laurent import (LaurentPoly, extremes_invertible, format_poly,
+                              parse_poly)
 from artinfib.rmatrix import mat_mul
 
 
@@ -330,6 +332,13 @@ def test_well_filtered_condition_c():
     assert not res.ok and res.condition == "c"
     assert "zero" in res.message
 
+    # a rank-1 family is checked too; only a single cell passes as such
+    rank_one = build_generic_complex(koszul_family((1,), [f], ZZ))
+    res = is_well_filtered(rank_one)
+    assert not res.ok and res.condition == "c" and res.path == ()
+    assert is_well_filtered(build_generic_complex(
+        PolynomialFamily(ZZ, (), {}))).ok
+
 
 def test_well_filtered_structure_failures():
     C = build_salvetti_complex(finite_type_system("A2"))
@@ -383,8 +392,84 @@ def test_well_filtered_assembles_no_complex(monkeypatch):
     monkeypatch.setattr(complexes, "build_generic_complex",
                         lambda family: built.append(family) or
                         original(family))
+    families = []
+    original_post_init = PolynomialFamily.__post_init__
+    monkeypatch.setattr(PolynomialFamily, "__post_init__",
+                        lambda family: families.append(family) or
+                        original_post_init(family))
     assert is_well_filtered(C).ok
-    assert built == []
+    assert built == [] and families == []
+
+
+def _recursive_well_filtered(family, path=()):
+    """The check as a recursion over the quotient families F_i / F_{i+1}:
+    the connecting scalar p[Gamma - g, g] of each, g its least
+    generator, its own first and then its quotients' in order."""
+    gamma = family.gamma
+    p = family.get(gamma[1:], gamma[0])
+    if p.is_zero():
+        return WellFilteredResult(False, path, "c",
+                                  "connecting scalar is zero")
+    if not extremes_invertible(p):
+        return WellFilteredResult(
+            False, path, "c", f"connecting scalar {format_poly(p)} has "
+            f"non-invertible extreme coefficients")
+    for i in range(len(gamma) - 1):
+        fixed = frozenset(gamma[len(gamma) - i:])
+        low = gamma[:len(gamma) - i - 1]
+        entries = {(frozenset(delta), w): family.get(set(delta) | fixed, w)
+                   for k in range(len(low) + 1)
+                   for delta in itertools.combinations(low, k)
+                   for w in low if w not in delta}
+        sub = _recursive_well_filtered(
+            PolynomialFamily(family.domain, low, entries), path + (i,))
+        if not sub.ok:
+            return sub
+    return WellFilteredResult(True, path)
+
+
+def test_well_filtered_matches_recursion_over_quotients(monkeypatch):
+    # random families whose entries need not satisfy the cocycle
+    # relation (its check is switched off), so that zero entries and
+    # non-unit extremes can sit under any quotient path
+    import artinfib.complexes as complexes
+    monkeypatch.setattr(complexes, "check_cocycle_family", lambda f: None)
+    rng = random.Random(28)
+
+    def poly(domain, bad):
+        if bad and (domain is not ZZ or rng.random() < 0.5):
+            return LaurentPoly.zero(domain)
+        ends = (2, -2, 3) if bad else (1, -1)
+        coeffs = ([rng.choice(ends)]
+                  + [rng.randint(-2, 2) for _ in range(rng.randint(0, 2))]
+                  + [rng.choice((1, -1))])
+        if rng.random() < 0.5:
+            coeffs.reverse()
+        return LaurentPoly(domain, rng.randint(-1, 1), tuple(coeffs))
+
+    paths = set()
+    for trial in range(600):
+        domain = ZZ if trial % 2 else GF(3)
+        gamma = tuple(range(1, rng.randint(1, 6) + 1))
+        keys = [(frozenset(delta), w) for k in range(len(gamma))
+                for delta in itertools.combinations(gamma, k)
+                for w in gamma if w not in delta]
+        scalars = [key for key in keys if key[1] == gamma[0]]
+        if trial % 3:
+            # one bad connecting scalar, anywhere
+            bad = {rng.choice(scalars)}
+        else:
+            rate = rng.choice((0.0, 0.05, 0.2, 0.5))
+            bad = {key for key in scalars if rng.random() < rate}
+        entries = {key: poly(domain, key in bad) for key in keys}
+        family = PolynomialFamily(domain, gamma, entries)
+        res = is_well_filtered(build_generic_complex(family))
+        ref = _recursive_well_filtered(family)
+        assert ((res.ok, res.path, res.condition, res.message)
+                == (ref.ok, ref.path, ref.condition, ref.message)), trial
+        paths.add(res.path)
+    # failures were found at every depth of the quotient recursion
+    assert {len(path) for path in paths} == set(range(6))
 
 
 def test_transpose_involution():

@@ -24,6 +24,7 @@ from artinfib.series import (WINDOW_DOUBLINGS, WindowSeries,
                              window_keys)
 from artinfib.complexes import (CochainComplex, build_generic_complex,
                                 build_salvetti_complex, koszul_family,
+                                parse_family,
                                 random_koszul_family, transpose_complex)
 from artinfib.coxeter import finite_type_system, system_from_string
 from artinfib.homology import verify_shift_theorem
@@ -209,6 +210,73 @@ def test_window_radius_cap():
     with pytest.raises(WindowTooLarge):
         m_cohomology_dim_window(C, 0, 10**8)
     assert time.perf_counter() - start < 1.0
+
+
+def test_window_too_large_refused_before_any_row(monkeypatch):
+    # I2(3200) holds about 2.5e8 equation-row entries at its default
+    # radius and a dense rank-1 family about 1.9e8, far past what memory
+    # takes; both are refused before any Smith form or row.  So are
+    # I2(1600) (6.1e7, four times I2(800)) and I2(837), the least
+    # dihedral order past the bound.
+    homology = importlib.import_module("artinfib.homology")
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the window was sized")
+
+    monkeypatch.setattr(homology, "cohomology", never)
+    monkeypatch.setattr(series, "equation_rows", never)
+    dense = build_generic_complex(
+        parse_family("- ; 1 ; (1 - q^4000)/(1 - q)", QQ))
+    for C in (build_salvetti_complex(finite_type_system("I2(3200)")),
+              build_salvetti_complex(finite_type_system("I2(1600)")),
+              build_salvetti_complex(finite_type_system("I2(837)")),
+              dense):
+        start = time.perf_counter()
+        with pytest.raises(WindowTooLarge, match="window elimination"):
+            verify_shift_theorem(C)
+        with pytest.raises(WindowTooLarge, match="window elimination"):
+            m_cohomology_dim_window(C, 1)
+        assert time.perf_counter() - start < 1.0
+    # the cap on the radius is still read first
+    with pytest.raises(WindowTooLarge, match="window radius 10000000 is"):
+        verify_shift_theorem(dense, 10**7)
+
+
+def test_window_size_admits_the_largest_runs(monkeypatch):
+    # counted through the size check alone, no window run: E8 at its
+    # default radius (1.1e6 entries) and at 8x it, the last radius its
+    # shift check tries (8.4e6); E7; I2(800) (1.5e7) and I2(836), the
+    # largest dihedral order admitted; a sparse family of reach 10^5
+    # (2.4e6)
+    cases = [("E8", QQ, (1, 2 ** WINDOW_DOUBLINGS)), ("E7", QQ, (1,)),
+             ("E7", GF(3), (1,)), ("I2(800)", QQ, (1,)),
+             ("I2(836)", QQ, (1,))]
+    sizes = {}
+    for name, dom, factors in cases:
+        C = build_salvetti_complex(finite_type_system(name), dom)
+        N = default_window_radius(C)
+        degrees = range(C.top_degree + 1)
+        for f in factors:
+            assert series.window_radius(C, f * N, degrees,
+                                        WINDOW_DOUBLINGS) == f * N
+            sizes[name, f] = max(
+                series.elimination_nonzeros(C, f * N, k)
+                for k in degrees)
+    assert max(sizes.values()) < series.MAX_WINDOW_NONZEROS
+    assert sizes["E8", 1] > 10**6 and sizes["I2(800)", 1] > 1.5e7
+    sparse = build_generic_complex(parse_family("- ; 1 ; 1 - q^100000", QQ))
+    assert series.window_radius(sparse, None, (0, 1), WINDOW_DOUBLINGS) \
+        == default_window_radius(sparse) == 400000
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(series, "equation_rows", reached)
+    with pytest.raises(Reached):
+        m_cohomology_dim_window(sparse, 0)
 
 
 def test_non_integer_window_radius_fails_before_any_work(monkeypatch):
