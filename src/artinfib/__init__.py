@@ -20,9 +20,8 @@ from .coxeter import (CoxeterSystem, FiniteTypeLabel, finite_type_system,
 from .complexes import (CochainComplex, PolynomialFamily,
                         build_generic_complex, build_salvetti_complex,
                         check_cocycle_family, check_d_squared, dump_family,
-                        induced_differential, is_well_filtered, koszul_family,
-                        load_family, parse_family, quotient_complex,
-                        random_koszul_family, salvetti_family,
+                        is_well_filtered, koszul_family, load_family,
+                        parse_family, random_koszul_family, salvetti_family,
                         transpose_complex)
 from .homology import (InvariantFactors, MonodromyDegree, ShiftReport,
                        SmithDecomposition, cohomology, homology,
@@ -45,8 +44,7 @@ __all__ = [
     "CochainComplex", "PolynomialFamily",
     "build_generic_complex", "build_salvetti_complex",
     "check_cocycle_family", "check_d_squared", "dump_family",
-    "induced_differential", "is_well_filtered", "koszul_family",
-    "load_family", "parse_family", "quotient_complex",
+    "is_well_filtered", "koszul_family", "load_family", "parse_family",
     "random_koszul_family", "salvetti_family", "transpose_complex",
     "InvariantFactors", "MonodromyDegree", "ShiftReport",
     "SmithDecomposition", "cohomology", "homology",

@@ -14,10 +14,9 @@ The family is the one description of such a complex: its generators,
 its basis and its standard filtration (F_i spanned by the e_Delta with
 Delta containing the i largest generators) are read off the family, and
 a complex that carries a family must have exactly the family's matrices.
-The module also gives the quotients F_i / F_{i+1} as complexes of their
-own, and the well-filteredness check that the shift machinery in
-homology.py relies on: one pass over the family's entries p[Delta, g],
-g the least generator.
+The module also gives the well-filteredness check that the shift
+machinery in homology.py relies on: one pass over the family's entries
+p[Delta, g], g the least generator.
 
 The Salvetti family of a Coxeter matrix has integer entries: it is
 computed once per matrix over Z and read into each coefficient domain.
@@ -34,9 +33,8 @@ from typing import Optional
 
 from .coxeter import MAX_TOTAL_RANK, CoxeterSystem, poincare_quotient
 from .domains import QQ, Domain
-from .errors import (CocycleViolation, FamilyFormatError, IndexOutOfRange,
-                     MissingEntry, NotSubsetIndexed, ParseError, RankMismatch,
-                     UnsupportedDomain)
+from .errors import (CocycleViolation, FamilyFormatError, MissingEntry,
+                     ParseError, RankMismatch, UnsupportedDomain)
 from .laurent import (LaurentPoly, extremes_invertible, format_poly,
                       from_integers, integer_lift, parse_poly)
 from .rmatrix import mat_mul, mat_is_zero
@@ -239,11 +237,6 @@ class CochainComplex:
             return self.diffs[k]
         return None
 
-    def basis_index(self, k: int, delta) -> int:
-        if self.family is None:
-            raise NotSubsetIndexed("complex has no subset-indexed basis")
-        return self.basis[k].index(frozenset(delta))
-
 
 def build_generic_complex(family: PolynomialFamily) -> CochainComplex:
     """Assemble the complex of a polynomial family.
@@ -334,55 +327,6 @@ def random_koszul_family(rank: int, seed: int, domain: Domain = QQ,
         polys.append(LaurentPoly(domain, val, tuple(coeffs)))
     gamma = tuple(range(1, rank + 1))
     return koszul_family(gamma, polys, domain)
-
-
-# -- standard filtration ---------------------------------------------------
-
-def top_subset(gamma, i: int) -> frozenset:
-    """The i largest generators of gamma."""
-    if not 0 <= i <= len(gamma):
-        raise IndexOutOfRange(f"filtration level {i} out of range")
-    return frozenset(gamma[len(gamma) - i:])
-
-
-def quotient_complex(C: CochainComplex, i: int) -> CochainComplex:
-    """F_i / F_{i+1} of the standard filtration, re-expressed as a generic
-    complex on the low generators.
-
-    F_i is spanned by the e_Delta with Delta containing the top i
-    generators, so it is read off C's family.  Writing Delta = Delta' +
-    (top i generators) identifies the basis of the quotient with the
-    subsets Delta' of the remaining generators minus the (i+1)-st
-    largest, and the induced entries are p[Delta' + top_i, j].
-    """
-    if C.family is None:
-        raise NotSubsetIndexed("quotients need the defining family")
-    n = C.family.rank
-    if not 0 <= i <= n:
-        raise IndexOutOfRange(f"quotient level {i} out of range 0..{n}")
-    gamma = C.family.gamma
-    fixed = top_subset(gamma, i)
-    small_gamma = gamma[:max(0, n - i - 1)]
-    entries = {(delta, w): C.family.get(delta | fixed, w)
-               for delta, w in _pairs(small_gamma)}
-    return build_generic_complex(PolynomialFamily(
-        domain=C.family.domain, gamma=small_gamma, entries=entries))
-
-
-def induced_differential(C: CochainComplex) -> LaurentPoly:
-    """Scalar acting on the one-dimensional layer F_{n-1} / F_n of the
-    standard filtration.
-
-    This is the family's entry p[top n-1 generators, lowest generator];
-    the kernel and cokernel of multiplication by it compute the two
-    potentially nonzero cohomology groups of that layer.
-    """
-    if C.family is None:
-        raise NotSubsetIndexed("induced differential needs the family")
-    if C.family.rank < 1:
-        raise RankMismatch("rank-zero complex has no induced differential")
-    gamma = C.family.gamma
-    return C.family.get(gamma[1:], gamma[0])
 
 
 @dataclasses.dataclass(frozen=True)

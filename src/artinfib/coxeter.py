@@ -259,16 +259,19 @@ def finite_type_system(label) -> CoxeterSystem:
 def system_from_string(text: str) -> CoxeterSystem:
     """Build a system from a label, allowing products like ``A1xA1``.
 
-    Raises InvalidRank, before any matrix is built, when the total rank
-    exceeds ``MAX_TOTAL_RANK``; an I2(m) with m > ``MAX_DIHEDRAL_ORDER``
-    is refused by ``CoxeterSystem``.
+    Raises InvalidRank, before any matrix is built, when a factor is
+    empty (``A1x``, ``A1xxB2``) or the total rank exceeds
+    ``MAX_TOTAL_RANK``; an I2(m) with m > ``MAX_DIHEDRAL_ORDER`` is
+    refused by ``CoxeterSystem``.
     """
-    parts = [p for p in text.replace(" ", "").split("x") if p]
-    if not parts:
+    parts = text.replace(" ", "").split("x")
+    if parts == [""]:
         raise InvalidRank(f"empty type string {text!r}")
     labels = []
     total = 0
     for part in parts:
+        if not part:
+            raise InvalidRank(f"type {text[:40]!r} has an empty factor")
         label = parse_label(part)
         total += label.rank
         if total > MAX_TOTAL_RANK:

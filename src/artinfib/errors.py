@@ -97,15 +97,6 @@ class CocycleViolation(ArtinfibError):
         self.lines = lines
 
 
-class NotSubsetIndexed(ArtinfibError):
-    """Complex has no defining family, so no subset-indexed basis or
-    standard filtration for an operation to rely on."""
-
-
-class IndexOutOfRange(ArtinfibError):
-    """Filtration or degree index outside the valid range."""
-
-
 class RankMismatch(ArtinfibError):
     """Sizes that do not fit (matrix shapes, one polynomial per generator,
     a rank-zero complex), a matrix complex with d^2 != 0, or a complex

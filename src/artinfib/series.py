@@ -335,6 +335,11 @@ WINDOW_DOUBLINGS = 3
 # 1.3 GB (I2(800) at its default radius holds 1.5e7, E8 1.1e6)
 MAX_WINDOW_NONZEROS = 2 ** 24
 
+# the most equation rows it may hold: each is a dict of its own, about
+# 440 bytes with two entries, so this is about 0.9 GB (the family
+# "- ; 1 ; 1 - q^100000" at its default radius holds 1.2e6)
+MAX_WINDOW_ROWS = 2 ** 21
+
 
 def default_window_radius(complex_) -> int:
     """Default truncation radius: 4x the largest entry reach."""
@@ -353,15 +358,28 @@ def degree_reach(complex_, k: int) -> int:
                matrix_reach(complex_.diff(k - 1) or ()))
 
 
+def _elimination_shifts(complex_, radius: int, k: int) -> int:
+    """Shifts of d^k's rows that its elimination at ``radius`` N holds
+    at most (see ``_staged_pass``): rows run out to N + 2 reach, so
+    2 (N + 2 reach) + 1.  A window of degree k eliminates d^(k-1) and
+    d^k, one after the other."""
+    return 2 * (radius + 2 * degree_reach(complex_, k)) + 1
+
+
 def elimination_nonzeros(complex_, radius: int, k: int) -> int:
     """Entries of the equation rows that the elimination of d^k at
-    ``radius`` N holds (see ``_staged_pass``): rows run out to N + 2
-    reach, so at most 2 (N + 2 reach) + 1 shifts of every nonzero
-    coefficient of d^k.  A window of degree k eliminates d^(k-1) and
-    d^k, one after the other."""
+    ``radius`` holds: every shift of every nonzero coefficient."""
     nonzeros = sum(1 for row in complex_.diff(k) or () for e in row
                    for c in e.coeffs if not complex_.domain.is_zero(c))
-    return (2 * (radius + 2 * degree_reach(complex_, k)) + 1) * nonzeros
+    return _elimination_shifts(complex_, radius, k) * nonzeros
+
+
+def elimination_rows(complex_, radius: int, k: int) -> int:
+    """Equation rows that the elimination of d^k at ``radius`` holds:
+    every shift of every nonzero row."""
+    rows = sum(1 for row in complex_.diff(k) or ()
+               if any(not e.is_zero() for e in row))
+    return _elimination_shifts(complex_, radius, k) * rows
 
 
 def window_radius(complex_, radius, degrees, doublings: int) -> int:
@@ -372,8 +390,9 @@ def window_radius(complex_, radius, degrees, doublings: int) -> int:
     (TypeError), one beyond 2^``doublings`` times the default
     (WindowTooLarge), one that leaves a degree carrying a module no
     interior, 3x its reach plus 1 (WindowTooSmall), and one at which a
-    degree's window would hold more than MAX_WINDOW_NONZEROS entries in
-    one elimination (WindowTooLarge, see ``elimination_nonzeros``).
+    degree's window would hold more than MAX_WINDOW_NONZEROS entries or
+    MAX_WINDOW_ROWS rows in one elimination (WindowTooLarge, see
+    ``elimination_nonzeros`` and ``elimination_rows``).
     """
     default = default_window_radius(complex_)
     cap = default * 2 ** doublings
@@ -389,11 +408,15 @@ def window_radius(complex_, radius, degrees, doublings: int) -> int:
                 f"radius {radius} leaves no interior in degree {k} beyond "
                 f"the {discard} discarded boundary coefficients")
     for j in sorted({j for k in degrees for j in (k - 1, k)}):
-        held = elimination_nonzeros(complex_, radius, j)
-        if held > MAX_WINDOW_NONZEROS:
-            raise WindowTooLarge(
-                f"at radius {radius} the window elimination of d^{j} would "
-                f"hold {held} entries, beyond {MAX_WINDOW_NONZEROS}")
+        for held, what, bound in (
+                (elimination_nonzeros(complex_, radius, j), "entries",
+                 MAX_WINDOW_NONZEROS),
+                (elimination_rows(complex_, radius, j), "rows",
+                 MAX_WINDOW_ROWS)):
+            if held > bound:
+                raise WindowTooLarge(
+                    f"at radius {radius} the window elimination of d^{j} "
+                    f"would hold {held} {what}, beyond {bound}")
     return radius
 
 

@@ -415,20 +415,37 @@ def test_bad_inputs_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "cohomology", "--type", "A1",
                            "--coeff", "Z", "--primes", "3,3")
     assert code == 2 and "repeated prime" in err
-    # labels past the caps fail before any Coxeter matrix is built
+    # labels past the caps, or with an empty factor, fail before any
+    # Coxeter matrix is built
     for label in ("A13", "A100000", "I2(1000000000000)", "A" + "9" * 5000,
-                  "x".join(["A1"] * 13), "x".join(["A1"] * 10**6)):
+                  "x".join(["A1"] * 13), "x".join(["A1"] * 10**6),
+                  "A1x", "xA2", "A1xxB2"):
         start = time.perf_counter()
         code, _, err = run_cli(capsys, "cohomology", "--type", label)
         assert code == 2 and "error:" in err, label[:20]
         assert time.perf_counter() - start < 1.0, label[:20]
 
 
-def test_window_too_large_for_memory_exits_2_at_once(capsys):
+def test_window_too_large_for_memory_exits_2_at_once(capsys, monkeypatch,
+                                                     tmp_path):
     # these dihedral windows would hold far beyond 2^24 equation-row
-    # entries; they are refused before any row is built
+    # entries, and 8x the default radius of the sparse family beyond
+    # 2^21 rows (6.8e6 rows of 2 entries); they are refused before any
+    # row is built
+    series = importlib.import_module("artinfib.series")
+
+    def never(*args, **kwargs):
+        raise AssertionError("built a row before the window was sized")
+
+    monkeypatch.setattr(series, "equation_rows", never)
+    sparse = tmp_path / "sparse.txt"
+    sparse.write_text("- ; 1 ; 1 - q^100000\n")
     for args in (("verify", "--type", "I2(3200)"),
-                 ("milnor", "--type", "I2(100000)", "--coeff", "Z")):
+                 ("milnor", "--type", "I2(100000)", "--coeff", "Z"),
+                 ("verify", "--family", str(sparse),
+                  "--window-radius", "3200000"),
+                 ("family", "--family", str(sparse),
+                  "--window-radius", "3200000")):
         start = time.perf_counter()
         code, _, err = run_cli(capsys, *args, "--format", "json")
         assert code == 2 and err.startswith("error:"), args

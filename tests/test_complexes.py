@@ -13,18 +13,15 @@ from artinfib.complexes import (CochainComplex, PolynomialFamily,
                                 build_generic_complex,
                                 build_salvetti_complex, check_cocycle_family,
                                 check_d_squared, dump_family,
-                                induced_differential, is_well_filtered,
-                                koszul_family, parse_family,
-                                quotient_complex, random_koszul_family,
-                                salvetti_family,
-                                subsets_by_degree, top_subset,
+                                is_well_filtered, koszul_family,
+                                parse_family, random_koszul_family,
+                                salvetti_family, subsets_by_degree,
                                 transpose_complex)
 from artinfib.coxeter import (finite_type_system, poincare_quotient,
                               system_from_string)
 from artinfib.domains import GF, QQ, ZZ
 from artinfib.errors import (CocycleViolation, FamilyFormatError,
-                             IndexOutOfRange, MissingEntry, NotSubsetIndexed,
-                             RankMismatch, UnsupportedDomain)
+                             MissingEntry, RankMismatch, UnsupportedDomain)
 from artinfib.cli import main
 from artinfib.homology import cohomology, homology, verify_shift_theorem
 from artinfib.laurent import (LaurentPoly, extremes_invertible, format_poly,
@@ -229,7 +226,6 @@ def test_salvetti_a2_matrices():
     assert fmt_matrix(C.diff(0)) == [["-q + 1"], ["-q + 1"]]
     assert fmt_matrix(C.diff(1)) == [["-q^2 + q - 1", "q^2 - q + 1"]]
     assert check_d_squared(C)
-    assert C.basis_index(1, {2}) == 1
 
 
 def test_salvetti_b2_matrices():
@@ -238,6 +234,11 @@ def test_salvetti_b2_matrices():
     assert fmt_matrix(C.diff(1)) == [
         ["q^3 - q^2 + q - 1", "-q^3 + q^2 - q + 1"]]
     assert check_d_squared(C)
+    # the scalar joining the two deepest layers of the standard
+    # filtration, p[Gamma - g, g] with g the least generator
+    assert format_poly(C.family.get({2}, 1)) == "-q^3 + q^2 - q + 1"
+    A3 = build_salvetti_complex(finite_type_system("A3"))
+    assert format_poly(A3.family.get({2, 3}, 1)) == "-q^3 + q^2 - q + 1"
 
 
 def test_salvetti_d_squared_all_rank_3():
@@ -265,43 +266,6 @@ def test_koszul_families():
         p = a.get((), w)
         assert int(abs(p.coeffs[0])) == 1 and int(abs(p.coeffs[-1])) == 1
         assert p.span <= 3
-
-
-def test_standard_filtration_levels():
-    assert top_subset((1, 2, 3), 2) == frozenset({2, 3})
-    with pytest.raises(IndexOutOfRange):
-        top_subset((1, 2), 3)
-    # F_i holds the subsets containing the top i generators, so the layer
-    # F_i / F_{i+1} of a rank-n complex has 2^(n-i-1) cells for i < n,
-    # and F_n = {Gamma} one
-    C = build_salvetti_complex(finite_type_system("A3"))
-    assert [sum(quotient_complex(C, i).ranks) for i in range(4)] == \
-        [4, 2, 1, 1]
-    with pytest.raises(NotSubsetIndexed):
-        quotient_complex(transpose_complex(C), 0)
-
-
-def test_quotient_complex_entries():
-    C = build_salvetti_complex(finite_type_system("A3"))
-    q0 = quotient_complex(C, 0)
-    assert q0.gamma == (1, 2)
-    assert format_poly(q0.family.get((), 1)) == "-q + 1"
-    q1 = quotient_complex(C, 1)
-    assert q1.gamma == (1,)
-    assert format_poly(q1.family.get((), 1)) == "-q + 1"
-    q3 = quotient_complex(C, 3)
-    assert q3.ranks == (1,)
-    with pytest.raises(IndexOutOfRange):
-        quotient_complex(C, 4)
-
-
-def test_induced_differential():
-    C = build_salvetti_complex(finite_type_system("A3"))
-    assert format_poly(induced_differential(C)) == "-q^3 + q^2 - q + 1"
-    B2 = build_salvetti_complex(finite_type_system("B2"))
-    assert format_poly(induced_differential(B2)) == "-q^3 + q^2 - q + 1"
-    with pytest.raises(NotSubsetIndexed):
-        induced_differential(transpose_complex(B2))
 
 
 def test_well_filtered_salvetti():

@@ -117,6 +117,10 @@ def test_products_and_irreducibility():
     assert t.n == 4 and t.m(1, 2) == 3 and t.m(3, 4) == 4 and t.m(2, 3) == 2
     comps = parabolic_components(t, t.generators)
     assert sorted(str(label) for label, _ in comps) == ["A2", "B2"]
+    # a dropped factor would compute A1, A2 or A1xB2 under the wrong name
+    for label in ("A1x", "xA2", "A1xxB2", "A1 x x B2", "x", ""):
+        with pytest.raises(InvalidRank):
+            system_from_string(label)
 
 
 def test_classification_of_relabeled_systems():

@@ -242,6 +242,30 @@ def test_window_too_large_refused_before_any_row(monkeypatch):
         verify_shift_theorem(dense, 10**7)
 
 
+def test_window_rows_bounded_before_any_row(monkeypatch):
+    # a sparse family of 2 entries a row: at 8x its default radius, the
+    # last its shift check tries, the elimination's 1.36e7 entries are
+    # within their cap, but its 6.8e6 rows, a dict each, would take
+    # about 2.7 GB; refused before any Smith form or row
+    homology = importlib.import_module("artinfib.homology")
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the window was sized")
+
+    monkeypatch.setattr(homology, "cohomology", never)
+    monkeypatch.setattr(series, "equation_rows", never)
+    sparse = build_generic_complex(parse_family("- ; 1 ; 1 - q^100000", QQ))
+    radius = 2 ** WINDOW_DOUBLINGS * default_window_radius(sparse)
+    assert series.elimination_nonzeros(sparse, radius, 0) \
+        < series.MAX_WINDOW_NONZEROS
+    start = time.perf_counter()
+    with pytest.raises(WindowTooLarge, match="6800001 rows, beyond"):
+        verify_shift_theorem(sparse, radius)
+    with pytest.raises(WindowTooLarge, match="6800001 rows, beyond"):
+        m_cohomology_dim_window(sparse, 0, radius)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_window_size_admits_the_largest_runs(monkeypatch):
     # counted through the size check alone, no window run: E8 at its
     # default radius (1.1e6 entries) and at 8x it, the last radius its
