@@ -36,7 +36,8 @@ from .complexes import (CochainComplex, WellFilteredResult,
                         is_well_filtered, load_family)
 from .coxeter import CoxeterSystem, poincare_poly, system_from_string
 from .domains import GF, QQ, Domain, domain_from_spec
-from .errors import ArtinfibError, NotStabilized, NotWellFiltered
+from .errors import (ArtinfibError, NotStabilized, NotWellFiltered,
+                     UnsupportedDomain)
 from .homology import (MAX_SMITH_CELLS, ShiftReport, check_smith_cells,
                        cohomology, monodromy_char_poly, verify_shift_theorem)
 from .laurent import LaurentPoly, format_poly
@@ -79,9 +80,12 @@ class RunConfig:
 
         ``Z`` is not a field, so it expands into the rational pipeline
         plus one prime-field pipeline per configured prime, each
-        reported separately.
+        reported separately; with no prime it is refused.
         """
         if self.coeff.strip() == "Z":
+            if not self.primes:
+                raise UnsupportedDomain("--coeff Z needs at least one prime "
+                                        "in --primes")
             return [QQ] + [GF(p) for p in self.primes]
         return [domain_from_spec(self.coeff)]
 

@@ -598,8 +598,8 @@ def verify_shift_theorem(C: CochainComplex, radius: Optional[int] = None,
     every degree: one that is not an integer raises TypeError; one
     beyond the last the default schedule tries, 2^WINDOW_DOUBLINGS
     times the default, or at which some degree's window would hold too
-    many entries raises WindowTooLarge; one that leaves some degree no
-    window interior raises WindowTooSmall.
+    many entries or rows raises WindowTooLarge; one that leaves some
+    degree no window interior raises WindowTooSmall.
 
     Raises NotWellFiltered (with the failing trace attached) when the
     complex does not satisfy the filtration conditions the shift
@@ -609,7 +609,7 @@ def verify_shift_theorem(C: CochainComplex, radius: Optional[int] = None,
     as soon as it is known, so long runs can stream results.
     """
     radius = window_radius(C, radius, range(C.top_degree + 1),
-                           WINDOW_DOUBLINGS)
+                           WINDOW_DOUBLINGS)[0]
     wf = is_well_filtered(C)
     if not wf.ok:
         raise NotWellFiltered(

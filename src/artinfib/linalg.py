@@ -1,9 +1,9 @@
 """Sparse exact Gaussian elimination over Q or a prime field, on integers.
 
 Rows are dicts {column key: nonzero int}: over GF(p) the residues of the
-entries in [1, p), over Q any integer multiple of the row
-(``integer_row`` gives the primitive one; scaling a row keeps the rank
-and the pivot columns).
+entries in [1, p), over Q any nonzero integer multiple of the row, such
+as its entries times the lcm of their denominators (``QQ.to_ints``);
+scaling a row keeps the rank and the pivot columns.
 Elimination proceeds by increasing key, always clearing the current
 minimum key, so banded inputs (the window rows in this package) stay
 banded and the cost is rows x band^2 rather than cubic.  Everything is
@@ -28,26 +28,6 @@ import heapq
 import math
 
 from .errors import UnsupportedDomain
-
-
-def integer_row(values, domain) -> list:
-    """Integers spanning the same line as ``values`` over ``domain``.
-
-    Over GF(p) these are the residues in [0, p).  Over Q they are the
-    primitive integer multiple: the values times the lcm of their
-    denominators (``QQ.to_ints``), divided by the gcd of the results.  A
-    list of ints with content 1 comes back as it is.
-    """
-    p = domain.characteristic
-    if p:
-        return [x % p for x in values]
-    values = list(values)
-    try:
-        g = math.gcd(*values)
-    except TypeError:  # rationals, not ints: clear the denominators
-        values = domain.to_ints(values)[1]
-        g = math.gcd(*values)
-    return values if g <= 1 else [x // g for x in values]
 
 
 def echelon(rows, domain, pivots=None):

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import operator
 
 from .domains import Domain
@@ -43,8 +44,8 @@ from .errors import (
     WindowTooLarge,
     WindowTooSmall,
 )
-from .laurent import LaurentPoly, extremes_invertible
-from .linalg import integer_row, projected_kernel_dim, sparse_rank
+from .laurent import LaurentPoly, extremes_invertible, integer_lift
+from .linalg import projected_kernel_dim, sparse_rank
 
 
 @dataclasses.dataclass(frozen=True)
@@ -192,24 +193,18 @@ def kernel_of_scalar_mul(p: LaurentPoly) -> RecurrenceKernel:
     return RecurrenceKernel(p, seeds)
 
 
-def poly_window_product(p: LaurentPoly, x: WindowSeries,
-                        conservative: bool = True) -> WindowSeries:
-    """Coefficients of p*x.
+def poly_window_product(p: LaurentPoly, x: WindowSeries) -> WindowSeries:
+    """Coefficients of p*x that the window determines.
 
-    With ``conservative`` (default) only coefficients fully determined by
-    the window are returned, i.e. exponents [x.lo + deg p, x.hi + val p];
-    otherwise x is treated as identically zero outside its window and the
-    full support [x.lo + val p, x.hi + deg p] comes back.  Both are a
-    slice of the polynomial product p * x.
+    These are the exponents [x.lo + deg p, x.hi + val p], a slice of the
+    polynomial product p * x; the slice is empty when the window is
+    narrower than span(p).
     """
     dom = x.domain
     _same_domain(p, dom)
     if p.is_zero():
         return WindowSeries(dom, x.lo, [dom.zero] * len(x))
-    if conservative:
-        lo, hi = x.lo + p.degree, x.hi + p.val
-    else:
-        lo, hi = x.lo + p.val, x.hi + p.degree
+    lo, hi = x.lo + p.degree, x.hi + p.val
     if hi < lo:
         return WindowSeries(dom, 0, ())
     prod = p * _poly(x)
@@ -248,25 +243,10 @@ def solve_scalar_mul(p: LaurentPoly, rhs: WindowSeries) -> WindowSeries:
 # -- windowed complexes of series modules ------------------------------
 
 
-def _entry_reach(entry: LaurentPoly) -> int:
-    if entry.is_zero():
-        return 0
-    return max(abs(entry.val), abs(entry.degree))
-
-
 def matrix_reach(matrix) -> int:
     """Largest |exponent| appearing in any entry of a polynomial matrix."""
-    r = 0
-    for row in matrix:
-        for e in row:
-            r = max(r, _entry_reach(e))
-    return r
-
-
-def _integer_stencil(cells, domain):
-    """The cells (..., coefficient), coefficients mapped by ``integer_row``."""
-    coeffs = integer_row([cell[-1] for cell in cells], domain)
-    return [cell[:-1] + (c,) for cell, c in zip(cells, coeffs)]
+    return max((max(abs(e.val), abs(e.degree))
+                for row in matrix for e in row if not e.is_zero()), default=0)
 
 
 # Window vectors are flattened block by block, outermost exponent first:
@@ -298,9 +278,10 @@ def equation_rows(entries, radius: int, domain: Domain, shell=None,
     a < |u| <= b come (b None: no upper bound).  The keys are those of
     the window of radius ``frame`` (default N; see ``window_keys``), and
     ``skip`` leaves out the rows already fully determined at that smaller
-    radius.  Values are nonzero ints: over Q each stencil is scaled to
-    primitive integer form, which scales an equation and so keeps the
-    kernel.
+    radius.  Values are nonzero ints: over GF(p) the residues, over Q the
+    row's entries lifted by ``integer_lift`` and divided by their
+    content, the primitive integer multiple of the equation, which keeps
+    the kernel.
     """
     N = radius
     frame = N if frame is None else frame
@@ -310,9 +291,11 @@ def equation_rows(entries, radius: int, domain: Domain, shell=None,
         terms = [(j, e) for j, e in enumerate(row) if not e.is_zero()]
         if not terms:
             continue
-        stencil = _integer_stencil(
-            [(frame - exp, j, c) for j, e in terms
-             for exp, c in e.items() if not domain.is_zero(c)], domain)
+        lifts = integer_lift([e for _, e in terms], domain)[1]
+        g = 1 if domain.characteristic else math.gcd(
+            *(c for e in lifts for c in e.coeffs))
+        stencil = [(frame - exp, j, c // g) for (j, _), e in zip(terms, lifts)
+                   for exp, c in e.items() if c]
         top = max(e.degree for _, e in terms)
         bottom = min(e.val for _, e in terms)
         u_lo, u_hi = -N + top, N + bottom
@@ -343,48 +326,30 @@ MAX_WINDOW_ROWS = 2 ** 21
 
 def default_window_radius(complex_) -> int:
     """Default truncation radius: 4x the largest entry reach."""
-    reach = 1
-    for mat in complex_.diffs:
-        reach = max(reach, matrix_reach(mat))
-    return 4 * reach
+    return window_radius(complex_, None, (), 0)[0]
 
 
-def degree_reach(complex_, k: int) -> int:
-    """Reach of degree k: 1 or the larger reach of d^k and d^(k-1).
-
-    Its windows discard 3x this many coefficients at each end.
+def elimination_size(radius: int, reach: int, nonzeros: int, rows: int):
+    """(entries, rows) of the equation rows that the elimination of a
+    differential with ``nonzeros`` nonzero coefficients in ``rows``
+    nonzero rows holds at ``radius`` N (see ``_staged_pass``): its rows
+    run out to N + 2 ``reach``, the reach of the degree it leaves, so
+    each coefficient and row comes in 2 (N + 2 reach) + 1 shifts.  A
+    window of degree k eliminates d^(k-1) and d^k, one after the other.
     """
-    return max(1, matrix_reach(complex_.diff(k) or ()),
-               matrix_reach(complex_.diff(k - 1) or ()))
+    shifts = 2 * (radius + 2 * reach) + 1
+    return shifts * nonzeros, shifts * rows
 
 
-def _elimination_shifts(complex_, radius: int, k: int) -> int:
-    """Shifts of d^k's rows that its elimination at ``radius`` N holds
-    at most (see ``_staged_pass``): rows run out to N + 2 reach, so
-    2 (N + 2 reach) + 1.  A window of degree k eliminates d^(k-1) and
-    d^k, one after the other."""
-    return 2 * (radius + 2 * degree_reach(complex_, k)) + 1
+def window_radius(complex_, radius, degrees, doublings: int):
+    """The radius the windows of ``degrees`` start at, ``radius`` or the
+    default when it is None, and the reach of each degree.
 
-
-def elimination_nonzeros(complex_, radius: int, k: int) -> int:
-    """Entries of the equation rows that the elimination of d^k at
-    ``radius`` holds: every shift of every nonzero coefficient."""
-    nonzeros = sum(1 for row in complex_.diff(k) or () for e in row
-                   for c in e.coeffs if not complex_.domain.is_zero(c))
-    return _elimination_shifts(complex_, radius, k) * nonzeros
-
-
-def elimination_rows(complex_, radius: int, k: int) -> int:
-    """Equation rows that the elimination of d^k at ``radius`` holds:
-    every shift of every nonzero row."""
-    rows = sum(1 for row in complex_.diff(k) or ()
-               if any(not e.is_zero() for e in row))
-    return _elimination_shifts(complex_, radius, k) * rows
-
-
-def window_radius(complex_, radius, degrees, doublings: int) -> int:
-    """The radius the windows of ``degrees`` start at: ``radius``, or the
-    default when it is None.
+    Each differential is read once, for its reach (``matrix_reach``),
+    nonzero coefficients and nonzero rows; the rest comes from these.
+    The reach of degree k is 1 or the larger reach of d^k and d^(k-1),
+    and its windows discard 3x this many coefficients at each end; it
+    comes back as a function of k.
 
     Refused before any row is built: a radius that is not an integer
     (TypeError), one beyond 2^``doublings`` times the default
@@ -392,9 +357,20 @@ def window_radius(complex_, radius, degrees, doublings: int) -> int:
     interior, 3x its reach plus 1 (WindowTooSmall), and one at which a
     degree's window would hold more than MAX_WINDOW_NONZEROS entries or
     MAX_WINDOW_ROWS rows in one elimination (WindowTooLarge, see
-    ``elimination_nonzeros`` and ``elimination_rows``).
+    ``elimination_size``).
     """
-    default = default_window_radius(complex_)
+    dom = complex_.domain
+    sizes = [(matrix_reach(d),
+              sum(1 for row in d for e in row for c in e.coeffs
+                  if not dom.is_zero(c)),
+              sum(1 for row in d if any(not e.is_zero() for e in row)))
+             for d in complex_.diffs]
+
+    def reach(k):
+        # d^(k-1) and d^k, where they exist
+        return max([1] + [r for r, _, _ in sizes[max(k - 1, 0):max(k + 1, 0)]])
+
+    default = 4 * max([1] + [r for r, _, _ in sizes])
     cap = default * 2 ** doublings
     radius = default if radius is None else operator.index(radius)
     if radius > cap:
@@ -402,22 +378,21 @@ def window_radius(complex_, radius, degrees, doublings: int) -> int:
             f"window radius {radius} is beyond {cap}, 2^{doublings} times "
             f"the default {default}")
     for k in degrees:
-        discard = 3 * degree_reach(complex_, k)
+        discard = 3 * reach(k)
         if complex_.rank(k) and radius < discard + 1:
             raise WindowTooSmall(
                 f"radius {radius} leaves no interior in degree {k} beyond "
                 f"the {discard} discarded boundary coefficients")
     for j in sorted({j for k in degrees for j in (k - 1, k)}):
-        for held, what, bound in (
-                (elimination_nonzeros(complex_, radius, j), "entries",
-                 MAX_WINDOW_NONZEROS),
-                (elimination_rows(complex_, radius, j), "rows",
-                 MAX_WINDOW_ROWS)):
+        counts = sizes[j][1:] if 0 <= j < len(sizes) else (0, 0)
+        for held, what, bound in zip(
+                elimination_size(radius, reach(j), *counts),
+                ("entries", "rows"), (MAX_WINDOW_NONZEROS, MAX_WINDOW_ROWS)):
             if held > bound:
                 raise WindowTooLarge(
                     f"at radius {radius} the window elimination of d^{j} "
                     f"would hold {held} {what}, beyond {bound}")
-    return radius
+    return radius, reach
 
 
 @functools.lru_cache(maxsize=8)
@@ -491,7 +466,8 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     if not dom.is_field:
         raise UnsupportedDomain(
             f"series window computations need a field, not {dom}")
-    radius = window_radius(complex_, radius, (k,), 2 * WINDOW_DOUBLINGS)
+    radius, reach = window_radius(complex_, radius, (k,),
+                                  2 * WINDOW_DOUBLINGS)
     ranks = complex_.ranks
     top = len(ranks) - 1
     if top < 0 or k < 0 or k > top or ranks[k] == 0:
@@ -500,12 +476,10 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     # a missing differential is the 0-row map (): it yields no rows
     d_out = complex_.diff(k) or ()
     d_in = complex_.diff(k - 1) or ()
-    reach = degree_reach(complex_, k)
-    above = degree_reach(complex_, k + 1)
-    image = _staged_pass(d_in, radius, complex_.rank(k - 1),
-                         degree_reach(complex_, k - 1), (3 * reach, reach),
-                         dom)
-    kernel, kernel_wide = _staged_pass(d_out, radius, ranks[k], reach,
+    here, above = reach(k), reach(k + 1)
+    image = _staged_pass(d_in, radius, complex_.rank(k - 1), reach(k - 1),
+                         (3 * here, here), dom)
+    kernel, kernel_wide = _staged_pass(d_out, radius, ranks[k], here,
                                        (3 * above, above), dom)[-2:]
     d1 = kernel - image[0]
     d2 = kernel_wide - image[1]

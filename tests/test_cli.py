@@ -415,6 +415,15 @@ def test_bad_inputs_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "cohomology", "--type", "A1",
                            "--coeff", "Z", "--primes", "3,3")
     assert code == 2 and "repeated prime" in err
+    # --coeff Z with no prime would run Q alone and still report Z
+    for primes in (",", ""):
+        code, out, err = run_cli(capsys, "verify", "--type", "A2",
+                                 "--coeff", "Z", "--primes", primes,
+                                 "--format", "json")
+        assert code == 2 and out == "" and "at least one prime" in err
+    assert cli.run(RunConfig(command="verify", type_label="A2", coeff="Z",
+                             primes=())) == 2
+    assert "at least one prime" in capsys.readouterr().err
     # labels past the caps, or with an empty factor, fail before any
     # Coxeter matrix is built
     for label in ("A13", "A100000", "I2(1000000000000)", "A" + "9" * 5000,

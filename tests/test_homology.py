@@ -20,7 +20,7 @@ from artinfib.homology import (MAX_SMITH_CELLS, _invariant_factors,
                                cohomology, homology, monodromy_char_poly,
                                smith_normal_form, verify_shift_theorem)
 from artinfib.laurent import LaurentPoly, format_poly, parse_poly
-from artinfib.linalg import integer_row, sparse_rank
+from artinfib.linalg import sparse_rank
 from artinfib.rmatrix import det_bareiss, mat_identity, mat_mul
 
 
@@ -453,11 +453,16 @@ def test_universal_coefficients_at_points():
             C = build_salvetti_complex(finite_type_system(name), dom)
             co, hom = cohomology(C), homology(C)
             for a in points:
-                # rank[k] is the rank of d^(k-1) at q = a
+                # rank[k] is the rank of d^(k-1) at q = a, its rows as
+                # echelon takes them: residues over GF(p), over Q the
+                # values over their common denominator
+                p = dom.characteristic
+                values = [[[e.evaluate(a) for e in row] for row in d]
+                          for d in C.diffs]
                 rank = [0] + [sparse_rank(
-                    ({j: v for j, v in enumerate(integer_row(
-                        [e.evaluate(a) for e in row], dom)) if v}
-                     for row in d), dom) for d in C.diffs] + [0]
+                    ({j: v for j, v in enumerate(
+                        [x % p for x in row] if p else dom.to_ints(row)[1])
+                      if v} for row in d), dom) for d in values] + [0]
                 for k in range(C.top_degree + 1):
                     dim = C.ranks[k] - rank[k] - rank[k + 1]
                     where = (name, str(dom), a, k)

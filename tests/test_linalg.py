@@ -3,8 +3,9 @@ the projected kernel against its two-rank identity.
 
 ``echelon`` takes rows of nonzero ints and ``projected_kernel_dim`` a
 trailing range of keys, so the tests bring their random rows and keeps
-to that form here: ``int_rows`` maps each row through ``integer_row``,
-and ``relabeled`` renumbers the columns so that each keep is a trailing
+to that form here: ``int_rows`` takes each row's residues over GF(p)
+and its values times the lcm of their denominators over Q, and
+``relabeled`` renumbers the columns so that each keep is a trailing
 block, in a random order inside every block.  The oracles still see the
 rows and keeps as drawn."""
 
@@ -13,8 +14,7 @@ from fractions import Fraction
 
 import artinfib.linalg as linalg
 from artinfib.domains import GF, QQ
-from artinfib.linalg import (echelon, integer_row, projected_kernel_dim,
-                             sparse_rank)
+from artinfib.linalg import echelon, projected_kernel_dim, sparse_rank
 
 
 def dense_pivot_columns(rows, domain):
@@ -100,9 +100,12 @@ def mixed_rows(rng, domain, n_rows, n_cols):
 
 
 def int_rows(rows, domain):
-    """Each row as ``echelon`` takes it: ``integer_row`` of its values,
-    zeros dropped."""
-    return [{k: v for k, v in zip(row, integer_row(row.values(), domain))
+    """Each row as ``echelon`` takes it, zeros dropped: its residues over
+    GF(p), over Q its values over their common denominator
+    (``QQ.to_ints``)."""
+    p = domain.characteristic
+    return [{k: v for k, v in zip(row, [v % p for v in row.values()] if p
+                                  else domain.to_ints(row.values())[1])
              if v} for row in rows]
 
 
@@ -120,14 +123,9 @@ def relabeled(rng, rows, domain, n_cols, *keeps):
     return out, [range(n_cols - len(keep), n_cols) for keep in keeps]
 
 
-def test_integer_row():
-    assert integer_row([Fraction(1, 2), Fraction(-2, 3), Fraction(0)],
-                       QQ) == [3, -4, 0]
-    assert integer_row([6, -4, 10], QQ) == [3, -2, 5]
-    assert integer_row([1, 0, -1], QQ) == [1, 0, -1]
-    assert integer_row([], QQ) == []
-    assert integer_row([4, -1, 7], GF(3)) == [1, 2, 1]
-    # the rational branch runs on QQ.to_ints, the inverse of from_ints
+def test_to_ints_round_trip():
+    # QQ.to_ints, which ``int_rows`` feeds the rows through, is the
+    # inverse of from_ints
     for values, den, nums in (
             ([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)], 12,
              [6, -8, 15]),

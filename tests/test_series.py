@@ -15,7 +15,7 @@ from artinfib.errors import (NonInvertibleExtremes, SeedTooShort,
                              UnsupportedDomain, WindowTooLarge,
                              WindowTooSmall)
 from artinfib.laurent import LaurentPoly, parse_poly
-from artinfib.linalg import integer_row, projected_kernel_dim, sparse_rank
+from artinfib.linalg import projected_kernel_dim, sparse_rank
 from artinfib.series import (WINDOW_DOUBLINGS, WindowSeries,
                              default_window_radius, equation_rows,
                              kernel_of_scalar_mul, m_cohomology_dim_window,
@@ -113,13 +113,10 @@ def test_kernel_dimension_and_annihilation():
 def test_window_product_modes():
     p = parse_poly("1 + q", QQ)
     x = WindowSeries(QQ, 0, (1, 1, 1))
-    cons = poly_window_product(p, x, conservative=True)
+    cons = poly_window_product(p, x)
     assert cons.lo == 1 and cons.hi == 2
     assert [int(c) for c in cons.coeffs] == [2, 2]
-    full = poly_window_product(p, x, conservative=False)
-    assert full.lo == 0 and full.hi == 3
-    assert [int(c) for c in full.coeffs] == [1, 2, 2, 1]
-    # conservative window can be empty when the input is narrow
+    # the determined part is empty when the input is narrow
     narrow = poly_window_product(parse_poly("1 + q^5", QQ),
                                  WindowSeries(QQ, 0, (1, 1)))
     assert len(narrow) == 0
@@ -137,9 +134,8 @@ def test_mixed_domains_raise_one_error():
             recurrence_extend(x, p, "left", 2)
         with pytest.raises(UnsupportedDomain):
             solve_scalar_mul(p, x)
-        for conservative in (True, False):
-            with pytest.raises(UnsupportedDomain):
-                poly_window_product(p, x, conservative)
+        with pytest.raises(UnsupportedDomain):
+            poly_window_product(p, x)
 
 
 def test_solve_round_trip_seeded():
@@ -156,7 +152,7 @@ def test_solve_round_trip_seeded():
                                 for _ in range(rng.randint(1, 10))])
             x = solve_scalar_mul(p, rhs)
             assert x.lo == rhs.lo - p.degree and x.hi == rhs.hi - p.val
-            back = poly_window_product(p, x, conservative=True)
+            back = poly_window_product(p, x)
             assert back.lo == rhs.lo and back.hi == rhs.hi
             assert back.coeffs == rhs.coeffs
     with pytest.raises(WindowTooSmall):
@@ -256,8 +252,7 @@ def test_window_rows_bounded_before_any_row(monkeypatch):
     monkeypatch.setattr(series, "equation_rows", never)
     sparse = build_generic_complex(parse_family("- ; 1 ; 1 - q^100000", QQ))
     radius = 2 ** WINDOW_DOUBLINGS * default_window_radius(sparse)
-    assert series.elimination_nonzeros(sparse, radius, 0) \
-        < series.MAX_WINDOW_NONZEROS
+    assert held_entries(sparse, radius, 0) < series.MAX_WINDOW_NONZEROS
     start = time.perf_counter()
     with pytest.raises(WindowTooLarge, match="6800001 rows, beyond"):
         verify_shift_theorem(sparse, radius)
@@ -282,14 +277,12 @@ def test_window_size_admits_the_largest_runs(monkeypatch):
         degrees = range(C.top_degree + 1)
         for f in factors:
             assert series.window_radius(C, f * N, degrees,
-                                        WINDOW_DOUBLINGS) == f * N
-            sizes[name, f] = max(
-                series.elimination_nonzeros(C, f * N, k)
-                for k in degrees)
+                                        WINDOW_DOUBLINGS)[0] == f * N
+            sizes[name, f] = max(held_entries(C, f * N, k) for k in degrees)
     assert max(sizes.values()) < series.MAX_WINDOW_NONZEROS
     assert sizes["E8", 1] > 10**6 and sizes["I2(800)", 1] > 1.5e7
     sparse = build_generic_complex(parse_family("- ; 1 ; 1 - q^100000", QQ))
-    assert series.window_radius(sparse, None, (0, 1), WINDOW_DOUBLINGS) \
+    assert series.window_radius(sparse, None, (0, 1), WINDOW_DOUBLINGS)[0] \
         == default_window_radius(sparse) == 400000
 
     class Reached(Exception):
@@ -403,6 +396,30 @@ def test_verify_eliminates_each_differential_once(monkeypatch):
                   if any(not e.is_zero() for row in d for e in row))
     assert nonzero == 3
     assert sum(1 for _, n in fed if n) == nonzero
+
+
+def test_window_sizing_reads_each_differential_once(monkeypatch):
+    # a window is sized from one read of each differential, for its
+    # reach, nonzero coefficients and nonzero rows: E6 has 6, and one
+    # window reads each once.  The shift check sizes every degree up
+    # front and then each of its 7 windows, all at the default radius
+    C = build_salvetti_complex(finite_type_system("E6"), GF(3))
+    N = default_window_radius(C)
+    calls = [0]
+    original = series.matrix_reach
+
+    def counted(matrix):
+        calls[0] += 1
+        return original(matrix)
+
+    monkeypatch.setattr(series, "matrix_reach", counted)
+    assert len(C.diffs) == 6
+    m_cohomology_dim_window(C, 3)
+    assert 0 < calls[0] <= 6
+    calls[0] = 0
+    report = verify_shift_theorem(C)
+    assert report.ok and all(d.radius == N for d in report.degrees)
+    assert 0 < calls[0] <= 48
 
 
 def test_window_dims_a2():
@@ -523,10 +540,12 @@ def reference_equation_rows(entries, N, dom, shell=(-1, None)):
 
 def transposed_image_rows(entries, N, dom, lo, hi):
     """Image of the unit vector at (j, v), v in [-N, N], cut to exponents
-    [lo, hi]: the rows of the image's transpose, as ``integer_row`` gives
-    them.  y_(i, u) is column (u - lo) * m + i."""
+    [lo, hi]: the rows of the image's transpose, as ``echelon`` takes
+    them, residues over GF(p) and over Q the entries times the lcm of
+    their denominators.  y_(i, u) is column (u - lo) * m + i."""
     m = len(entries)
     n = len(entries[0]) if entries else 0
+    p = dom.characteristic
     rows = []
     for v in range(-N, N + 1):
         for j in range(n):
@@ -538,7 +557,9 @@ def transposed_image_rows(entries, N, dom, lo, hi):
                     if not dom.is_zero(c):
                         row[(u - lo) * m + i] = c
             if row:
-                rows.append(dict(zip(row, integer_row(row.values(), dom))))
+                ints = ([c % p for c in row.values()] if p
+                        else dom.to_ints(row.values())[1])
+                rows.append(dict(zip(row, ints)))
     return rows
 
 
@@ -592,6 +613,14 @@ def reach_of(C, k):
     """1, or the larger reach of the differentials out of and into k."""
     return max(1, matrix_reach(C.diff(k) or ()),
                matrix_reach(C.diff(k - 1) or ()))
+
+
+def held_entries(C, radius, k):
+    """Equation-row entries the elimination of d^k holds at ``radius``,
+    its nonzero coefficients counted here."""
+    nonzeros = sum(1 for row in C.diff(k) or () for e in row
+                   for c in e.coeffs if not C.domain.is_zero(c))
+    return series.elimination_size(radius, reach_of(C, k), nonzeros, 0)[0]
 
 
 def reference_window_dim(C, k, N):
