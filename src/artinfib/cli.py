@@ -80,8 +80,14 @@ class RunConfig:
 
         ``Z`` is not a field, so it expands into the rational pipeline
         plus one prime-field pipeline per configured prime, each
-        reported separately; with no prime it is refused.
+        reported separately; with no prime it is refused.  A prime
+        listed twice is refused whatever the coefficients: Z would run
+        and report its field twice.
         """
+        if len(set(self.primes)) != len(self.primes):
+            raise UnsupportedDomain(
+                "repeated prime in --primes "
+                + ",".join(str(p) for p in self.primes))
         if self.coeff.strip() == "Z":
             if not self.primes:
                 raise UnsupportedDomain("--coeff Z needs at least one prime "
@@ -527,8 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
     primes = tuple(int(p) for p in str(ns.primes).split(",") if p.strip())
-    if len(set(primes)) != len(primes):
-        raise ValueError(f"repeated prime in --primes {ns.primes}")
     degrees = _parse_degrees(ns.degrees) if ns.degrees else None
     return RunConfig(command=ns.command,
                      type_label=getattr(ns, "type_label", None),

@@ -27,6 +27,20 @@ window's kernel extends the same elimination: ``equation_rows`` keys
 every column outermost exponent first, so both windows' interiors are
 trailing ranges of one order, and only the rows the wider radius adds
 go in after the narrower window's (see ``m_cohomology_dim_window``).
+
+Most equation rows are dependent, and an elimination spends most of its
+row updates reducing them to zero.  Since d^(k+1) d^k = 0, each row of
+d^(k+1) is a relation among the equation rows of d^k, and on a complex
+with a family the standard filtration by the least generator g0 picks
+one row each relation can leave out: the row at a subset without g0
+whose output exponent is the largest the relation reaches there
+(``window_relations``).  Such a row is skipped before it is built when
+every row of its relation comes in the same stage or before it; it is
+then a combination of rows that come, so the span after every stage,
+and with it every rank and projected kernel read off the elimination,
+is that of every row.  The relations are read from the complex's own
+matrices, not from any Smith form, so the windows stay an independent
+check of the Laurent side.
 """
 
 from __future__ import annotations
@@ -266,7 +280,7 @@ def window_keys(radius: int, width: int) -> list:
 
 
 def equation_rows(entries, radius: int, domain: Domain, shell=None,
-                  frame=None, skip=None):
+                  frame=None, skip=None, relations=None):
     """Sparse rows, one per fully determined output coefficient.
 
     Output (i, u) = sum over j and the terms c*q^exp of entry (i, j) of
@@ -282,14 +296,28 @@ def equation_rows(entries, radius: int, domain: Domain, shell=None,
     row's entries lifted by ``integer_lift`` and divided by their
     content, the primitive integer multiple of the equation, which keeps
     the kernel.
+
+    ``relations`` (``window_relations``), one per row of ``entries``,
+    leaves out rows that the rows kept already span.  Row (i, u) is left
+    out when row i has a relation (v, terms) and every row that relation
+    holds at output exponent u + v is determined at N with |u| <= b of
+    ``shell``, so that it comes here or in an earlier shell: for each
+    (j, a, b) in terms, the rows (j, u + v - b) to (j, u + v - a).  The
+    relation holds (i, u) with the lowest coefficient of row i's entry,
+    which is nonzero, and each of its other rows is at a row with no
+    relation or at row i with a smaller u; by induction on u, every row
+    left out is a combination of rows that come.
+    Without ``relations`` every row comes.
     """
     N = radius
     frame = N if frame is None else frame
     inner, outer = shell or (-1, None)
     keys = window_keys(frame, len(entries[0]) if entries else 0)
+    stencils = []
     for row in entries:
         terms = [(j, e) for j, e in enumerate(row) if not e.is_zero()]
         if not terms:
+            stencils.append(None)
             continue
         lifts = integer_lift([e for _, e in terms], domain)[1]
         g = 1 if domain.characteristic else math.gcd(
@@ -303,9 +331,56 @@ def equation_rows(entries, radius: int, domain: Domain, shell=None,
             u_lo, u_hi = max(u_lo, -outer), min(u_hi, outer)
         seen = (range(-skip + top, skip + bottom + 1) if skip is not None
                 else ())
+        stencils.append((stencil, u_lo, u_hi, seen))
+    for i, made in enumerate(stencils):
+        if made is None:
+            continue
+        stencil, u_lo, u_hi, seen = made
+        dropped = ()
+        if relations is not None and relations[i] is not None:
+            v, terms = relations[i]
+            # a zero row of entries holds no rows, and adds 0 to the sum
+            held = [(stencils[j][1:3], a, b) for j, a, b in terms
+                    if stencils[j] is not None]
+            dropped = range(max(lo + b for (lo, _), _, b in held) - v,
+                            min(hi + a for (_, hi), a, _ in held) - v + 1)
         for u in range(u_lo, u_hi + 1):
-            if abs(u) > inner and u not in seen:
+            if abs(u) > inner and u not in seen and u not in dropped:
                 yield {keys[u + off] + j: c for off, j, c in stencil}
+
+
+def window_relations(complex_, k: int):
+    """The relations ``equation_rows`` reads to leave out rows of d^k:
+    None for a complex with no family, else one per row of d^k.
+
+    Each row of d^(k+1), Gamma, is a relation among the equation rows of
+    d^k, since d^(k+1) d^k = 0: sum over w in Gamma and the terms c*q^e
+    of p[Gamma - w, w] of c * row(Gamma - w, u' - e) = 0 at every output
+    exponent u'.  With g0 the least generator, the row of d^k at a
+    subset Delta without g0 takes the relation of Gamma = Delta + g0,
+    (val p[Delta, g0], ((j, val, degree) of each nonzero entry of row
+    Gamma, j its column)); every other column of Gamma contains g0, and
+    those rows, like a Delta with p[Delta, g0] = 0, have None.  The
+    relations read only the complex's own matrices, whose d^2 = 0 is
+    checked when it is built.
+    """
+    if complex_.family is None or complex_.diff(k) is None:
+        return None
+    basis = complex_.basis
+    above = complex_.diff(k + 1)
+    rows = dict(zip(basis[k + 2], above)) if above else {}
+    g0 = complex_.gamma[0]
+    out = []
+    for i, delta in enumerate(basis[k + 1]):
+        # Delta + g0 is a row of d^(k+1) exactly when g0 is not in Delta
+        row = rows.get(delta | {g0})
+        if row is None or row[i].is_zero():
+            out.append(None)
+        else:
+            out.append((row[i].val, tuple((j, e.val, e.degree)
+                                          for j, e in enumerate(row)
+                                          if not e.is_zero())))
+    return tuple(out)
 
 
 # the shift check doubles a radius that has not stabilized at most this
@@ -336,6 +411,8 @@ def elimination_size(radius: int, reach: int, nonzeros: int, rows: int):
     run out to N + 2 ``reach``, the reach of the degree it leaves, so
     each coefficient and row comes in 2 (N + 2 reach) + 1 shifts.  A
     window of degree k eliminates d^(k-1) and d^k, one after the other.
+    Every row is counted, those that ``window_relations`` leave out too,
+    so the count bounds what the elimination holds.
     """
     shifts = 2 * (radius + 2 * reach) + 1
     return shifts * nonzeros, shifts * rows
@@ -396,7 +473,8 @@ def window_radius(complex_, radius, degrees, doublings: int):
 
 
 @functools.lru_cache(maxsize=8)
-def _staged_pass(entries, radius, width, reach, cuts, domain):
+def _staged_pass(entries, radius, width, reach, cuts, domain,
+                 relations=None):
     """One elimination of the equation rows of ``entries`` at ``radius``
     N and at N + 2 * ``reach``.
 
@@ -409,6 +487,14 @@ def _staged_pass(entries, radius, width, reach, cuts, domain):
     only the wider window determines.  Returns the rank after each shell,
     then the kernel dimensions projected on the interior at N and at W.
     Memoized, so the next degree's window finds its image ranks here.
+
+    With ``relations`` (``window_relations``) each stage leaves out the
+    rows that the rows fed up to it, its own included, already span: a
+    row goes only when every row of its relation lies in the same |u|
+    shell or an earlier one and is determined at N, or, in the last
+    stage, at N + 2 * reach.  The span after every stage is then the
+    span of every row up to it, so the ranks and both projected kernels,
+    which read only that span, are those of the full elimination.
     """
     wide = radius + 2 * reach
     end = (2 * wide + 1) * width
@@ -418,14 +504,16 @@ def _staged_pass(entries, radius, width, reach, cuts, domain):
     for cut in cuts:
         shell = (inner, radius - cut)
         ranks.append(sparse_rank(
-            equation_rows(entries, radius, domain, shell, wide), domain,
-            pivots))
+            equation_rows(entries, radius, domain, shell, wide,
+                          relations=relations), domain, pivots))
         inner = shell[1]
     kernel = projected_kernel_dim(
-        lambda: equation_rows(entries, radius, domain, (inner, None), wide),
+        lambda: equation_rows(entries, radius, domain, (inner, None), wide,
+                              relations=relations),
         domain, range(10 * reach * width, end), pivots)
     kernel_wide = projected_kernel_dim(
-        lambda: equation_rows(entries, wide, domain, skip=radius),
+        lambda: equation_rows(entries, wide, domain, skip=radius,
+                              relations=relations),
         domain, range(6 * reach * width, end), pivots)
     return (*ranks, kernel, kernel_wide)
 
@@ -460,7 +548,9 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     its projected kernel whatever rows came before.  So the radius-N
     rows go in first, the kernel at N is read, then only the rows that
     N + 2r adds go in and the kernel there is read.  Each nonzero
-    differential is thus eliminated once per radius.
+    differential is thus eliminated once per radius, without the rows
+    that the next differential proves dependent (``window_relations``),
+    which change none of these counts.
     """
     dom = complex_.domain
     if not dom.is_field:
@@ -478,9 +568,11 @@ def m_cohomology_dim_window(complex_, k: int, radius: int | None = None):
     d_in = complex_.diff(k - 1) or ()
     here, above = reach(k), reach(k + 1)
     image = _staged_pass(d_in, radius, complex_.rank(k - 1), reach(k - 1),
-                         (3 * here, here), dom)
+                         (3 * here, here), dom,
+                         window_relations(complex_, k - 1))
     kernel, kernel_wide = _staged_pass(d_out, radius, ranks[k], here,
-                                       (3 * above, above), dom)[-2:]
+                                       (3 * above, above), dom,
+                                       window_relations(complex_, k))[-2:]
     d1 = kernel - image[0]
     d2 = kernel_wide - image[1]
     return d2, d1 == d2

@@ -47,9 +47,13 @@ RANK_EIGHT_TYPES = ("A8", "E8")
 # window radius in criterion 13
 RANK_SIX_TYPES = ("A5", "B5", "D5", "A6", "B6", "D6", "E6")
 
-# rank 7, the largest type the shift check verifies within a tier-1
-# budget, over Z/3 in criterion 14
+# rank 7, verified over Z/3 in criterion 14
 RANK_SEVEN_TYPE = "E7"
+
+# rank 8, the largest type the shift check verifies within a tier-1
+# budget, over Z/3 in criterion 15, with the window dimension of each
+# degree
+RANK_EIGHT_SHIFT = ("E8", (1, 0, 0, 0, 3, 2, 9, 55, 0))
 
 # every type with group order <= 1e5; the dihedral family is sampled
 POINCARE_TYPES = ("A1", "A2", "A3", "A4", "A5", "A6", "A7",
@@ -384,5 +388,25 @@ def test_criterion_14_rank_seven_shift_theorem():
         assert len(degrees) == system.n + 1
         assert all(d["match"] for d in degrees)
         # every degree stabilized at the first radius tried
+        assert all(d["radius"] == default for d in degrees)
+    body()
+
+
+def test_criterion_15_rank_eight_shift_theorem():
+    @criterion(15, "degree shift matches in every degree for E8 over Z/3",
+               budget=150.0)
+    def body():
+        name, m_dims = RANK_EIGHT_SHIFT
+        system = finite_type_system(name)
+        default = default_window_radius(
+            build_salvetti_complex(system, GF(3)))
+        code, doc = cli_json("verify", "--type", name, "--coeff", "Zp:3",
+                             "--format", "json")
+        assert code == 0
+        (entry,) = doc["results"].values()
+        degrees = entry["shift"]["degrees"]
+        assert entry["shift"]["ok"]
+        assert all(d["match"] for d in degrees)
+        assert tuple(d["m_dim"] for d in degrees) == m_dims
         assert all(d["radius"] == default for d in degrees)
     body()

@@ -415,6 +415,11 @@ def test_bad_inputs_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "cohomology", "--type", "A1",
                            "--coeff", "Z", "--primes", "3,3")
     assert code == 2 and "repeated prime" in err
+    # and so is a library configuration, which printed them twice
+    assert cli.run(RunConfig(command="cohomology", type_label="A2",
+                             coeff="Z", primes=(3, 3), fmt="csv")) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "repeated prime in --primes 3,3" in err
     # --coeff Z with no prime would run Q alone and still report Z
     for primes in (",", ""):
         code, out, err = run_cli(capsys, "verify", "--type", "A2",

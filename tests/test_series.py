@@ -339,9 +339,10 @@ def test_window_stability_check_runs_two_windows(monkeypatch):
     original_rows = series.equation_rows
 
     def at_radius(entries, radius, domain, shell=None, frame=None,
-                  skip=None):
+                  skip=None, relations=None):
         rows_at[C.diffs.index(entries), radius, frame, skip] += 1
-        return original_rows(entries, radius, domain, shell, frame, skip)
+        return original_rows(entries, radius, domain, shell, frame, skip,
+                             relations)
 
     for name in ("projected_kernel_dim", "sparse_rank"):
         monkeypatch.setattr(series, name, counted(name))
@@ -720,3 +721,44 @@ def test_window_cache_keeps_domains_apart():
             assert m_cohomology_dim_window(C, k) == (d2, d1 == d2)
         # d^-1 and d^3 are empty, so their passes are trivial
         assert series._staged_pass.cache_info().misses - misses == 5
+
+
+def test_dropped_rows_leave_every_stage_unchanged():
+    # the rows that d^(k+1) d^k = 0 proves dependent are left out of the
+    # window eliminations: each shell's rank and both projected kernels
+    # are those of the elimination of every row, at the smallest radius
+    # every degree admits, the default, and twice it.  The Salvetti
+    # complexes lose rows; a family whose entries p[Delta, g0] are all 0
+    # and a complex with no family lose none
+    salvetti = [build_salvetti_complex(finite_type_system(label), dom)
+                for label, dom in (("E6", QQ), ("E6", GF(3)), ("F4", QQ))]
+    koszul = [build_generic_complex(
+        random_koszul_family(rank, seed, dom, span_bound=3))
+        for rank, seed, dom in ((3, 0, QQ), (3, 1, QQ), (3, 2, GF(2)),
+                                (4, 3, GF(3)), (3, 4, GF(5)))]
+    polys = [LaurentPoly.zero(QQ), parse_poly("1 - q", QQ),
+             parse_poly("q^-1 + 2 + q", QQ)]
+    zero_g0 = build_generic_complex(koszul_family((1, 2, 3), polys, QQ))
+    no_family = transpose_complex(salvetti[-1])
+    assert series.window_relations(no_family, 1) is None
+    assert set(series.window_relations(zero_g0, 1)) == {None}
+    cases = ([(C, True) for C in salvetti + koszul]
+             + [(zero_g0, False), (no_family, False)])
+    for C, drops in cases:
+        degrees = [k for k in range(C.top_degree + 1) if C.rank(k)]
+        default = default_window_radius(C)
+        smallest = max(3 * reach_of(C, k) + 1 for k in degrees)
+        rows = kept = 0
+        for N in (smallest, default, 2 * default):
+            for k in degrees:
+                entries = C.diff(k) or ()
+                relations = series.window_relations(C, k)
+                above = reach_of(C, k + 1)
+                args = (entries, N, C.rank(k), reach_of(C, k),
+                        (3 * above, above), C.domain)
+                assert series._staged_pass.__wrapped__(*args, relations) \
+                    == series._staged_pass.__wrapped__(*args), (C.ranks, N, k)
+                rows += sum(1 for _ in equation_rows(entries, N, C.domain))
+                kept += sum(1 for _ in equation_rows(
+                    entries, N, C.domain, relations=relations))
+        assert (kept < rows) if drops else (kept == rows), (C.ranks, drops)
