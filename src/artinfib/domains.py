@@ -1,9 +1,13 @@
 """Coefficient domains for Laurent polynomial arithmetic.
 
 Three domains are supported: the rationals ``QQ``, the integers ``ZZ`` and
-prime fields ``GF(p)``.  Elements are plain Python values (rationals, ints,
-ints reduced mod p), and all arithmetic goes through the domain object so
-that the same polynomial code runs unchanged over each ring.
+prime fields ``GF(p)``.  Elements are plain Python values in a canonical
+form: a ``Fraction`` over Q, an ``int`` over Z, a residue in [0, p) over
+GF(p).  So an element is zero exactly when it is falsy, and ``+ - *`` are
+Python's own operators on the values; over GF(p) a result is reduced
+once, ``% p`` per coefficient produced (``characteristic`` is p there
+and 0 over Q and Z).  The domain object maps values in (``normalize``),
+inverts units and holds the integer convolution.
 
 Rationals are ``fractions.Fraction``.  The hot loops over Q (the
 product and long division of Laurent polynomials, every Smith form over
@@ -25,11 +29,14 @@ from .errors import NotUnit, UnsupportedDomain
 
 
 class Domain:
-    """A commutative ring with exact element arithmetic.
+    """A commutative ring whose elements are canonical Python values.
 
-    Subclasses fix the element representation; ``zero`` and ``one`` are
-    canonical elements, and ``normalize`` maps an int or a Fraction into
-    that representation; anything else raises TypeError.
+    Subclasses fix the canonical form; ``zero`` and ``one`` are canonical
+    elements, and ``normalize`` maps an int or a Fraction into that form;
+    anything else raises TypeError.  Canonical elements are added,
+    subtracted and multiplied with Python's operators, and a result is
+    canonical as it is over Q and Z, and after one ``% characteristic``
+    over GF(p).  A zero element is falsy.
     """
 
     name = "?"
@@ -37,14 +44,8 @@ class Domain:
     characteristic = 0
     # the type of canonical elements that need no normalize, if any
     element_type = None
-
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n: int):
         raise NotImplementedError
@@ -59,23 +60,6 @@ class Domain:
         if isinstance(x, Fraction):
             return self.from_fraction(x)
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
-
-    # plain number arithmetic, as over Z and Q; GF(p) reduces mod p
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError
@@ -92,7 +76,7 @@ class Domain:
     def from_ints(self, nums, den=1):
         """The elements n / den for the integers n of ``nums``."""
         inv = self.inv(self.from_int(den))
-        return [self.mul(self.from_int(n), inv) for n in nums]
+        return [self.from_int(n * inv) for n in nums]
 
     def poly_mul(self, a, b):
         """Coefficients of the product of two dense coefficient lists: the
@@ -115,6 +99,8 @@ class RationalField(Domain):
     name = "Q"
     is_field = True
     element_type = Fraction
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, n):
         return Fraction(n)
@@ -219,25 +205,10 @@ class PrimeField(Domain):
             raise UnsupportedDomain(f"denominator of {fr} vanishes mod {self.p}")
         return fr.numerator * pow(den, -1, self.p) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
     def poly_mul(self, a, b):
         # plain integer convolution, reduced once per coefficient
         p = self.p
         return [c % p for c in super().poly_mul(a, b)]
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
 
     def is_unit(self, a):
         return a % self.p != 0

@@ -2,8 +2,10 @@
 
 A polynomial is a valuation together with a dense coefficient tuple; the
 zero polynomial is the empty tuple with valuation 0.  Canonical form (no
-zero coefficients at either end) is enforced by the constructor, so
-equality and hashing are structural.
+zero coefficients at either end, each coefficient canonical in its
+domain) is enforced by the constructor, so equality and hashing are
+structural.  Arithmetic runs on Python's operators over the coefficient
+values and, over GF(p), reduces each coefficient it produces once.
 
     >>> from artinfib.domains import QQ
     >>> p = LaurentPoly(QQ, 0, [1, -1, 1])
@@ -50,20 +52,18 @@ class LaurentPoly:
                                   else domain.normalize(c) for c in coeffs])
 
     def _store(self, domain, val, coeffs):
-        """Trim zero coefficients off both ends and set the fields."""
-        lo = 0
-        hi = len(coeffs)
-        while lo < hi and domain.is_zero(coeffs[lo]):
-            lo += 1
-        while hi > lo and domain.is_zero(coeffs[hi - 1]):
-            hi -= 1
-        if lo == hi:
-            val, coeffs = 0, ()
-        else:
-            val, coeffs = val + lo, tuple(coeffs[lo:hi])
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "coeffs", coeffs)
+        """Trim zero coefficients off both ends and set the fields; the
+        coefficients are canonical, so a zero one is falsy."""
+        if not (coeffs and coeffs[0] and coeffs[-1]):
+            lo, hi = 0, len(coeffs)
+            while lo < hi and not coeffs[lo]:
+                lo += 1
+            while hi > lo and not coeffs[hi - 1]:
+                hi -= 1
+            val, coeffs = (val + lo, coeffs[lo:hi]) if lo < hi else (0, ())
+        _set_domain(self, domain)
+        _set_val(self, val)
+        _set_coeffs(self, coeffs if type(coeffs) is tuple else tuple(coeffs))
 
     # -- constructors ------------------------------------------------
 
@@ -140,33 +140,40 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        if self.is_zero():
+        if not self.coeffs:
             return other
-        return self._combine(other, self.domain.add)
+        return self._combine(other, operator.add)
 
     def __neg__(self):
+        p = self.domain.characteristic
         return _canonical(self.domain, self.val,
-                          [self.domain.neg(c) for c in self.coeffs])
+                          [-c % p for c in self.coeffs] if p
+                          else [-c for c in self.coeffs])
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        if self.is_zero():
+        if not self.coeffs:
             return -other
-        return self._combine(other, self.domain.sub)
+        return self._combine(other, operator.sub)
 
     def _combine(self, other, op):
-        """self op other coefficientwise, for nonzero self."""
-        if other.is_zero():
+        """self op other coefficientwise, for nonzero self; ``op`` is
+        operator.add or operator.sub."""
+        b = other.coeffs
+        if not b:
             return self
-        dom = self.domain
+        dom, a = self.domain, self.coeffs
         lo = min(self.val, other.val)
-        out = [dom.zero] * (max(self.degree, other.degree) - lo + 1)
+        out = [dom.zero] * (max(self.val + len(a), other.val + len(b)) - lo)
         start = self.val - lo
-        out[start:start + len(self.coeffs)] = self.coeffs
-        for k, c in enumerate(other.coeffs, other.val - lo):
-            out[k] = op(out[k], c)
+        out[start:start + len(a)] = a
+        start = other.val - lo
+        end = start + len(b)
+        p = dom.characteristic
+        out[start:end] = ([op(x, y) % p for x, y in zip(out[start:end], b)]
+                          if p else map(op, out[start:end], b))
         return _canonical(dom, lo, out)
 
     def __mul__(self, other):
@@ -211,16 +218,19 @@ class LaurentPoly:
         return _canonical(self.domain, self.val + k, self.coeffs)
 
     def scale(self, c):
-        c = self.domain.normalize(c)
-        return _canonical(self.domain, self.val,
-                          [self.domain.mul(c, a) for a in self.coeffs])
+        dom = self.domain
+        c = dom.normalize(c)
+        p = dom.characteristic
+        return _canonical(dom, self.val,
+                          [c * a % p for a in self.coeffs] if p
+                          else [c * a for a in self.coeffs])
 
     def subs_neg_q(self):
         """Substitute q -> -q."""
-        dom = self.domain
-        coeffs = [c if (self.val + i) % 2 == 0 else dom.neg(c)
-                  for i, c in enumerate(self.coeffs)]
-        return LaurentPoly(dom, self.val, coeffs)
+        neg = (-self).coeffs
+        return _canonical(self.domain, self.val,
+                          [neg[i] if (self.val + i) % 2 else c
+                           for i, c in enumerate(self.coeffs)])
 
     def subs_q_inverse(self):
         """Substitute q -> q^-1."""
@@ -231,13 +241,14 @@ class LaurentPoly:
         """Value at q = x (x must be invertible if valuation < 0)."""
         dom = self.domain
         x = dom.normalize(x)
+        p = dom.characteristic
         acc = dom.zero
         for c in reversed(self.coeffs):
-            acc = dom.add(dom.mul(acc, x), c)
+            acc = (acc * x + c) % p if p else acc * x + c
         if self.val:
             base = x if self.val > 0 else dom.inv(x)
-            for _ in range(abs(self.val)):
-                acc = dom.mul(acc, base)
+            acc = dom.normalize(acc * (pow(base, abs(self.val), p) if p
+                                       else base ** abs(self.val)))
         return acc
 
     def divrem(self, other):
@@ -344,8 +355,7 @@ class LaurentPoly:
         lead = self.coeffs[-1]
         if not dom.is_unit(lead):
             raise NotUnit(f"leading coefficient {dom.to_str(lead)} not a unit")
-        inv = dom.inv(lead)
-        monic = LaurentPoly(dom, 0, [dom.mul(inv, c) for c in self.coeffs])
+        monic = self.shift(-self.val).scale(dom.inv(lead))
         unit = LaurentPoly(dom, self.val, (lead,))
         return unit, monic
 
@@ -365,6 +375,54 @@ def _refuse(self, name, *value):
 # super() on the class from before slots were added, which raises
 # TypeError for a name that is not a field
 LaurentPoly.__setattr__ = LaurentPoly.__delattr__ = _refuse
+
+# ``_store`` sets the fields through their slot descriptors, which
+# __setattr__ does not guard
+_set_domain = LaurentPoly.domain.__set__
+_set_val = LaurentPoly.val.__set__
+_set_coeffs = LaurentPoly.coeffs.__set__
+
+
+def lincomb(a, x, b, y):
+    """a x + b y for LaurentPolys over one domain, built in one pass.
+
+    Both products are accumulated into one coefficient list, each
+    coefficient reduced once over GF(p), and one polynomial is made of
+    it; neither product nor their sum is formed on its own.  A row
+    operation of a Smith form is this kernel on every entry of its rows.
+    """
+    dom = x.domain
+    if not (a.domain is dom and b.domain is dom and y.domain is dom):
+        for other in (a, b, y):
+            x._check(other)
+    f1, g1, f2, g2 = a.coeffs, x.coeffs, b.coeffs, y.coeffs
+    e1, e2 = a.val + x.val, b.val + y.val
+    # a vanishing product becomes the empty one at the other's exponent
+    if not (f1 and g1):
+        if not (f2 and g2):
+            return _canonical(dom, 0, ())
+        f1, g1, e1 = (), (), e2
+    elif not (f2 and g2):
+        f2, g2, e2 = (), (), e1
+    lo = min(e1, e2)
+    out = [dom.zero] * (max(e1 + len(f1) + len(g1),
+                            e2 + len(f2) + len(g2)) - lo - 1)
+    if len(f1) == 1:
+        # the list is still zero: a constant multiple (a row update's
+        # 1 x) is written in
+        c = f1[0]
+        out[e1 - lo:e1 - lo + len(g1)] = g1 if c == 1 else [c * d for d in g1]
+        f1 = ()
+    for e, f, g in ((e1 - lo, f1, g1), (e2 - lo, f2, g2)):
+        # the longer factor in the inner loop
+        if len(f) > len(g):
+            f, g = g, f
+        for i, c in enumerate(f, e):
+            if c:
+                for k, d in enumerate(g, i):
+                    out[k] += c * d
+    p = dom.characteristic
+    return _canonical(dom, lo, [c % p for c in out] if p else out)
 
 
 def integer_lift(polys, domain):
@@ -439,19 +497,24 @@ def _divide(a: LaurentPoly, b: LaurentPoly):
         return (_canonical(dom, val, dom.from_ints([c * db for c in quo],
                                                    k * da)),
                 _canonical(dom, a.val, dom.from_ints(rem, k * da)))
-    # a prime field: one inverse, then each step is exact
+    # a prime field: one inverse, then each step is exact.  The running
+    # remainder is reduced mod p only where it is read: at the top
+    # coefficient of each step, and once at the end.
+    p = dom.characteristic
     rem = list(a.coeffs)
     binv = dom.inv(b.coeffs[-1])
-    quo = [dom.zero] * max(len(rem) - len(b.coeffs) + 1, 0)
+    quo = [0] * max(len(rem) - len(b.coeffs) + 1, 0)
     top = len(b.coeffs) - 1
+    tail = b.coeffs[:-1]
     for i in reversed(range(len(quo))):
-        c = rem[i + top]
-        if dom.is_zero(c):
+        c = rem[i + top] % p
+        if not c:
             continue
-        c = quo[i] = dom.mul(c, binv)
-        for j, bc in enumerate(b.coeffs[:-1]):
-            rem[i + j] = dom.sub(rem[i + j], dom.mul(c, bc))
-    return _canonical(dom, val, quo), _canonical(dom, a.val, rem[:top])
+        c = quo[i] = c * binv % p
+        for j, bc in enumerate(tail, i):
+            rem[j] -= c * bc
+    return (_canonical(dom, val, quo),
+            _canonical(dom, a.val, [c % p for c in rem[:top]]))
 
 
 def _pseudo_divide(num, den):
@@ -670,8 +733,8 @@ class _Parser:
         op = "+"
         while True:
             for e, c in self.term().items():
-                c = c if op == "+" else dom.neg(c)
-                total[e] = dom.add(total[e], c) if e in total else c
+                # the constructor in from_dict reduces the sums
+                total[e] = total.get(e, 0) + (c if op == "+" else -c)
             if self.peek() not in ("+", "-"):
                 return LaurentPoly.from_dict(dom, total)
             op = self.take()[0]
@@ -795,7 +858,7 @@ class _Parser:
 
 
 def _nonzeros(p: LaurentPoly) -> int:
-    return len(p.coeffs) - sum(1 for c in p.coeffs if p.domain.is_zero(c))
+    return sum(map(bool, p.coeffs))
 
 
 def _divides_mod_prime(a: LaurentPoly, b: LaurentPoly) -> bool:
@@ -859,7 +922,7 @@ def format_poly(p: LaurentPoly) -> str:
     dom = p.domain
     parts = []
     for e, c in reversed(p.items()):
-        if dom.is_zero(c):
+        if not c:
             continue
         neg, mag = _coeff_str(dom, c)
         if e == 0:

@@ -101,7 +101,7 @@ class WindowSeries:
                             self.coeffs[lo - self.lo:hi - self.lo + 1])
 
     def is_zero(self) -> bool:
-        return all(self.domain.is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __str__(self):
         dom = self.domain
@@ -157,13 +157,14 @@ def recurrence_extend(seed: WindowSeries, p: LaurentPoly, direction: str,
         return _mirror(recurrence_extend(
             _mirror(seed), p.subs_q_inverse(), "right", steps))
     dom = seed.domain
-    c = dom.neg(dom.inv(b_s))
+    mod = dom.characteristic
+    c = -dom.inv(b_s)
+    tail = p.coeffs[1:]
     buf = list(seed.coeffs)
     for _ in range(steps):
-        acc = dom.zero
-        for i in range(1, d + 1):
-            acc = dom.add(acc, dom.mul(p.coeffs[i], buf[-i]))
-        buf.append(dom.mul(c, acc))
+        # c times the sum of b_(s+i) a_(k-i), i = 1..d, reduced once
+        acc = c * sum(map(operator.mul, tail, reversed(buf[len(buf) - d:])))
+        buf.append(acc % mod if mod else acc)
     return WindowSeries(dom, seed.lo, buf)
 
 
@@ -436,11 +437,9 @@ def window_radius(complex_, radius, degrees, doublings: int):
     MAX_WINDOW_ROWS rows in one elimination (WindowTooLarge, see
     ``elimination_size``).
     """
-    dom = complex_.domain
     sizes = [(matrix_reach(d),
-              sum(1 for row in d for e in row for c in e.coeffs
-                  if not dom.is_zero(c)),
-              sum(1 for row in d if any(not e.is_zero() for e in row)))
+              sum(1 for row in d for e in row for c in e.coeffs if c),
+              sum(1 for row in d if any(e.coeffs for e in row)))
              for d in complex_.diffs]
 
     def reach(k):

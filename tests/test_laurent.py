@@ -16,7 +16,7 @@ from artinfib.laurent import (MAX_EXPONENT, MAX_NUMERAL_DIGITS,
                               MAX_PARSE_SIZE, LaurentPoly,
                               _pseudo_divide, cyclotomic_poly,
                               factor_cyclotomic, format_poly, from_integers,
-                              integer_lift, parse_poly, q_bracket,
+                              integer_lift, lincomb, parse_poly, q_bracket,
                               extremes_invertible)
 
 
@@ -27,7 +27,7 @@ def test_domains_normalize_and_invert():
     f5 = GF(5)
     assert f5.normalize(7) == 2
     assert f5.inv(2) == 3
-    assert f5.mul(2, 3) == 1
+    assert f5.normalize(2 * 3) == 1
     assert ZZ.is_unit(-1) and not ZZ.is_unit(2)
     with pytest.raises(NotUnit):
         ZZ.inv(2)
@@ -245,24 +245,52 @@ def test_xgcd_property_seeded():
 
 
 def termwise_product(dom, a, b):
-    """Coefficients of a * b, one ``dom.add``/``dom.mul`` per term."""
+    """Coefficients of a * b, each term added and normalized in turn."""
     out = [dom.zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = dom.add(out[i + j], dom.mul(x, y))
+            out[i + j] = dom.normalize(out[i + j] + x * y)
     return out
 
 
 def test_poly_mul_matches_generic():
     # the integer convolutions of Q (over common denominators), Z and
-    # GF(p) (reduced once) against the termwise product in the domain
+    # GF(p) (reduced once) against the termwise product in the domain;
+    # and the fused row update lincomb(a, x, b, y) against a x + b y,
+    # on rows with zero entries and on the Bezout pair of determinant c
+    # over Z that a 2x2 step of a Smith form applies
     rng = random.Random(5)
-    for dom, den in ((QQ, 6), (ZZ, 1), (GF(7), 6)):
+
+    def poly(dom, den, zero=0.2):
+        if rng.random() < zero:
+            return LaurentPoly.zero(dom)
+        return LaurentPoly(dom, rng.randint(-3, 3), [
+            Fraction(rng.randint(-9, 9), rng.randint(1, den))
+            for _ in range(rng.randint(1, 5))])
+
+    for dom, den in ((QQ, 6), (ZZ, 1), (GF(2), 1), (GF(3), 1), (GF(7), 6)):
         for _ in range(50):
             a, b = ([dom.normalize(Fraction(rng.randint(-9, 9),
                                             rng.randint(1, den)))
                      for _ in range(rng.randint(1, 6))] for _ in "ab")
             assert dom.poly_mul(a, b) == termwise_product(dom, a, b)
+        for _ in range(30):
+            a, b = poly(dom, den, 0.1), poly(dom, den, 0.1)
+            for x, y in zip(*([poly(dom, den) for _ in range(6)]
+                              for _ in "xy")):
+                assert lincomb(a, x, b, y) == a * x + b * y, dom
+    one = LaurentPoly.one(ZZ)
+    for _ in range(40):
+        a, b = poly(ZZ, 1, 0), poly(ZZ, 1, 0)
+        g, s, u, c = a.pseudo_xgcd(b)
+        M = (s, u, -b.divexact(g), a.divexact(g))
+        for x, y in zip(*([poly(ZZ, 1) for _ in range(6)] for _ in "xy")):
+            x2, y2 = lincomb(M[0], x, M[1], y), lincomb(M[2], x, M[3], y)
+            assert (x2, y2) == (s * x + u * y, M[2] * x + M[3] * y)
+            # the adjugate (a/g, -u; b/g, s) takes the pair back times c
+            back = (lincomb(M[3], x2, -u, y2), lincomb(-M[2], x2, s, y2))
+            assert back == (x.scale(c), y.scale(c))
+            assert lincomb(one, x, one.scale(-1), x).is_zero()
 
 
 def test_integer_lift_round_trip():

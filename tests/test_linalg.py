@@ -56,7 +56,7 @@ def random_rows(rng, domain, n_rows, n_cols, band):
         row = {}
         for c in cols:
             v = domain.normalize(rng.randint(-3, 3))
-            if not domain.is_zero(v):
+            if v:
                 row[c] = v
         rows.append(row)
     return rows
@@ -90,8 +90,8 @@ def mixed_rows(rng, domain, n_rows, n_cols):
             for src in rng.sample(rows, 2):
                 f = scalar(False)
                 for k, v in src.items():
-                    row[k] = domain.add(row.get(k, domain.zero),
-                                        domain.mul(f, v))
+                    row[k] = domain.normalize(row.get(k, domain.zero)
+                                              + f * v)
         else:
             cols = rng.sample(range(n_cols), rng.randint(1, n_cols))
             row = {k: scalar(rng.random() < 0.5) for k in cols}
