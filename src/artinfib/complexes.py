@@ -36,7 +36,7 @@ from .domains import QQ, Domain
 from .errors import (CocycleViolation, FamilyFormatError, MissingEntry,
                      ParseError, RankMismatch, UnsupportedDomain)
 from .laurent import (LaurentPoly, extremes_invertible, format_poly,
-                      from_integers, integer_lift, parse_poly)
+                      from_integers, integer_lift, lincomb, parse_poly)
 from .rmatrix import mat_mul, mat_is_zero
 
 
@@ -140,8 +140,8 @@ def check_cocycle_family(family: PolynomialFamily) -> None:
     for delta in itertools.chain.from_iterable(subsets_by_degree(gamma)):
         grown = {w: delta | {w} for w in gamma if w not in delta}
         for w, w2 in itertools.combinations(grown, 2):
-            lhs = (entries[delta, w] * entries[grown[w], w2]
-                   + entries[delta, w2] * entries[grown[w2], w])
+            lhs = lincomb(entries[delta, w], entries[grown[w], w2],
+                          entries[delta, w2], entries[grown[w2], w])
             if not lhs.is_zero():
                 lines = [ln for ln in (family.line_of(delta, w),
                                        family.line_of(grown[w], w2),

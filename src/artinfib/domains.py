@@ -6,8 +6,8 @@ form: a ``Fraction`` over Q, an ``int`` over Z, a residue in [0, p) over
 GF(p).  So an element is zero exactly when it is falsy, and ``+ - *`` are
 Python's own operators on the values; over GF(p) a result is reduced
 once, ``% p`` per coefficient produced (``characteristic`` is p there
-and 0 over Q and Z).  The domain object maps values in (``normalize``),
-inverts units and holds the integer convolution.
+and 0 over Q and Z).  The domain object maps values in (``normalize``)
+and out (``to_str``) and inverts units; it forms no Laurent products.
 
 Rationals are ``fractions.Fraction``.  The hot loops over Q (the
 product and long division of Laurent polynomials, every Smith form over
@@ -17,7 +17,8 @@ instead: ``to_ints`` writes the elements over one common denominator
 and ``from_ints`` reads them back, through ``laurent.integer_lift`` and
 ``laurent.from_integers`` for rows of Laurent polynomials.  Over Z and
 GF(p) the elements are ints already, so the same code runs with
-denominator 1.  ``poly_mul`` is the one integer convolution.
+denominator 1.  Every product of Laurent polynomials, ``*`` and
+``laurent.lincomb`` alike, runs the one convolution in ``laurent``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ class Domain:
     anything else raises TypeError.  Canonical elements are added,
     subtracted and multiplied with Python's operators, and a result is
     canonical as it is over Q and Z, and after one ``% characteristic``
-    over GF(p).  A zero element is falsy.
+    over GF(p).  A zero element is falsy.  The object maps elements in
+    and out and inverts units; it forms no Laurent products, which all
+    run the one convolution in ``laurent``.
     """
 
     name = "?"
@@ -78,16 +81,6 @@ class Domain:
         inv = self.inv(self.from_int(den))
         return [self.from_int(n * inv) for n in nums]
 
-    def poly_mul(self, a, b):
-        """Coefficients of the product of two dense coefficient lists: the
-        plain convolution, as over Z; Q and GF(p) run it on integers."""
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return out
-
     def to_str(self, a) -> str:
         return str(a)
 
@@ -119,13 +112,6 @@ class RationalField(Domain):
     def __reduce__(self):
         # unpickle to the module's one instance, which equality relies on
         return "QQ"
-
-    def poly_mul(self, a, b):
-        # one integer convolution over common denominators: a rational
-        # product per term would cost a gcd per term
-        da, na = self.to_ints(a)
-        db, nb = self.to_ints(b)
-        return self.from_ints(super().poly_mul(na, nb), da * db)
 
     def to_ints(self, values):
         """(den, nums): the rationals of the sequence ``values`` (ints
@@ -204,11 +190,6 @@ class PrimeField(Domain):
         if den == 0:
             raise UnsupportedDomain(f"denominator of {fr} vanishes mod {self.p}")
         return fr.numerator * pow(den, -1, self.p) % self.p
-
-    def poly_mul(self, a, b):
-        # plain integer convolution, reduced once per coefficient
-        p = self.p
-        return [c % p for c in super().poly_mul(a, b)]
 
     def is_unit(self, a):
         return a % self.p != 0

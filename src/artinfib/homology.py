@@ -24,7 +24,7 @@ from .domains import ZZ, Domain
 from .errors import (GroupTooLarge, NotStabilized, NotWellFiltered,
                      RankMismatch, UnsupportedDomain)
 from .laurent import (LaurentPoly, factor_cyclotomic, format_poly,
-                      from_integers, integer_lift, lincomb)
+                      from_integers, integer_lift, lincomb, rescale)
 from .rmatrix import mat_shape
 from .series import (WINDOW_DOUBLINGS, m_cohomology_dim_window,
                      window_radius)
@@ -243,7 +243,7 @@ class _Inverse:
     def addmul(self, i, j, c):
         """For row i += c * row j of T: vector j -= c * vector i."""
         (si, sj), den = self._lcm(i, j)
-        c = _times(c, -si)
+        c = rescale(c, -si)
         s = LaurentPoly.constant(c.domain, sj)
         self.vecs[j] = [b if sj == 1 and not a.coeffs else lincomb(s, b, c, a)
                         for a, b in zip(self.vecs[i], self.vecs[j])]
@@ -257,8 +257,8 @@ class _Inverse:
         a, b, c, d = M
         (si, sj), den = self._lcm(i, j)
         sign = -1 if det < 0 else 1
-        a, c = _times(a, sign * sj), _times(c, -sign * sj)
-        b, d = _times(b, -sign * si), _times(d, sign * si)
+        a, c = rescale(a, sign * sj), rescale(c, -sign * sj)
+        b, d = rescale(b, -sign * si), rescale(d, sign * si)
         x, y = self.vecs[i], self.vecs[j]
         self.vecs[i] = [lincomb(d, u, c, v) for u, v in zip(x, y)]
         self.vecs[j] = [lincomb(a, v, b, u) for u, v in zip(x, y)]
@@ -271,7 +271,7 @@ class _Inverse:
         if k < 0:
             k, g = -k, -g
         h = math.gcd(g, self.dens[i])
-        vec = [_times(e, g // h) for e in self.vecs[i]]
+        vec = [rescale(e, g // h) for e in self.vecs[i]]
         self.vecs[i] = [e.shift(shift) for e in vec] if shift else vec
         self._settle(i, self.dens[i] // h * k)
 
@@ -286,19 +286,9 @@ class _Inverse:
         if den > 1:
             g = math.gcd(den, *(c for e in self.vecs[i] for c in e.coeffs))
             if g > 1:
-                self.vecs[i] = [_times(e, 1, g) for e in self.vecs[i]]
+                self.vecs[i] = [rescale(e, 1, g) for e in self.vecs[i]]
                 den //= g
         self.dens[i] = den
-
-
-def _times(p, k, g=1):
-    """p * k / g, for integers k and g with g dividing it (residues over
-    GF(p), where g is 1)."""
-    if k == g or not p.coeffs:
-        return p
-    if g == 1:
-        return p.scale(k)
-    return LaurentPoly(ZZ, p.val, [c * k // g for c in p.coeffs])
 
 
 # Row operations on D, mirrored on the rows of the transform T and,
@@ -336,7 +326,7 @@ def _row_combine(D, T, Tinv, i, j, M, det):
 def _row_rescale(D, T, Tinv, i, k, g):
     """Row i *= k / g over Z, for integers k and g with g dividing it."""
     for X in (D, T):
-        X[i] = [_times(e, k, g) for e in X[i]]
+        X[i] = [rescale(e, k, g) for e in X[i]]
     if Tinv is not None:
         Tinv.rescale(i, k, g)
 
@@ -534,9 +524,11 @@ def _groups(C: CochainComplex, homological: bool) -> tuple:
 def _invariant_factors(A, m, n, domain) -> tuple:
     """Nonzero diagonal of a transform-free Smith form, monic, valuation 0."""
     D = _diagonalize(A, m, n, domain, transforms=False)[0]
-    # over Q the diagonal comes back over Z
-    return tuple(from_integers(domain, D[t][t]).normalized()[1]
-                 for t in range(min(m, n)) if not D[t][t].is_zero())
+    diag = [D[t][t] for t in range(min(m, n))]
+    # over Q the diagonal comes back over Z; each entry is read over the
+    # field already monic, with valuation 0
+    return tuple(from_integers(domain, d, d.coeffs[-1], -d.val)
+                 for d in diag if d.coeffs)
 
 
 def cohomology(C: CochainComplex) -> tuple:

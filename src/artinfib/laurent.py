@@ -6,6 +6,9 @@ zero coefficients at either end, each coefficient canonical in its
 domain) is enforced by the constructor, so equality and hashing are
 structural.  Arithmetic runs on Python's operators over the coefficient
 values and, over GF(p), reduces each coefficient it produces once.
+Every product of Laurent polynomials runs one convolution here, ``*``
+and the fused ``lincomb`` alike, and ``rescale`` is the one exact
+rescaling p k / g of the integer lifts.
 
     >>> from artinfib.domains import QQ
     >>> p = LaurentPoly(QQ, 0, [1, -1, 1])
@@ -181,13 +184,20 @@ class LaurentPoly:
             return NotImplemented
         self._check(other)
         # the domains are equal, so a zero operand is the product itself
-        if self.is_zero():
+        if not self.coeffs:
             return self
-        if other.is_zero():
+        if not other.coeffs:
             return other
-        dom = self.domain
-        return _canonical(dom, self.val + other.val,
-                          dom.poly_mul(self.coeffs, other.coeffs))
+        dom, val = self.domain, self.val + other.val
+        if dom.characteristic or not dom.is_field:
+            return _canonical(dom, *_convolve(dom, val, self.coeffs,
+                                              other.coeffs))
+        # over Q on integers over common denominators: a rational
+        # product per term would cost a gcd per term
+        da, a = dom.to_ints(self.coeffs)
+        db, b = dom.to_ints(other.coeffs)
+        lo, out = _convolve(ZZ, val, a, b)
+        return _canonical(dom, lo, dom.from_ints(out, da * db))
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -327,7 +337,7 @@ class LaurentPoly:
             c = c0 * c1 * max(g, 1)
             h = math.gcd(c, *s.coeffs)
             r0, s0, c0 = r1, s1, c1
-            r1, s1, c1 = rem, _content_divided(s, h), c // h
+            r1, s1, c1 = rem, rescale(s, 1, h), c // h
         if other.is_zero():
             return r0, s0, other, c0
         # one exact division gives t; over the primitive part of other it
@@ -389,24 +399,36 @@ def lincomb(a, x, b, y):
     Both products are accumulated into one coefficient list, each
     coefficient reduced once over GF(p), and one polynomial is made of
     it; neither product nor their sum is formed on its own.  A row
-    operation of a Smith form is this kernel on every entry of its rows.
+    operation of a Smith form is this kernel on every entry of its rows,
+    and ``*`` runs the same kernel with one product.
     """
     dom = x.domain
     if not (a.domain is dom and b.domain is dom and y.domain is dom):
         for other in (a, b, y):
             x._check(other)
-    f1, g1, f2, g2 = a.coeffs, x.coeffs, b.coeffs, y.coeffs
-    e1, e2 = a.val + x.val, b.val + y.val
+    return _canonical(dom, *_convolve(dom, a.val + x.val, a.coeffs, x.coeffs,
+                                      b.val + y.val, b.coeffs, y.coeffs))
+
+
+def _convolve(ring, e1, f1, g1, e2=0, f2=(), g2=()):
+    """(lo, coefficients) of q^e1 f1 g1 + q^e2 f2 g2, for coefficient
+    sequences of ``ring`` (constant term first), each coefficient
+    reduced once over GF(p).  A pair with an empty factor is left out."""
+    # the longer factor in the inner loop
+    if len(f1) > len(g1):
+        f1, g1 = g1, f1
+    if len(f2) > len(g2):
+        f2, g2 = g2, f2
     # a vanishing product becomes the empty one at the other's exponent
     if not (f1 and g1):
         if not (f2 and g2):
-            return _canonical(dom, 0, ())
+            return 0, ()
         f1, g1, e1 = (), (), e2
     elif not (f2 and g2):
         f2, g2, e2 = (), (), e1
     lo = min(e1, e2)
-    out = [dom.zero] * (max(e1 + len(f1) + len(g1),
-                            e2 + len(f2) + len(g2)) - lo - 1)
+    out = [ring.zero] * (max(e1 + len(f1) + len(g1),
+                             e2 + len(f2) + len(g2)) - lo - 1)
     if len(f1) == 1:
         # the list is still zero: a constant multiple (a row update's
         # 1 x) is written in
@@ -414,15 +436,12 @@ def lincomb(a, x, b, y):
         out[e1 - lo:e1 - lo + len(g1)] = g1 if c == 1 else [c * d for d in g1]
         f1 = ()
     for e, f, g in ((e1 - lo, f1, g1), (e2 - lo, f2, g2)):
-        # the longer factor in the inner loop
-        if len(f) > len(g):
-            f, g = g, f
         for i, c in enumerate(f, e):
             if c:
                 for k, d in enumerate(g, i):
                     out[k] += c * d
-    p = dom.characteristic
-    return _canonical(dom, lo, [c % p for c in out] if p else out)
+    p = ring.characteristic
+    return lo, [c % p for c in out] if p else out
 
 
 def integer_lift(polys, domain):
@@ -459,18 +478,21 @@ def _canonical(domain, val, coeffs):
     return p
 
 
+def rescale(p, k, g=1):
+    """p k / g, for integers k and g > 0 with g dividing every
+    coefficient of p k; over GF(p) k is a residue and g is 1."""
+    if k == g or not p.coeffs:
+        return p
+    if g == 1:
+        return p.scale(k)
+    return _canonical(p.domain, p.val, [c * k // g for c in p.coeffs])
+
+
 def _content(p):
     """(content, primitive part) of a polynomial over Z; the content is
     positive, and 0 for the zero polynomial."""
     g = math.gcd(*p.coeffs)
-    return g, _content_divided(p, g)
-
-
-def _content_divided(p, g):
-    """p / g over Z, for a positive g dividing every coefficient of p."""
-    if g <= 1:
-        return p
-    return _canonical(p.domain, p.val, [c // g for c in p.coeffs])
+    return g, rescale(p, 1, g)
 
 
 def _divide(a: LaurentPoly, b: LaurentPoly):

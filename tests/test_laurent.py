@@ -244,21 +244,24 @@ def test_xgcd_property_seeded():
             b.divexact(g)
 
 
-def termwise_product(dom, a, b):
-    """Coefficients of a * b, each term added and normalized in turn."""
-    out = [dom.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = dom.normalize(out[i + j] + x * y)
-    return out
+def termwise(dom, *pairs):
+    """The sum of the products x y over ``pairs``, each term added and
+    normalized in turn; the reference for ``*`` and ``lincomb``."""
+    out = {}
+    for x, y in pairs:
+        for e, c in x.items():
+            for f, d in y.items():
+                out[e + f] = dom.normalize(out.get(e + f, dom.zero) + c * d)
+    return LaurentPoly.from_dict(dom, out)
 
 
-def test_poly_mul_matches_generic():
-    # the integer convolutions of Q (over common denominators), Z and
-    # GF(p) (reduced once) against the termwise product in the domain;
-    # and the fused row update lincomb(a, x, b, y) against a x + b y,
-    # on rows with zero entries and on the Bezout pair of determinant c
-    # over Z that a 2x2 step of a Smith form applies
+def test_products_match_termwise():
+    # the one convolution behind * (over Q on integers over common
+    # denominators, over GF(p) reduced once) and the fused row update
+    # lincomb(a, x, b, y), both against the termwise sum of products in
+    # the domain; on rows with zero entries, on the Bezout pair of
+    # determinant c over Z that a 2x2 step of a Smith form applies, and
+    # on coefficients that cancel only after % p
     rng = random.Random(5)
 
     def poly(dom, den, zero=0.2):
@@ -266,19 +269,17 @@ def test_poly_mul_matches_generic():
             return LaurentPoly.zero(dom)
         return LaurentPoly(dom, rng.randint(-3, 3), [
             Fraction(rng.randint(-9, 9), rng.randint(1, den))
-            for _ in range(rng.randint(1, 5))])
+            for _ in range(rng.randint(1, 6))])
 
     for dom, den in ((QQ, 6), (ZZ, 1), (GF(2), 1), (GF(3), 1), (GF(7), 6)):
         for _ in range(50):
-            a, b = ([dom.normalize(Fraction(rng.randint(-9, 9),
-                                            rng.randint(1, den)))
-                     for _ in range(rng.randint(1, 6))] for _ in "ab")
-            assert dom.poly_mul(a, b) == termwise_product(dom, a, b)
+            a, b = poly(dom, den), poly(dom, den)
+            assert a * b == termwise(dom, (a, b)), dom
         for _ in range(30):
             a, b = poly(dom, den, 0.1), poly(dom, den, 0.1)
             for x, y in zip(*([poly(dom, den) for _ in range(6)]
                               for _ in "xy")):
-                assert lincomb(a, x, b, y) == a * x + b * y, dom
+                assert lincomb(a, x, b, y) == termwise(dom, (a, x), (b, y))
     one = LaurentPoly.one(ZZ)
     for _ in range(40):
         a, b = poly(ZZ, 1, 0), poly(ZZ, 1, 0)
@@ -286,11 +287,23 @@ def test_poly_mul_matches_generic():
         M = (s, u, -b.divexact(g), a.divexact(g))
         for x, y in zip(*([poly(ZZ, 1) for _ in range(6)] for _ in "xy")):
             x2, y2 = lincomb(M[0], x, M[1], y), lincomb(M[2], x, M[3], y)
-            assert (x2, y2) == (s * x + u * y, M[2] * x + M[3] * y)
+            assert (x2, y2) == (termwise(ZZ, (s, x), (u, y)),
+                                termwise(ZZ, (M[2], x), (M[3], y)))
             # the adjugate (a/g, -u; b/g, s) takes the pair back times c
             back = (lincomb(M[3], x2, -u, y2), lincomb(-M[2], x2, s, y2))
             assert back == (x.scale(c), y.scale(c))
             assert lincomb(one, x, one.scale(-1), x).is_zero()
+    # over GF(7): 6 + 7q + q^2 loses its middle term, and in lincomb the
+    # top term 3q + 4q, or every term, 15q + 20q
+    f7 = GF(7)
+    assert (parse_poly("1 + q", f7) * parse_poly("6 + q", f7)
+            == LaurentPoly(f7, 0, [6, 0, 1]))
+    three, four = LaurentPoly.constant(f7, 3), LaurentPoly.constant(f7, 4)
+    q = LaurentPoly.q_power(f7, 1)
+    assert lincomb(three, LaurentPoly(f7, 0, [1, 1]), four, q) == three
+    assert lincomb(three, q.scale(5), four, q.scale(5)).is_zero()
+    assert (parse_poly("1 + q", GF(2)) * parse_poly("1 + q", GF(2))
+            == LaurentPoly(GF(2), 0, [1, 0, 1]))
 
 
 def test_integer_lift_round_trip():
