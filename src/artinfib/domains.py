@@ -18,7 +18,9 @@ and ``from_ints`` reads them back, through ``laurent.integer_lift`` and
 ``laurent.from_integers`` for rows of Laurent polynomials.  Over Z and
 GF(p) the elements are ints already, so the same code runs with
 denominator 1.  Every product of Laurent polynomials, ``*`` and
-``laurent.lincomb`` alike, runs the one convolution in ``laurent``.
+``laurent.lincomb`` alike, runs the one convolution in ``laurent``,
+and every division the one long division there, over Z on the
+integers, over GF(p) on the residues and over Q on the numerators.
 """
 
 from __future__ import annotations

@@ -473,7 +473,7 @@ class InvariantFactors:
 
 
 # the most cells a complex may have for its Smith forms to run: A9 over
-# Q (2^9 cells) takes about 62 s on a 2-core Intel Xeon VM under Python
+# Q (2^9 cells) takes about 66 s on a 2-core Intel Xeon VM under Python
 # 3.11, and A10 (2^10) did not finish in 240 s with its memory still
 # growing
 MAX_SMITH_CELLS = 2 ** 9

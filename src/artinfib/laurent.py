@@ -7,8 +7,9 @@ domain) is enforced by the constructor, so equality and hashing are
 structural.  Arithmetic runs on Python's operators over the coefficient
 values and, over GF(p), reduces each coefficient it produces once.
 Every product of Laurent polynomials runs one convolution here, ``*``
-and the fused ``lincomb`` alike, and ``rescale`` is the one exact
-rescaling p k / g of the integer lifts.
+and the fused ``lincomb`` alike, every division runs one long division,
+``divrem``, ``pseudo_divrem`` and ``divexact`` over every domain alike,
+and ``rescale`` is the one exact rescaling p k / g of the integer lifts.
 
     >>> from artinfib.domains import QQ
     >>> p = LaurentPoly(QQ, 0, [1, -1, 1])
@@ -16,7 +17,7 @@ rescaling p k / g of the integer lifts.
     'q^2 - q + 1'
     >>> p * LaurentPoly(QQ, 0, [1, 1]) == LaurentPoly(QQ, 0, [1, 0, 0, 1])
     True
-    >>> parse_poly("1/2*q^-3 + q", QQ).valuation
+    >>> parse_poly("1/2*q^-3 + q", QQ).val
     -3
 """
 
@@ -26,7 +27,7 @@ import dataclasses
 import math
 import operator
 
-from .domains import GF, QQ, ZZ, Domain
+from .domains import QQ, ZZ, Domain
 from .errors import (
     DivisionByZero,
     NotDivisible,
@@ -101,11 +102,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def valuation(self) -> int:
-        """Lowest exponent (0 for the zero polynomial, by convention)."""
-        return self.val
 
     @property
     def degree(self) -> int:
@@ -266,7 +262,7 @@ class LaurentPoly:
         if not self.domain.is_field:
             raise UnsupportedDomain(
                 f"division with remainder needs a field, not {self.domain}")
-        return _divide(self, other)
+        return _divide(self, other)[1:]
 
     def xgcd(self, other):
         """(g, s, t) with s*self + t*other = g; needs a field.
@@ -303,16 +299,7 @@ class LaurentPoly:
         integer dividing a power of the leading coefficient of ``other``,
         and it is 1 exactly when the quotient over Q is integral.
         """
-        dom = self.domain
-        if dom.is_field:
-            return (dom.one,) + self.divrem(other)
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        if self.is_zero():
-            return 1, self, self
-        k, quo, rem = _pseudo_divide(self.coeffs, other.coeffs)
-        return (k, _canonical(dom, self.val - other.val, quo),
-                _canonical(dom, self.val, rem))
+        return _divide(self, other)
 
     def pseudo_xgcd(self, other):
         """(g, s, t, c) with s*self + t*other = c*g for a nonzero constant c.
@@ -348,10 +335,13 @@ class LaurentPoly:
 
     def divexact(self, other):
         """Exact quotient; NotDivisible if ``other`` does not divide."""
-        q, r = _divide(self, other)
-        if not r.is_zero():
+        k, quo, rem = _divide(self, other)
+        if k != 1:
+            raise NotDivisible(
+                f"({other}) does not divide ({self}) over {self.domain}")
+        if rem.coeffs:
             raise NotDivisible(f"({other}) does not divide ({self})")
-        return q
+        return quo
 
     def normalized(self):
         """Split p = unit * monic with monic of valuation 0.
@@ -496,52 +486,34 @@ def _content(p):
 
 
 def _divide(a: LaurentPoly, b: LaurentPoly):
-    """Shared long division from the top.  Over Q and Z it is one integer
-    pseudo-division of the numerators over common denominators; over Z a
-    quotient that is not integral raises NotDivisible."""
+    """(k, quo, rem) with k a = quo b + rem and span(rem) < span(b), by
+    the one long division ``_pseudo_divide``.  Over Z it runs on the
+    coefficients and over GF(p) on the residues, mod p; over Q it runs
+    on the numerators over common denominators, and the results are read
+    back over k and the denominators, so k is 1 over a field."""
     dom = a.domain
     if b.is_zero():
         raise DivisionByZero("polynomial division by zero")
     if a.is_zero():
-        return LaurentPoly.zero(dom), LaurentPoly.zero(dom)
+        return dom.one, a, a
     val = a.val - b.val
-    if dom.characteristic == 0:
-        if not dom.is_field:
-            k, quo, rem = a.pseudo_divrem(b)
-            if k != 1:
-                raise NotDivisible(f"({b}) does not divide ({a}) over {dom}")
-            return quo, rem
-        da, num = dom.to_ints(a.coeffs)
-        db, den = dom.to_ints(b.coeffs)
-        k, quo, rem = _pseudo_divide(num, den)
-        # a = num / da and b = den / db, so a = (quo db / (k da)) b +
-        # rem / (k da): one rational per result coefficient
-        return (_canonical(dom, val, dom.from_ints([c * db for c in quo],
-                                                   k * da)),
-                _canonical(dom, a.val, dom.from_ints(rem, k * da)))
-    # a prime field: one inverse, then each step is exact.  The running
-    # remainder is reduced mod p only where it is read: at the top
-    # coefficient of each step, and once at the end.
-    p = dom.characteristic
-    rem = list(a.coeffs)
-    binv = dom.inv(b.coeffs[-1])
-    quo = [0] * max(len(rem) - len(b.coeffs) + 1, 0)
-    top = len(b.coeffs) - 1
-    tail = b.coeffs[:-1]
-    for i in reversed(range(len(quo))):
-        c = rem[i + top] % p
-        if not c:
-            continue
-        c = quo[i] = c * binv % p
-        for j, bc in enumerate(tail, i):
-            rem[j] -= c * bc
-    return (_canonical(dom, val, quo),
-            _canonical(dom, a.val, [c % p for c in rem[:top]]))
+    if dom.characteristic or not dom.is_field:
+        k, quo, rem = _pseudo_divide(a.coeffs, b.coeffs, dom.characteristic)
+        return k, _canonical(dom, val, quo), _canonical(dom, a.val, rem)
+    da, num = dom.to_ints(a.coeffs)
+    db, den = dom.to_ints(b.coeffs)
+    k, quo, rem = _pseudo_divide(num, den)
+    # a = num / da and b = den / db, so a = (quo db / (k da)) b +
+    # rem / (k da): one rational per result coefficient
+    return (dom.one,
+            _canonical(dom, val, dom.from_ints([c * db for c in quo], k * da)),
+            _canonical(dom, a.val, dom.from_ints(rem, k * da)))
 
 
-def _pseudo_divide(num, den):
+def _pseudo_divide(num, den, p=0):
     """(k, quo, rem) with k num = quo den + rem, for integer coefficient
-    lists (constant term first) and a nonzero top coefficient of den.
+    lists (constant term first) and a top coefficient of den that is
+    nonzero, and a unit mod p for a prime p.
 
     Pseudo-division (Knuth, TAOCP vol. 2, 4.6.1), with each step scaled
     only by what it needs: a top coefficient c of the running remainder
@@ -549,7 +521,10 @@ def _pseudo_divide(num, den):
     divides it, and otherwise scales the remainder and the quotient so
     far by l / gcd(c, l).  So k divides a power of l, is 1 exactly when
     the quotient over Q is integral, and rem has fewer coefficients than
-    den.
+    den.  With p > 0 the division is mod p: l is inverted once, so k is
+    1 and every step is exact, and the running remainder is reduced only
+    where it is read, at the top coefficient of each step and once at
+    the end.
     """
     rem = list(num)
     top = len(den) - 1
@@ -557,11 +532,14 @@ def _pseudo_divide(num, den):
     tail = den[:-1]
     k = 1
     quo = [0] * max(len(rem) - top, 0)
+    inv = pow(lead, -1, p) if p else 0
     for i in reversed(range(len(quo))):
-        c = rem[i + top]
+        c = rem[i + top] % p if p else rem[i + top]
         if not c:
             continue
-        if c % lead:
+        if p:
+            c = c * inv % p
+        elif c % lead:
             g = math.gcd(c, lead)
             s, c = lead // g, c // g
             k *= s
@@ -574,7 +552,7 @@ def _pseudo_divide(num, den):
         for j, d in enumerate(tail, i):
             if d:
                 rem[j] -= c * d
-    return k, quo, rem[:top]
+    return k, quo, [c % p for c in rem[:top]] if p else rem[:top]
 
 
 # -- named constructions ------------------------
@@ -888,18 +866,17 @@ def _divides_mod_prime(a: LaurentPoly, b: LaurentPoly) -> bool:
 
     With a and b scaled to integer coefficients, and the leading one of
     b a unit modulo the prime, an exact quotient over Q is integral at
-    the prime and reduces to one there; so a nonzero remainder there
-    proves the division inexact.  True when the remainder there is zero
-    or the leading coefficient of b vanishes there.
+    the prime and reduces to one there, whatever b's other coefficients
+    are there; so a nonzero remainder of the long division mod the prime
+    proves the division inexact.  True when that remainder is zero or
+    the leading coefficient of b vanishes there.
     """
     if b.is_zero():
         return True
     # a and b over their denominators: rescaling keeps divisibility
-    field = GF(_CHECK_PRIME)
-    am, bm = (_canonical(field, p.val, [c % field.p for c in
-                                        QQ.to_ints(p.coeffs)[1]])
-              for p in (a, b))
-    return bm.degree != b.degree or am.divrem(bm)[1].is_zero()
+    num, den = (QQ.to_ints(p.coeffs)[1] for p in (a, b))
+    return (den[-1] % _CHECK_PRIME == 0
+            or not any(_pseudo_divide(num, den, _CHECK_PRIME)[2]))
 
 
 def _bits(p: LaurentPoly) -> int:

@@ -181,6 +181,26 @@ def test_pseudo_division_kernel():
         assert [Fraction(c, k) for c in quo] == school_quo
         assert [Fraction(c, k) for c in rem] == school_rem
         assert (k == 1) == all(c.denominator == 1 for c in school_quo)
+    # mod a prime p, on lifts that are not reduced: k = 1, and quo and
+    # rem are the schoolbook quotient and remainder read mod p
+    for p in (2, 3, 7, 2**61 - 1):
+        def residues(values):
+            return [c.numerator * pow(c.denominator, -1, p) % p
+                    for c in values]
+
+        units = [c for c in leads + (p + 1, 1 - 2 * p) if c % p]
+        for _ in range(200):
+            den = random_ints(rng, rng.randint(1, 5), units)
+            num = random_ints(rng, rng.randint(0, 10), leads + (0, p))
+            k, quo, rem = _pseudo_divide(num, den, p)
+            assert k == 1 and len(rem) < len(den), (p, num, den)
+            school_quo, school_rem = schoolbook_divide(num, den)
+            assert quo == residues(school_quo), (p, num, den)
+            assert rem == residues(school_rem), (p, num, den)
+    # mod 7 the second top coefficient 8 - 1 = 7 cancels only after % p,
+    # so its quotient term is 0, not 7 as over Q
+    assert _pseudo_divide([5, 8, 1], [1, 1], 7) == (1, [0, 1], [5])
+    assert _pseudo_divide([5, 8, 1], [1, 1]) == (1, [7, 1], [-2])
 
 
 def test_rational_division_matches_schoolbook():
@@ -342,8 +362,14 @@ def test_divexact():
     # works over Z as long as the division is exact
     assert parse_poly("2 - 2q^2", ZZ).divexact(parse_poly("1 + q", ZZ)) == \
         parse_poly("2 - 2q", ZZ)
-    with pytest.raises(NotDivisible):
+    # over Z a quotient that is not integral (k != 1) is told apart from
+    # a nonzero remainder
+    with pytest.raises(NotDivisible, match=r"\(2\) does not divide "
+                                           r"\(-q \+ 1\) over Z$"):
         parse_poly("1 - q", ZZ).divexact(parse_poly("2", ZZ))
+    with pytest.raises(NotDivisible, match=r"\(q \+ 1\) does not divide "
+                                           r"\(q\^2 \+ 1\)$"):
+        parse_poly("1 + q^2", ZZ).divexact(parse_poly("1 + q", ZZ))
 
 
 def test_normalized():
@@ -475,9 +501,20 @@ def test_parse_inexact_division_fails_fast():
         "1/2 - 1/2q", QQ)
     with pytest.raises(ParseError):
         parse_poly("(1 - q^2)/(2 + 2q)", ZZ)
+    # a divisor whose constant term vanishes modulo the prime is divided
+    # there as it is, so an exact division passes and an inexact one is
+    # refused by the test
+    prime = 2**61 - 1
+    assert parse_poly(f"(q - {prime})^2/(q - {prime})", QQ) == \
+        parse_poly(f"q - {prime}", QQ)
+    assert parse_poly(f"(q^2/2 - {prime}q)/(q/3 - 2/3*{prime})", QQ) == \
+        parse_poly("3/2q", QQ)
+    for dom in (QQ, ZZ):
+        with pytest.raises(ParseError, match=r"does not divide \(q \+ 1\)$"):
+            parse_poly(f"(1 + q)/(q - {prime})", dom)
     # a leading coefficient that vanishes modulo the prime skips the test
-    assert parse_poly(f"(q - {2**61 - 1})^2/(q - {2**61 - 1})", QQ) == \
-        parse_poly(f"q - {2**61 - 1}", QQ)
+    assert parse_poly(f"({prime}q - 1)(1 + q)/({prime}q - 1)", QQ) == \
+        parse_poly("1 + q", QQ)
 
 
 def test_extremes_invertible():
